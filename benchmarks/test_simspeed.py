@@ -43,13 +43,11 @@ def test_simulation_speed(benchmark, prepared_sgemm, results_dir):
     record("simspeed", table + accel_line + profile_block)
     bench_path = results_dir / "BENCH_simspeed.json"
     if bench_path.exists():
-        # keep the parallel_sweep / prepare_cache blocks (owned by
-        # test_sweep_scaling / test_prepcache_speed) when only this
-        # test regenerates the file
+        # keep the parallel_sweep block (owned by test_sweep_scaling)
+        # when only this test regenerates the file
         import json
         document = json.loads(bench_path.read_text())
         report.parallel_sweep = document.get("parallel_sweep")
-        report.prepare_cache = document.get("prepare_cache")
     write_bench_json(report, str(bench_path))
 
     assert report.mips > 0.001  # sanity: not pathologically slow

@@ -34,12 +34,7 @@ Commands
 * ``history`` — the run-registry regression gate: ``list``/``diff``
   compare runs, ``check --baseline NAME`` exits 2 on regressions
   beyond a threshold, ``seed`` bootstraps history from committed BENCH
-  artifacts, ``add`` labels a recorded manifest as a baseline;
-* ``cache`` — inspect the content-addressed prepare cache
-  (``ls``/``stats``/``gc``/``clear``/``verify``); ``simulate``/
-  ``inject``/``analyze``/``memstat`` take ``--prep-cache [DIR]`` to
-  replay compiled kernels + traces instead of re-preparing them
-  (see ``docs/performance.md``).
+  artifacts, ``add`` labels a recorded manifest as a baseline.
 
 ``--quiet``/``--verbose`` (before the command) set the stderr status
 level; stdout stays machine-readable report content. ``simulate
@@ -225,31 +220,6 @@ def _record_manifest(args, run_id, *, workload, status, stats=None,
     return path
 
 
-# -- prepare cache path (simulate/inject/analyze/memstat --prep-cache) --------
-
-def _prep_cache(args):
-    """Build the :class:`PrepareCache` ``--prep-cache`` asks for (None
-    without). Setting ``REPRO_PREP_CACHE_DIR`` enables caching by
-    default; ``--no-prep-cache`` always wins."""
-    import os
-    if getattr(args, "no_prep_cache", False):
-        return None
-    option = getattr(args, "prep_cache", None)
-    if option is None and not os.environ.get("REPRO_PREP_CACHE_DIR"):
-        return None
-    from .harness import PrepareCache
-    return PrepareCache(option if isinstance(option, str) else None)
-
-
-def _prep_cache_extra(prepared):
-    """Manifest provenance block for a cached prepare (None without)."""
-    if prepared is None or not getattr(prepared, "cache_key", None):
-        return None
-    return {"prep_cache": {"key": prepared.cache_key,
-                           "hit": prepared.cache_hit,
-                           "payload_digest": prepared.artifact_digest}}
-
-
 # -- sweep path (simulate/inject/analyze --sweep) -----------------------------
 
 def _parse_sweep_value(text: str):
@@ -291,10 +261,8 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
         raise SystemExit("--resume-sweep needs --journal FILE to "
                          "resume from")
     workload = _build(args.workload, args.size)
-    cache = _prep_cache(args)
     prepared = prepare(workload.kernel, workload.args,
-                       num_tiles=args.tiles, memory=workload.memory,
-                       cache=cache)
+                       num_tiles=args.tiles, memory=workload.memory)
     # journaled sweeps stream worker heartbeats into a live-status file
     # next to the journal by default, so `repro watch JOURNAL` works
     # without extra flags; --heartbeat-every tunes the stride
@@ -307,7 +275,7 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
             num_tiles=args.tiles, max_cycles=args.max_cycles,
             wall_clock_limit=wall_clock_limit, jobs=args.jobs,
             journal_path=args.journal, resume=args.resume_sweep,
-            heartbeat_every=heartbeat_every, prep_cache=cache)
+            heartbeat_every=heartbeat_every)
     except TypeError as exc:
         raise SystemExit(f"bad --sweep grid: {exc}")
     if args.journal and heartbeat_every:
@@ -346,27 +314,33 @@ def cmd_ir(args) -> int:
     return 0
 
 
-def _accel_kinds(kernel) -> List[str]:
-    """Accelerator design kinds the compiled kernel invokes (pure data,
+def _accel_kinds(func) -> List[str]:
+    """Accelerator design kinds the compiled ``func`` invokes (pure data,
     so campaign workers can rebuild their own farms from it)."""
     from .sim.accelerator.library import DESIGN_FACTORIES
-    func = compile_kernel(kernel)
     return sorted({
         inst.callee[len("accel_"):] for inst in func.instructions()
         if getattr(inst, "callee", "").startswith("accel_")
         and inst.callee[len("accel_"):] in DESIGN_FACTORIES})
 
 
-def _detect_accelerators(kernel):
+def _detect_accelerators(func):
     """Build a default AcceleratorFarm covering every ``accel_*``
-    intrinsic the compiled kernel invokes, so accelerated workloads run
+    intrinsic the compiled ``func`` invokes, so accelerated workloads run
     (and trace) without explicit farm configuration."""
     from .sim.accelerator.tile import AcceleratorFarm
-    kinds = _accel_kinds(kernel)
     farm = AcceleratorFarm()
-    for kind in kinds:
+    for kind in _accel_kinds(func):
         farm.add_default(kind)
     return farm if farm.tiles else None
+
+
+def _prepare(args, workload):
+    """Compile and trace ``workload`` once for ``--tiles`` tiles, and
+    detect its accelerator farm from that same compiled function."""
+    prepared = prepare(workload.kernel, workload.args, num_tiles=args.tiles,
+                       memory=workload.memory)
+    return prepared, _detect_accelerators(prepared.function)
 
 
 def cmd_simulate(args) -> int:
@@ -429,14 +403,9 @@ def cmd_simulate(args) -> int:
                        "resumed_from": args.resume})
         return 0
     workload = _build(args.workload, args.size)
-    accelerators = _detect_accelerators(workload.kernel)
     run_id = _registry_run_id(args)
-    cache = _prep_cache(args)
-    prepared = None
-    if cache is not None:
-        prepared = prepare(workload.kernel, workload.args,
-                           num_tiles=args.tiles, memory=workload.memory,
-                           cache=cache)
+    began = _time.perf_counter()
+    prepared, accelerators = _prepare(args, workload)
     tracer = Tracer() if args.trace else None
     metrics = MetricsRegistry() if args.metrics else None
     profiler = SelfProfiler() if args.profile else None
@@ -447,14 +416,13 @@ def cmd_simulate(args) -> int:
               "core": core, "tiles": args.tiles,
               "hierarchy": args.hierarchy_config or args.hierarchy,
               "max_cycles": args.max_cycles}
-    began = _time.perf_counter()
     if args.retries > 0:
         outcome = run_supervised(
             workload.kernel, workload.args, core=core,
             num_tiles=args.tiles, hierarchy=hierarchy,
             accelerators=accelerators,
             max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
-            retries=args.retries, prepared=prepared, prep_cache=cache,
+            retries=args.retries, prepared=prepared,
             tracer=tracer, metrics=metrics,
             profiler=profiler, checkpoint=checkpoint, emitter=emitter,
             memstat=memstat)
@@ -471,12 +439,10 @@ def cmd_simulate(args) -> int:
                 status=outcome.status, wall_seconds=outcome.wall_seconds,
                 config=config,
                 artifacts={"checkpoint": outcome.checkpoint_path,
-                           "heartbeat": args.heartbeat},
-                extra=_prep_cache_extra(prepared))
+                           "heartbeat": args.heartbeat})
             return 2
         stats = outcome.stats
         profile = outcome.profile
-        wall = outcome.wall_seconds
     else:
         interleaver = build_system(
             workload.kernel, workload.args, core=core,
@@ -489,7 +455,7 @@ def cmd_simulate(args) -> int:
         with graceful_interrupts(interleaver):
             stats = interleaver.run()
         profile = profiler.report if profiler is not None else None
-        wall = _time.perf_counter() - began
+    wall = _time.perf_counter() - began
     workload.verify()
     print(f"workload: {workload.name}  system: {args.tiles}x {core.name} "
           f"/ {args.hierarchy_config or args.hierarchy}")
@@ -520,8 +486,7 @@ def cmd_simulate(args) -> int:
         wall_seconds=wall, config=config,
         artifacts={"trace": args.trace, "metrics": args.metrics,
                    "stats": args.stats_json, "heartbeat": args.heartbeat,
-                   "checkpoint": args.checkpoint},
-        extra=_prep_cache_extra(prepared))
+                   "checkpoint": args.checkpoint})
     return 0
 
 
@@ -673,12 +638,12 @@ def cmd_analyze(args) -> int:
                 best = result.best("cycles")
                 core = replace(core, **best.parameters)
                 STATUS.info(f"analyzing best point: {best.parameters}")
+            prepared, accelerators = _prepare(args, workload)
             stats = simulate(
                 workload.kernel, workload.args, core=core,
                 num_tiles=args.tiles, hierarchy=_hierarchy(args.hierarchy),
-                accelerators=_detect_accelerators(workload.kernel),
+                accelerators=accelerators, prepared=prepared,
                 max_cycles=args.max_cycles, attribution=attribution,
-                prep_cache=_prep_cache(args),
                 checkpoint=_checkpoint_sink(args), memstat=memstat)
         document = stats_to_dict(stats)
         validate_report(document)  # self-check before rendering
@@ -790,12 +755,13 @@ def cmd_memstat(args) -> int:
                                  attribution=Attributor(),
                                  memstat=memstat)
         else:
+            prepared, accelerators = _prepare(args, workload)
             stats = simulate(
                 workload.kernel, workload.args, core=core,
                 num_tiles=args.tiles, hierarchy=hierarchy,
-                accelerators=_detect_accelerators(workload.kernel),
+                accelerators=accelerators, prepared=prepared,
                 max_cycles=args.max_cycles, attribution=Attributor(),
-                prep_cache=_prep_cache(args), memstat=memstat)
+                memstat=memstat)
         document = stats_to_dict(stats)
         validate_report(document)  # self-check incl. memory conservation
         if args.json:
@@ -846,14 +812,12 @@ def cmd_inject(args) -> int:
 
     workload = _build(args.workload, args.size)
     run_id = _registry_run_id(args)
-    # with an enabled plan every attempt carries an injector, so prepare
-    # bypasses the cache; disabled plans (all rates 0) still hit it
     outcome = run_supervised(
         workload.kernel, workload.args, plan=plan,
         core=_core(args.core), num_tiles=args.tiles,
         hierarchy=_hierarchy(args.hierarchy),
         max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
-        retries=args.retries, fresh=fresh, prep_cache=_prep_cache(args),
+        retries=args.retries, fresh=fresh,
         checkpoint=_checkpoint_sink(args, run_id=run_id))
     print(f"workload: {workload.name}  plan: seed={plan.seed} "
           f"bitflip={plan.bitflip_load_rate} drop={plan.message_drop_rate} "
@@ -930,7 +894,8 @@ def cmd_campaign(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     workload = _build(args.workload, args.size)
-    kinds = _accel_kinds(workload.kernel)
+    func = compile_kernel(workload.kernel)
+    kinds = _accel_kinds(func)
     if args.sites:
         sites = [s.strip() for s in args.sites.split(",") if s.strip()]
     else:
@@ -946,7 +911,7 @@ def cmd_campaign(args) -> int:
     began = _time.perf_counter()
     try:
         result = run_campaign(
-            workload.kernel, workload.args, plan=plan,
+            func, workload.args, plan=plan,
             trials=args.trials, memory=workload.memory,
             sites=sites or None, core=_core(args.core),
             num_tiles=args.tiles, hierarchy=_hierarchy(args.hierarchy),
@@ -955,7 +920,6 @@ def cmd_campaign(args) -> int:
             journal_path=args.journal,
             resume=args.resume_campaign,
             sdc_ci_target=args.ci_target,
-            prep_cache=_prep_cache(args),
             workload_name=workload.name)
     except (CampaignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1050,68 +1014,6 @@ def cmd_trace(args) -> int:
           f"({accesses} memory accesses) to {args.output} "
           f"({size} bytes compressed)")
     return 0
-
-
-def cmd_cache(args) -> int:
-    """Inspect and manage the content-addressed prepare cache. Exit
-    codes: 0 ok, 2 when ``verify`` finds unsound entries."""
-    import time as _time
-    from .harness import PrepareCache
-    cache = PrepareCache(args.dir)
-    action = args.cache_command
-    if action == "ls":
-        entries = cache.entries()
-        if not entries:
-            print(f"prepare cache at {cache.root}: empty")
-            return 0
-        rows = []
-        for entry in entries:
-            rows.append([
-                entry["key"][:16],
-                entry.get("kernel", "-"),
-                entry.get("num_tiles", "-"),
-                entry.get("payload_bytes", entry["disk_bytes"]),
-                _time.strftime("%Y-%m-%d %H:%M:%S",
-                               _time.localtime(entry["mtime"])),
-            ])
-        print(render_table(
-            ["key", "kernel", "tiles", "bytes", "last used"], rows,
-            title=f"{cache.root}: {len(entries)} entr"
-                  f"{'y' if len(entries) == 1 else 'ies'}"))
-        return 0
-    if action == "stats":
-        stats = cache.stats()
-        print(f"root: {stats['root']}")
-        print(f"schema: {stats['schema']}")
-        print(f"entries: {stats['entries']}")
-        print(f"total_bytes: {stats['total_bytes']}")
-        print(f"max_bytes: {stats['max_bytes']}")
-        if getattr(args, "json", None):
-            from .ioutil import atomic_write_json
-            atomic_write_json(args.json, stats, indent=2)
-            STATUS.info(f"cache stats: -> {args.json}")
-        return 0
-    if action == "gc":
-        removed = cache.gc(args.max_bytes)
-        stats = cache.stats()
-        print(f"gc: removed {removed} entr"
-              f"{'y' if removed == 1 else 'ies'}; "
-              f"{stats['entries']} remain ({stats['total_bytes']} bytes)")
-        return 0
-    if action == "clear":
-        removed = cache.clear()
-        print(f"clear: removed {removed} entr"
-              f"{'y' if removed == 1 else 'ies'} from {cache.root}")
-        return 0
-    # verify
-    results = cache.verify()
-    bad = [r for r in results if not r["ok"]]
-    for record in results:
-        print(f"  {record['key'][:16]}: "
-              f"{'ok' if record['ok'] else record['problem']}")
-    print(f"verify: {len(results) - len(bad)}/{len(results)} entr"
-          f"{'y' if len(results) == 1 else 'ies'} ok")
-    return 2 if bad else 0
 
 
 def cmd_watch(args) -> int:
@@ -1301,20 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "and restore their results bit-identically")
         return sub
 
-    def with_prep_cache(sub):
-        sub.add_argument("--prep-cache", nargs="?", const=True,
-                         default=None, metavar="DIR", dest="prep_cache",
-                         help="replay compiled kernels + traces from the "
-                              "content-addressed prepare cache in DIR "
-                              "(default: REPRO_PREP_CACHE_DIR or "
-                              "~/.cache/repro/prepcache); see "
-                              "docs/performance.md")
-        sub.add_argument("--no-prep-cache", action="store_true",
-                         dest="no_prep_cache",
-                         help="force a fresh prepare even when "
-                              "REPRO_PREP_CACHE_DIR is set")
-        return sub
-
     def with_registry(sub):
         sub.add_argument("--registry", nargs="?", const="runs",
                          metavar="DIR",
@@ -1347,10 +1235,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "starting fresh")
         return sub
 
-    sim = with_prep_cache(with_registry(with_checkpoint(with_sweep(
+    sim = with_registry(with_checkpoint(with_sweep(
         with_supervision(with_workload(commands.add_parser(
             "simulate", help="simulate a workload on a system "
-                             "preset")))))))
+                             "preset"))))))
     sim.add_argument("--core", default="ooo", choices=sorted(CORES))
     sim.add_argument("--tiles", type=int, default=1)
     sim.add_argument("--hierarchy", default="dae",
@@ -1389,10 +1277,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "--journal to tune the live-status stride)")
     sim.set_defaults(func=cmd_simulate)
 
-    inject = with_prep_cache(with_registry(with_checkpoint(with_sweep(
+    inject = with_registry(with_checkpoint(with_sweep(
         with_supervision(with_workload(commands.add_parser(
             "inject",
-            help="run a deterministic fault-injection campaign")))))))
+            help="run a deterministic fault-injection campaign"))))))
     inject.add_argument("--core", default="ooo", choices=sorted(CORES))
     inject.add_argument("--tiles", type=int, default=1)
     inject.add_argument("--hierarchy", default="dae",
@@ -1411,11 +1299,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probability an accelerator invocation faults")
     inject.set_defaults(func=cmd_inject)
 
-    campaign = with_prep_cache(with_registry(with_workload(
+    campaign = with_registry(with_workload(
         commands.add_parser(
             "campaign",
             help="SDC characterization: stratified fault trials "
-                 "classified against a golden-output oracle"))))
+                 "classified against a golden-output oracle")))
     campaign.add_argument("--core", default="ooo", choices=sorted(CORES))
     campaign.add_argument("--tiles", type=int, default=1)
     campaign.add_argument("--hierarchy", default="dae",
@@ -1549,7 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "memory block)")
     with_sweep(analyze)
     with_checkpoint(analyze)
-    with_prep_cache(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     diff = commands.add_parser(
@@ -1610,40 +1497,7 @@ def build_parser() -> argparse.ArgumentParser:
     memstat.add_argument("--json", metavar="FILE",
                          help="also write the report JSON (diff-able, "
                               "carries attribution + memory blocks)")
-    with_prep_cache(memstat)
     memstat.set_defaults(func=cmd_memstat)
-
-    cache_cmd = commands.add_parser(
-        "cache", help="inspect and manage the content-addressed "
-                      "prepare cache (compile-once, simulate-many)")
-    csub = cache_cmd.add_subparsers(dest="cache_command", required=True)
-
-    def with_cache_dir(sub):
-        sub.add_argument("--dir", metavar="DIR", default=None,
-                         help="cache directory (default: "
-                              "REPRO_PREP_CACHE_DIR or "
-                              "~/.cache/repro/prepcache)")
-        sub.set_defaults(func=cmd_cache)
-        return sub
-
-    with_cache_dir(csub.add_parser(
-        "ls", help="list cached prepare artifacts (LRU first)"))
-    cstats = with_cache_dir(csub.add_parser(
-        "stats", help="entry count, byte totals and session counters"))
-    cstats.add_argument("--json", metavar="FILE",
-                        help="also write the stats as JSON (CI artifact)")
-    cgc = with_cache_dir(csub.add_parser(
-        "gc", help="evict least-recently-used entries down to the "
-                   "size cap"))
-    cgc.add_argument("--max-bytes", type=int, default=None,
-                     dest="max_bytes", metavar="N",
-                     help="size cap to collect down to (default: "
-                          "the built-in 512 MiB cap)")
-    with_cache_dir(csub.add_parser(
-        "clear", help="remove every cache entry"))
-    with_cache_dir(csub.add_parser(
-        "verify", help="deep-check every entry (schema, payload "
-                       "digest, decode); exit 2 on unsound entries"))
 
     watch = commands.add_parser(
         "watch", help="live terminal dashboard for a running sweep "

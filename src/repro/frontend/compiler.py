@@ -577,13 +577,6 @@ class _Lowering:
         return call
 
 
-#: bump when lowering changes the IR produced for the same kernel source
-#: (new dialect features, different SSA naming, changed optimization
-#: pipeline) — the prepare cache folds this into its keys so entries
-#: compiled by an older front-end are never replayed
-FRONTEND_SCHEMA_VERSION = 1
-
-
 def _parse_function(source_or_fn: Union[str, Callable],
                     name: Optional[str]) -> Tuple[ast.FunctionDef, str]:
     if callable(source_or_fn):

@@ -10,10 +10,6 @@ from .reporting import (
     render_campaign_report, render_memory_diff, render_memstat_report,
     render_report_diff, render_table, render_timeline,
 )
-from .prepcache import (
-    DEFAULT_MAX_BYTES, PREPCACHE_SCHEMA_VERSION, PrepareCache,
-    default_cache_root, prepare_key,
-)
 from .runner import (
     DAEPairSpec, DEFAULT_MAX_CYCLES, FaultedRun, Prepared, RunOutcome,
     build_dae, build_heterogeneous, build_system, classify_failure,
@@ -34,8 +30,8 @@ from .watch import (
 )
 from .simspeed import (
     BENCH_SCHEMA_VERSION, PAPER_MIPS, SpeedReport,
-    measure_prepare_cache, measure_simulation_speed,
-    measure_sweep_scaling, trace_footprint_bytes, write_bench_json,
+    measure_simulation_speed, measure_sweep_scaling,
+    trace_footprint_bytes, write_bench_json,
 )
 from .systems import (
     DAE_QUEUE_ENTRIES, DAE_QUEUE_LATENCY, INO_AREA_MM2, OOO_AREA_MM2,
@@ -50,8 +46,6 @@ __all__ = [
     "render_campaign_report", "render_memory_diff",
     "render_memstat_report", "render_report_diff", "render_table",
     "render_timeline",
-    "DEFAULT_MAX_BYTES", "PREPCACHE_SCHEMA_VERSION", "PrepareCache",
-    "default_cache_root", "prepare_key",
     "DAEPairSpec", "DEFAULT_MAX_CYCLES", "FaultedRun", "Prepared",
     "RunOutcome", "build_dae", "build_heterogeneous", "build_system",
     "classify_failure", "graceful_interrupts", "prepare", "prepare_dae",
@@ -64,8 +58,8 @@ __all__ = [
     "SweepLiveStatus", "estimate_total_cycles", "eta_seconds",
     "live_path_for", "load_live", "render_watch", "watch_loop",
     "BENCH_SCHEMA_VERSION", "PAPER_MIPS", "SpeedReport",
-    "measure_prepare_cache", "measure_simulation_speed",
-    "measure_sweep_scaling", "trace_footprint_bytes", "write_bench_json",
+    "measure_simulation_speed", "measure_sweep_scaling",
+    "trace_footprint_bytes", "write_bench_json",
     "DAE_QUEUE_ENTRIES", "DAE_QUEUE_LATENCY", "INO_AREA_MM2",
     "OOO_AREA_MM2", "dae_hierarchy", "inorder_core", "ooo_core",
     "xeon_core", "xeon_hierarchy",

@@ -41,7 +41,6 @@ from ..telemetry.profiler import ProfileReport
 from ..trace.interpreter import Interpreter
 from ..trace.memory import SimMemory
 from ..trace.tracefile import KernelTrace
-from .prepcache import PrepareCache, prepare_key
 from .status import STATUS
 from .systems import DAE_QUEUE_ENTRIES
 
@@ -67,82 +66,18 @@ class Prepared:
     ddg: StaticDDG
     traces: List[KernelTrace]
     memory: SimMemory
-    #: prepare-cache provenance: the content address this artifact lives
-    #: under, whether this instance was replayed from the cache, and the
-    #: stored payload's SHA-256 (None/False when prepared uncached)
-    cache_key: Optional[str] = None
-    cache_hit: bool = False
-    artifact_digest: Optional[str] = None
-
-
-def _overlay_memory(live: SimMemory, cached: SimMemory) -> bool:
-    """Copy the cached post-interpretation segment data into the live
-    SimMemory (matched by name/base/type/length), so a cache hit leaves
-    the caller's memory exactly as a fresh functional run would —
-    ``workload.verify()`` reads it. False when the layouts disagree
-    (a key collision or stale entry; the caller recompiles)."""
-    targets = {}
-    for segment in live.segments:
-        targets[(segment.name, segment.base, str(segment.element_type),
-                 len(segment.data))] = segment
-    if len(targets) != len(cached.segments):
-        return False
-    for segment in cached.segments:
-        target = targets.pop(
-            (segment.name, segment.base, str(segment.element_type),
-             len(segment.data)), None)
-        if target is None:
-            return False
-        target.data[:] = segment.data
-    return True
 
 
 def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
             memory: Optional[SimMemory] = None,
-            injector: Optional[FaultInjector] = None,
-            cache: Optional[PrepareCache] = None) -> Prepared:
+            injector: Optional[FaultInjector] = None) -> Prepared:
     """Compile ``kernel`` and generate SPMD traces for ``num_tiles``.
 
     With ``injector``, functional loads during trace generation may
     return bit-flipped values (deterministic under the injector's seed).
-
-    With ``cache`` (a :class:`~repro.harness.prepcache.PrepareCache`),
-    the compiled function, DDG, traces and functional memory image are
-    replayed from disk when an entry matches the content-addressed key
-    (kernel IR + argument spec + initial memory image + ``num_tiles`` +
-    toolchain schema versions), and stored after a fresh run otherwise.
-    An attached ``injector`` always bypasses the cache: it corrupts
-    functional loads and advances RNG/log state during interpretation,
-    so replaying artifacts would diverge from an injected run.
     """
     func = kernel if isinstance(kernel, Function) else compile_kernel(kernel)
     mem = memory if memory is not None else _infer_memory(args)
-    key = None
-    if cache is not None:
-        if injector is not None:
-            cache.bypasses += 1
-            STATUS.verbose("prepare cache: bypassed (fault injector "
-                           "attached)")
-        else:
-            # keyed over the INITIAL memory image; interpretation below
-            # mutates mem in place
-            key = prepare_key(func, args, num_tiles, mem)
-            if key is not None:
-                hit = cache.load(key)
-                if hit is not None:
-                    stored, digest = hit
-                    if (isinstance(stored, Prepared)
-                            and len(stored.traces) == num_tiles
-                            and _overlay_memory(mem, stored.memory)):
-                        STATUS.info(
-                            f"prepare cache: hit {key[:12]} "
-                            f"({func.name}, {num_tiles} tile(s))")
-                        return Prepared(stored.function, stored.ddg,
-                                        stored.traces, mem,
-                                        cache_key=key, cache_hit=True,
-                                        artifact_digest=digest)
-                    cache._discard(key, "artifact does not match the "
-                                        "live workload")
     module = Module(func.name)
     module.add_function(func)
     interp = Interpreter(module, mem)
@@ -153,19 +88,7 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
     finally:
         if injector is not None:
             mem.injector = None
-    prepared = Prepared(func, build_ddg(func), traces, mem)
-    if cache is not None and key is not None:
-        # stored before the provenance fields are set, so the payload
-        # digest is a pure function of the artifact content
-        digest = cache.store(key, prepared, meta={
-            "kernel": func.name, "num_tiles": num_tiles,
-            "traces": len(traces)})
-        prepared.cache_key = key
-        prepared.artifact_digest = digest
-        if digest is not None:
-            STATUS.info(f"prepare cache: store {key[:12]} "
-                        f"({func.name}, {num_tiles} tile(s))")
-    return prepared
+    return Prepared(func, build_ddg(func), traces, mem)
 
 
 def _check_trace_count(prepared: Prepared, num_tiles: int, detail: str,
@@ -197,7 +120,6 @@ def build_system(kernel: Kernel, args: Sequence, *,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
                  wall_clock_limit: Optional[float] = None,
                  injector: Optional[FaultInjector] = None,
-                 prep_cache: Optional[PrepareCache] = None,
                  strict_traces: bool = False,
                  tracer=None, metrics=None, profiler=None,
                  attribution=None, checkpoint=None,
@@ -213,7 +135,7 @@ def build_system(kernel: Kernel, args: Sequence, *,
     core.validate()
     if prepared is None:
         prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
-                           injector=injector, cache=prep_cache)
+                           injector=injector)
     _check_trace_count(prepared, num_tiles,
                        f"num_tiles={num_tiles}; call prepare(..., "
                        f"num_tiles={num_tiles}) first",
@@ -255,7 +177,6 @@ def simulate(kernel: Kernel, args: Sequence, *,
              max_cycles: int = DEFAULT_MAX_CYCLES,
              wall_clock_limit: Optional[float] = None,
              injector: Optional[FaultInjector] = None,
-             prep_cache: Optional[PrepareCache] = None,
              strict_traces: bool = False,
              tracer=None, metrics=None, profiler=None,
              attribution=None, checkpoint=None,
@@ -265,8 +186,6 @@ def simulate(kernel: Kernel, args: Sequence, *,
 
     ``injector`` wires timing-level fault injection (fabric, DRAM,
     accelerators) into the run; ``wall_clock_limit`` arms the watchdog.
-    ``prep_cache`` replays compiled kernels + traces from the
-    content-addressed prepare cache (see ``docs/performance.md``).
     ``tracer``/``metrics``/``profiler``/``attribution`` attach the
     telemetry layer (see ``docs/observability.md``); ``checkpoint`` (a
     :class:`~repro.checkpoint.CheckpointSink`) arms periodic autosave
@@ -277,8 +196,8 @@ def simulate(kernel: Kernel, args: Sequence, *,
         accelerators=accelerators, memory=memory,
         frequency_ghz=frequency_ghz, prepared=prepared,
         max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, prep_cache=prep_cache,
-        strict_traces=strict_traces, tracer=tracer, metrics=metrics,
+        injector=injector, strict_traces=strict_traces,
+        tracer=tracer, metrics=metrics,
         profiler=profiler, attribution=attribution,
         checkpoint=checkpoint, emitter=emitter,
         memstat=memstat).run()
@@ -293,7 +212,6 @@ def build_heterogeneous(kernel: Kernel, args: Sequence, *,
                         max_cycles: int = DEFAULT_MAX_CYCLES,
                         wall_clock_limit: Optional[float] = None,
                         injector: Optional[FaultInjector] = None,
-                        prep_cache: Optional[PrepareCache] = None,
                         strict_traces: bool = False,
                         tracer=None, metrics=None, profiler=None,
                         attribution=None, checkpoint=None,
@@ -307,7 +225,7 @@ def build_heterogeneous(kernel: Kernel, args: Sequence, *,
     num_tiles = len(cores)
     if prepared is None:
         prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
-                           injector=injector, cache=prep_cache)
+                           injector=injector)
     _check_trace_count(prepared, num_tiles,
                        f"{num_tiles} cores were given",
                        strict=strict_traces)
@@ -347,7 +265,6 @@ def simulate_heterogeneous(kernel: Kernel, args: Sequence, *,
                            max_cycles: int = DEFAULT_MAX_CYCLES,
                            wall_clock_limit: Optional[float] = None,
                            injector: Optional[FaultInjector] = None,
-                           prep_cache: Optional[PrepareCache] = None,
                            strict_traces: bool = False,
                            tracer=None, metrics=None, profiler=None,
                            attribution=None, checkpoint=None,
@@ -366,8 +283,8 @@ def simulate_heterogeneous(kernel: Kernel, args: Sequence, *,
         kernel, args, cores=cores, hierarchy=hierarchy,
         accelerators=accelerators, memory=memory, prepared=prepared,
         max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, prep_cache=prep_cache,
-        strict_traces=strict_traces, tracer=tracer, metrics=metrics,
+        injector=injector, strict_traces=strict_traces,
+        tracer=tracer, metrics=metrics,
         profiler=profiler, attribution=attribution,
         checkpoint=checkpoint, emitter=emitter,
         memstat=memstat).run()
@@ -643,7 +560,6 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
                    backoff_seconds: float = 0.0,
                    fresh: Optional[Callable[[], tuple]] = None,
                    prepared: Optional[Prepared] = None,
-                   prep_cache: Optional[PrepareCache] = None,
                    tracer=None, metrics=None, profiler=None,
                    attribution=None, checkpoint=None,
                    emitter=None, memstat=None) -> RunOutcome:
@@ -662,7 +578,7 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
 
     ``prepared`` reuses an existing artifact for the first attempt
     (dropped when a fault injector is active or ``fresh`` rebuilt the
-    workload); ``prep_cache`` makes any re-prepare a cache replay.
+    workload, since both need a new functional run).
 
     With ``checkpoint`` (a CheckpointSink), the run autosaves and — the
     supervisor integration — flushes a final snapshot *before* the cycle
@@ -683,8 +599,7 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
         if fresh is not None and attempts > 0:
             k, a, m = fresh()
             # the caller's Prepared is bound to the original memory;
-            # retries on pristine state must re-prepare (the cache makes
-            # that cheap)
+            # retries on pristine state must re-prepare
             attempt_prepared = None
         if injector is not None:
             # an injector corrupts functional loads during trace
@@ -697,7 +612,6 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
                              memory=m, max_cycles=max_cycles,
                              wall_clock_limit=wall_clock_limit,
                              prepared=attempt_prepared,
-                             prep_cache=prep_cache,
                              injector=injector, tracer=tracer,
                              metrics=metrics, profiler=profiler,
                              attribution=attribution, checkpoint=checkpoint,

@@ -22,15 +22,15 @@ from ..sim.accelerator.library import sgemm_design
 from ..sim.accelerator.perf_model import GenericPerformanceModel
 from ..sim.config import CoreConfig
 from ..telemetry.profiler import ProfileReport, SelfProfiler
-from .runner import DEFAULT_MAX_CYCLES, Prepared, prepare, simulate
+from .runner import DEFAULT_MAX_CYCLES, Prepared, simulate
 from .systems import dae_hierarchy, ooo_core
 
 #: bump when the BENCH_simspeed.json layout changes incompatibly
 #: (v2: headline ``mips`` is derived from the self-profile when one was
 #: captured, and an optional ``parallel_sweep`` block records sweep
-#: scaling — see ``measure_sweep_scaling``; v3: an optional
-#: ``prepare_cache`` block records cold-vs-hit prepare wall time — see
-#: ``measure_prepare_cache``)
+#: scaling — see ``measure_sweep_scaling``; v3 files written before the
+#: prepare cache was removed may still carry an optional
+#: ``prepare_cache`` block, which readers ignore)
 BENCH_SCHEMA_VERSION = 3
 
 #: paper-quoted comparison points (§VI-B), MIPS
@@ -51,8 +51,6 @@ class SpeedReport:
     profile: Optional[ProfileReport] = None
     #: serial-vs-parallel sweep timing (from measure_sweep_scaling)
     parallel_sweep: Optional[Dict] = None
-    #: cold-vs-hit prepare timing (from measure_prepare_cache)
-    prepare_cache: Optional[Dict] = None
 
     @property
     def mips(self) -> float:
@@ -78,8 +76,6 @@ class SpeedReport:
             document["profile"] = self.profile.as_dict()
         if self.parallel_sweep is not None:
             document["parallel_sweep"] = dict(self.parallel_sweep)
-        if self.prepare_cache is not None:
-            document["prepare_cache"] = dict(self.prepare_cache)
         return document
 
 
@@ -177,48 +173,6 @@ def measure_sweep_scaling(prepared: Prepared, core: CoreConfig,
         "ratio": parallel_wall / serial_wall if serial_wall else 0.0,
         "identical": identical,
         "outcomes": serial.outcomes(),
-    }
-
-
-def measure_prepare_cache(build_workload, *, num_tiles: int = 1,
-                          cache=None, cache_root: Optional[str] = None
-                          ) -> Dict:
-    """Time one cold prepare (compile + DDG + trace generation + store)
-    against one cache-hit replay of the same workload.
-
-    ``build_workload`` is a zero-argument callable returning a fresh
-    workload (kernel/args/memory) — the hit must start from a pristine
-    initial memory image, since the key covers memory content and the
-    cold run mutates it. Returns the ``prepare_cache`` block for
-    ``BENCH_simspeed.json``.
-    """
-    import tempfile
-
-    from .prepcache import PrepareCache
-    if cache is None:
-        cache = PrepareCache(
-            cache_root or tempfile.mkdtemp(prefix="repro-prepcache-"))
-    cold_workload = build_workload()
-    start = time.perf_counter()
-    cold = prepare(cold_workload.kernel, cold_workload.args,
-                   num_tiles=num_tiles, memory=cold_workload.memory,
-                   cache=cache)
-    cold_seconds = time.perf_counter() - start
-    hit_workload = build_workload()
-    start = time.perf_counter()
-    hit = prepare(hit_workload.kernel, hit_workload.args,
-                  num_tiles=num_tiles, memory=hit_workload.memory,
-                  cache=cache)
-    hit_seconds = time.perf_counter() - start
-    return {
-        "kernel": cold.function.name,
-        "num_tiles": num_tiles,
-        "cold_seconds": cold_seconds,
-        "hit_seconds": hit_seconds,
-        "speedup": cold_seconds / hit_seconds if hit_seconds > 0 else 0.0,
-        "hit": hit.cache_hit,
-        "key": hit.cache_key,
-        "payload_bytes": cache.stats()["total_bytes"],
     }
 
 

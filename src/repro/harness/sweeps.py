@@ -427,14 +427,11 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
                    resume: bool = False,
                    point_retries: int = 2,
                    retry_backoff: float = 0.0,
-                   heartbeat_every: Optional[int] = None,
-                   prep_cache=None) -> SweepResult:
+                   heartbeat_every: Optional[int] = None) -> SweepResult:
     """Run every (parameters, spec) task; in order, serially or on a pool.
 
     Workers receive the Prepared workload once (compressed pickle via the
-    pool initializer); when ``prep_cache`` holds the artifact under
-    ``prepared.cache_key``, the stored payload is shipped as-is instead
-    of re-compressing. Workers then stream pure-data specs. Results are assembled
+    pool initializer), then stream pure-data specs. Results are assembled
     in submission order, so the SweepResult is bit-identical to a serial
     sweep — each point's simulation is an isolated deterministic run
     either way. ``on_error="raise"`` executes serially so the first
@@ -510,17 +507,7 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
             collected(index, parameters,
                       _run_point(parameters, run, on_error))
     elif todo:
-        payload = None
-        if prep_cache is not None and getattr(prepared, "cache_key", None):
-            # ship the cache's stored payload (same format: zlib of
-            # pickled Prepared) instead of paying compression again
-            payload = prep_cache.payload_bytes(prepared.cache_key)
-            if payload is not None:
-                STATUS.verbose(f"sweep: shipping cached prepare payload "
-                               f"{prepared.cache_key[:12]} "
-                               f"({len(payload)} bytes) to workers")
-        if payload is None:
-            payload = zlib.compress(pickle.dumps(prepared, protocol=4), 6)
+        payload = zlib.compress(pickle.dumps(prepared, protocol=4), 6)
         hb_queue = None
         manager = None
         drain = None
@@ -558,8 +545,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
                resume: bool = False,
                point_retries: int = 2,
                retry_backoff: float = 0.0,
-               heartbeat_every: Optional[int] = None,
-               prep_cache=None) -> SweepResult:
+               heartbeat_every: Optional[int] = None) -> SweepResult:
     """Simulate ``prepared`` under every combination of core-config
     overrides in ``grid`` (a dict of CoreConfig field -> values).
 
@@ -603,8 +589,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)
 
 
 def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
@@ -618,8 +603,7 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                     resume: bool = False,
                     point_retries: int = 2,
                     retry_backoff: float = 0.0,
-                    heartbeat_every: Optional[int] = None,
-                    prep_cache=None) -> SweepResult:
+                    heartbeat_every: Optional[int] = None) -> SweepResult:
     """Simulate ``prepared`` under each named memory-hierarchy config."""
     tasks = [({"hierarchy": name},
               {"core": core, "num_tiles": num_tiles,
@@ -630,8 +614,7 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)
 
 
 def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
@@ -641,8 +624,7 @@ def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
                resume: bool = False,
                point_retries: int = 2,
                retry_backoff: float = 0.0,
-               heartbeat_every: Optional[int] = None,
-               prep_cache=None) -> SweepResult:
+               heartbeat_every: Optional[int] = None) -> SweepResult:
     """Simulate ``prepared`` once per named run configuration.
 
     Each value of ``runs`` is a dict of :func:`simulate` keyword
@@ -656,5 +638,4 @@ def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)

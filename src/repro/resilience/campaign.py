@@ -167,8 +167,8 @@ class CampaignPayload:
     pickled before the golden run mutated the memory — so a mem-site
     trial can re-interpret from clean state with its injector attached.
     Timing-site trials (msg/dram/accel) cannot corrupt functional data
-    and reuse the golden ``prepared`` directly: re-timing cached traces
-    is exactly the compile-once-simulate-many contract.
+    and reuse the golden ``prepared`` directly: re-timing the golden
+    traces is exactly the compile-once-simulate-many contract.
     """
 
     blob: bytes
@@ -412,7 +412,6 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
                  resume: bool = False,
                  sdc_ci_target: Optional[float] = None,
                  ci_check_every: int = 16,
-                 prep_cache=None,
                  workload_name: str = "",
                  confidence_z: float = 1.96) -> CampaignResult:
     """Run a stratified fault-injection campaign against a golden oracle.
@@ -437,8 +436,8 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
     re-run; ``sdc_ci_target`` stops early once the aggregate SDC-rate
     Wilson interval is narrower than the target, checked every
     ``ci_check_every`` trials (a fixed stride, so early stop never
-    breaks serial/parallel identity). ``prep_cache`` makes the golden
-    prepare a replay.
+    breaks serial/parallel identity). ``kernel`` may be an already
+    compiled :class:`~repro.ir.function.Function`.
     """
     from ..harness.runner import (
         DEFAULT_MAX_CYCLES, classify_failure, prepare, simulate,
@@ -470,8 +469,7 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
 
     from ..harness.status import STATUS
     try:
-        prepared = prepare(func, args, num_tiles=num_tiles, memory=mem,
-                           cache=prep_cache)
+        prepared = prepare(func, args, num_tiles=num_tiles, memory=mem)
         golden_stats = simulate(
             func, [], prepared=prepared, core=core, num_tiles=num_tiles,
             hierarchy=hierarchy,

@@ -104,9 +104,10 @@ class TestConservation:
 
     def test_accelerated_workload(self):
         from repro.cli import _detect_accelerators
+        from repro.frontend import compile_kernel
         from repro.workloads.sinkhorn import build_combined
         workload = build_combined(accelerated=True)
-        farm = _detect_accelerators(workload.kernel)
+        farm = _detect_accelerators(compile_kernel(workload.kernel))
         assert farm is not None
         _, document = _run_attributed(
             workload, core=ooo_core(), hierarchy=dae_hierarchy(),

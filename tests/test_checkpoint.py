@@ -138,10 +138,11 @@ class TestResumeIdentity:
 
     def test_accelerated(self, tmp_path):
         from repro.cli import _detect_accelerators
+        from repro.frontend import compile_kernel
 
         def make(checkpoint, max_cycles):
             w = build_combined(accelerated=True)
-            farm = _detect_accelerators(w.kernel)
+            farm = _detect_accelerators(compile_kernel(w.kernel))
             assert farm is not None
             return build_system(w.kernel, w.args, core=ooo_core(),
                                 hierarchy=dae_hierarchy(), memory=w.memory,

@@ -5,6 +5,7 @@ import pytest
 from repro.frontend import CompileError, compile_kernel
 from repro.ir import Opcode, format_function, verify_function
 from repro.ir.instructions import AllocaInst, PhiInst
+from repro.workloads import PARBOIL, build_parboil
 
 from . import kernels
 
@@ -164,3 +165,13 @@ class TestPrinting:
         assert "getelementptr" in text
         assert "phi i64" in text
         assert "br i1" in text
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("name", sorted(PARBOIL))
+    def test_same_workload_compiles_identically(self, name):
+        """Compiling the same kernel twice yields the same IR text (phi
+        placement follows reverse postorder, not set iteration order)."""
+        w1, w2 = build_parboil(name), build_parboil(name)
+        assert format_function(compile_kernel(w1.kernel)) \
+            == format_function(compile_kernel(w2.kernel))

@@ -180,3 +180,25 @@ class TestPowerArea:
                         hierarchy=dae_hierarchy(), prepared=saxpy_prepared)
         assert speedup(slow, fast) > 1.0
         assert edp_improvement(slow, fast) > 0
+
+
+class TestTraceCountValidation:
+    def test_too_few_traces_still_raises(self):
+        prepared = prepare(kernels.collatz_steps, [27], num_tiles=2)
+        with pytest.raises(ValueError, match="cover 2 tile"):
+            simulate(prepared.function, [], prepared=prepared,
+                     num_tiles=4, core=ooo_core())
+
+    def test_extra_traces_warn_by_default(self, capsys):
+        prepared = prepare(kernels.collatz_steps, [27], num_tiles=2)
+        stats = simulate(prepared.function, [], prepared=prepared,
+                         num_tiles=1, core=ooo_core())
+        assert stats.cycles > 0
+        err = capsys.readouterr().err
+        assert "extra 1 trace(s) are ignored" in err
+
+    def test_extra_traces_raise_under_strict(self):
+        prepared = prepare(kernels.collatz_steps, [27], num_tiles=2)
+        with pytest.raises(ValueError, match="extra 1 trace"):
+            simulate(prepared.function, [], prepared=prepared,
+                     num_tiles=1, core=ooo_core(), strict_traces=True)
