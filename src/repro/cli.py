@@ -146,6 +146,14 @@ def _heartbeat_emitter(args, source=None):
         source=source)
 
 
+def _write_trace(tracer, path, stats, run_id):
+    """Export ``tracer`` to ``path`` and report what was written."""
+    count = tracer.write(path, frequency_ghz=stats.frequency_ghz,
+                         run_id=run_id)
+    dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
+    STATUS.info(f"trace: {count} event(s){dropped} -> {path}")
+
+
 def _resume_run(args, run_id=None):
     """Shared ``--resume`` path: restore the snapshot, apply budget and
     sink overrides, and run it to completion (gracefully interruptible
@@ -383,10 +391,7 @@ def cmd_simulate(args) -> int:
         print(f"workload: {args.workload} (resumed)")
         print(stats.summary())
         if tracer is not None and args.trace:
-            tracer.write(args.trace, frequency_ghz=stats.frequency_ghz,
-                         run_id=run_id)
-            STATUS.info(f"trace: {len(tracer.events())} event(s) "
-                        f"-> {args.trace}")
+            _write_trace(tracer, args.trace, stats, run_id)
         if args.metrics:
             write_stats_json(stats, args.metrics, run_id=run_id)
             STATUS.info(f"metrics: -> {args.metrics}")
@@ -461,11 +466,7 @@ def cmd_simulate(args) -> int:
           f"/ {args.hierarchy_config or args.hierarchy}")
     print(stats.summary())
     if tracer is not None:
-        tracer.write(args.trace, frequency_ghz=stats.frequency_ghz,
-                     run_id=run_id)
-        dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
-        STATUS.info(f"trace: {len(tracer.events())} event(s){dropped} "
-                    f"-> {args.trace}")
+        _write_trace(tracer, args.trace, stats, run_id)
     if args.metrics:
         write_stats_json(stats, args.metrics, run_id=run_id)
         STATUS.info(f"metrics: -> {args.metrics}")

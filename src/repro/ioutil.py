@@ -14,19 +14,24 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Union
+from typing import Iterable, Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_json", "atomic_write_text"]
+__all__ = ["atomic_write_bytes", "atomic_write_chunks", "atomic_write_json",
+           "atomic_write_text"]
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp + fsync + rename)."""
+def atomic_write_chunks(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the concatenation of ``chunks`` to ``path`` atomically
+    (temp + fsync + rename), one chunk at a time, so a large artifact
+    never has to exist in memory whole. If ``chunks`` raises, the
+    temporary file is removed and ``path`` keeps its previous content."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -38,17 +43,17 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp + fsync + rename)."""
+    atomic_write_chunks(path, (data,))
+
+
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: str, document: Union[dict, list], *,
-                      indent=None, sort_keys: bool = False,
-                      separators=None, trailing_newline: bool = True
-                      ) -> None:
-    """Serialize ``document`` and write it atomically."""
-    text = json.dumps(document, indent=indent, sort_keys=sort_keys,
-                      separators=separators)
-    if trailing_newline:
-        text += "\n"
-    atomic_write_text(path, text)
+                      indent=None, sort_keys: bool = False) -> None:
+    """Serialize ``document`` and write it atomically, newline-terminated."""
+    text = json.dumps(document, indent=indent, sort_keys=sort_keys)
+    atomic_write_text(path, text + "\n")

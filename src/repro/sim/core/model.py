@@ -343,6 +343,10 @@ class CoreTile(Tile):
                     n.opclass is OpClass.PHI or n.folded, n.is_store))
             self._block_plans.append(
                 (plan, b.terminator_iid, len(b.node_iids)))
+        #: trace span names per static instruction and per block
+        self._span_by_iid = [n.opclass.name.lower() for n in nodes]
+        self._dbb_span_by_bid = [f"dbb {bid}"
+                                 for bid in range(len(ddg.blocks))]
         #: memory ops per block, for the MAO launch gate
         self._block_mem_ops = [
             sum(1 for iid in b.node_iids if nodes[iid].is_memory)
@@ -979,7 +983,7 @@ class CoreTile(Tile):
             if self.tracer is not None:
                 # every counted node passed _issue, so issued_at is set
                 self.tracer.complete(
-                    "core", snode.opclass.name.lower(), node.issued_at,
+                    "core", self._span_by_iid[iid], node.issued_at,
                     cycle, self.trace_tid)
         if cycle > stats.cycles:
             stats.cycles = cycle
@@ -1030,7 +1034,8 @@ class CoreTile(Tile):
             self._live_total -= 1
             if self.tracer is not None:
                 self.tracer.complete(
-                    "core", f"dbb {dbb.bid}", dbb.launched_at, cycle,
-                    self.trace_tid, {"index": dbb.index})
+                    "core", self._dbb_span_by_bid[dbb.bid],
+                    dbb.launched_at, cycle, self.trace_tid,
+                    {"index": dbb.index})
         if not in_flight and self._next_dbb >= self._num_blocks:
             self._finished = True

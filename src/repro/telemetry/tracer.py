@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Dict, Iterator, List, Optional
 
 #: bump when the exported JSON layout changes incompatibly
 TRACE_SCHEMA_VERSION = 1
@@ -40,6 +41,12 @@ TRACE_SCHEMA_VERSION = 1
 #: Chrome trace_event phases we emit: complete span, instant, counter,
 #: metadata
 _PHASES = ("X", "i", "C", "M")
+
+#: compact encoder matching ``json.dumps(..., separators=(",", ":"))``
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+#: events formatted and encoded per write of a trace export
+_WRITE_BATCH = 4096
 
 
 class TraceEvent:
@@ -91,6 +98,12 @@ class Tracer:
     a ``tracer is not None`` guard. Lane ids come from :meth:`tid_for`,
     which assigns a stable integer per lane name in first-use order —
     deterministic because attachment order is deterministic.
+
+    The ring holds plain tuples ``(cycle, tid, name, n, phase, category,
+    dur, args)``, where ``n`` numbers the pushes. ``n`` is unique, so
+    comparing two records never reaches ``phase``: sorting the tuples is
+    the stable sort by ``(cycle, tid, name)`` in recording order, and
+    :class:`TraceEvent` objects are built only when :meth:`events` asks.
     """
 
     def __init__(self, capacity: int = 200_000):
@@ -99,8 +112,8 @@ class Tracer:
                              f"got {capacity}")
         self.capacity = capacity
         self._ring: deque = deque(maxlen=capacity)
-        #: events evicted from the ring (oldest-first)
-        self.dropped = 0
+        #: events recorded so far, evicted ones included
+        self._pushed = 0
         #: lane name -> tid, in registration order
         self._tids: Dict[str, int] = {}
 
@@ -118,27 +131,34 @@ class Tracer:
         return {tid: name for name, tid in self._tids.items()}
 
     # -- recording -------------------------------------------------------
-    def _push(self, event: TraceEvent) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(event)
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the ring (oldest-first)."""
+        return self._pushed - len(self._ring)
 
     def complete(self, category: str, name: str, start_cycle: int,
                  end_cycle: int, tid: int = 0,
                  args: Optional[dict] = None) -> None:
         """Record a span covering ``[start_cycle, end_cycle]``."""
-        self._push(TraceEvent("X", category, name, start_cycle,
-                              max(0, end_cycle - start_cycle), tid, args))
+        n = self._pushed
+        self._pushed = n + 1
+        dur = end_cycle - start_cycle
+        self._ring.append((start_cycle, tid, name, n, "X", category,
+                           dur if dur > 0 else 0, args))
 
     def instant(self, category: str, name: str, cycle: int, tid: int = 0,
                 args: Optional[dict] = None) -> None:
-        self._push(TraceEvent("i", category, name, cycle, 0, tid, args))
+        n = self._pushed
+        self._pushed = n + 1
+        self._ring.append((cycle, tid, name, n, "i", category, 0, args))
 
     def counter(self, category: str, name: str, cycle: int, value,
                 tid: int = 0) -> None:
         """Record a sampled counter value (rendered as a track)."""
-        self._push(TraceEvent("C", category, name, cycle, 0, tid,
-                              {"value": value}))
+        n = self._pushed
+        self._pushed = n + 1
+        self._ring.append((cycle, tid, name, n, "C", category, 0,
+                           {"value": value}))
 
     # -- reading ---------------------------------------------------------
     def __len__(self) -> int:
@@ -146,13 +166,28 @@ class Tracer:
 
     def events(self) -> List[TraceEvent]:
         """Recorded events in chronological (start-cycle) order."""
-        return sorted(self._ring, key=lambda e: (e.cycle, e.tid, e.name))
+        return [TraceEvent(phase, category, name, cycle, dur, tid, args)
+                for cycle, tid, name, _, phase, category, dur, args
+                in sorted(self._ring)]
 
     def event_keys(self) -> List[tuple]:
         """Determinism fingerprint: stable keys of every buffered event."""
         return [event.key() for event in self.events()]
 
     # -- export ----------------------------------------------------------
+    def _other_data(self, frequency_ghz: Optional[float],
+                    run_id: Optional[str]) -> dict:
+        other = {
+            "trace_schema_version": TRACE_SCHEMA_VERSION,
+            "clock": "simulated-cycles",
+            "dropped_events": self.dropped,
+        }
+        if frequency_ghz is not None:
+            other["frequency_ghz"] = frequency_ghz
+        if run_id is not None:
+            other["run_id"] = run_id
+        return other
+
     def to_chrome(self, frequency_ghz: Optional[float] = None,
                   run_id: Optional[str] = None) -> dict:
         """Chrome trace_event JSON object (loadable in Perfetto).
@@ -166,30 +201,71 @@ class Tracer:
             for name, tid in self._tids.items()
         ]
         events.extend(event.as_chrome() for event in self.events())
-        other = {
-            "trace_schema_version": TRACE_SCHEMA_VERSION,
-            "clock": "simulated-cycles",
-            "dropped_events": self.dropped,
-        }
-        if frequency_ghz is not None:
-            other["frequency_ghz"] = frequency_ghz
-        if run_id is not None:
-            other["run_id"] = run_id
         return {"traceEvents": events, "displayTimeUnit": "ns",
-                "otherData": other}
+                "otherData": self._other_data(frequency_ghz, run_id)}
+
+    def _chrome_texts(self) -> Iterator[str]:
+        """Compact JSON text of every :meth:`to_chrome` event, in order,
+        formatted without building the event dicts. Each event's fixed
+        head comes from a prefix cached per ``(name, category, phase)``;
+        cycles, tids and durations are formatted with ``str``, which is
+        the encoder's output for ``int`` and finite ``float``."""
+        encode = _ENCODE
+        for name, tid in self._tids.items():
+            yield (f'{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},'
+                   f'"args":{{"name":{encode(name)}}}}}')
+        prefixes: Dict[tuple, str] = {}
+        for cycle, tid, name, _, phase, category, dur, args in sorted(
+                self._ring):
+            key = (name, category, phase)
+            prefix = prefixes.get(key)
+            if prefix is None:
+                prefix = prefixes[key] = (
+                    f'{{"name":{encode(name)},"cat":{encode(category)},'
+                    f'"ph":"{phase}","ts":')
+            if phase == "X":
+                text = f'{prefix}{cycle},"pid":0,"tid":{tid},"dur":{dur}'
+            elif phase == "i":
+                text = f'{prefix}{cycle},"pid":0,"tid":{tid},"s":"t"'
+            else:
+                text = f'{prefix}{cycle},"pid":0,"tid":{tid}'
+            if args is None:
+                yield text + "}"
+            else:
+                yield f'{text},"args":{encode(args)}}}'
+
+    def _chrome_chunks(self, frequency_ghz: Optional[float],
+                       run_id: Optional[str]) -> Iterator[bytes]:
+        """:meth:`to_chrome` as compact JSON, in encoded batches of
+        :data:`_WRITE_BATCH` events."""
+        texts = self._chrome_texts()
+        yield b'{"traceEvents":['
+        separator = ""
+        while True:
+            batch = list(islice(texts, _WRITE_BATCH))
+            if not batch:
+                break
+            yield (separator + ",".join(batch)).encode("utf-8")
+            separator = ","
+        other = _ENCODE(self._other_data(frequency_ghz, run_id))
+        yield f'],"displayTimeUnit":"ns","otherData":{other}}}'.encode(
+            "utf-8")
 
     def write(self, path: str,
               frequency_ghz: Optional[float] = None,
               run_id: Optional[str] = None) -> int:
-        """Write the Chrome JSON to ``path``; returns the event count.
+        """Write the Chrome JSON to ``path``; returns the event count
+        (lane metadata records included).
 
-        Atomic (temp + fsync + rename) so a crash cannot leave a
-        truncated trace for Perfetto or CI validation to choke on."""
-        from ..ioutil import atomic_write_json
-        document = self.to_chrome(frequency_ghz, run_id=run_id)
-        atomic_write_json(path, document, separators=(",", ":"),
-                          trailing_newline=False)
-        return len(document["traceEvents"])
+        The bytes equal ``json.dumps(self.to_chrome(frequency_ghz,
+        run_id=run_id), separators=(",", ":"))``, streamed in batches so
+        the export never holds the whole document in memory. Atomic
+        (temp + fsync + rename) so a crash cannot leave a truncated
+        trace for Perfetto or CI validation to choke on."""
+        from ..ioutil import atomic_write_chunks
+        atomic_write_chunks(path, self._chrome_chunks(frequency_ghz,
+                                                      run_id))
+        return len(self._tids) + len(self._ring)
 
 
 def validate_chrome_trace(document: dict) -> int:

@@ -37,7 +37,7 @@ from repro.sim import (
     CheckpointError, CoreConfig, CycleBudgetExceeded, SimulationInterrupted,
 )
 from repro.telemetry import (
-    Attributor, SelfProfiler, stats_to_dict, validate_report,
+    Attributor, SelfProfiler, Tracer, stats_to_dict, validate_report,
 )
 from repro.trace import SimMemory
 from repro.workloads import PAPER_ORDER, build_parboil
@@ -65,7 +65,8 @@ NO_AUTOSAVE = 10 ** 9
 
 
 def _saxpy_system(checkpoint=None, max_cycles=DEFAULT_MAX_CYCLES, *,
-                  n=256, seed=0, injector=None, profiler=None):
+                  n=256, seed=0, injector=None, profiler=None,
+                  tracer=None):
     rng = np.random.default_rng(seed)
     mem = SimMemory()
     A = mem.alloc(n, F64, "A", init=rng.uniform(-1, 1, n))
@@ -73,7 +74,8 @@ def _saxpy_system(checkpoint=None, max_cycles=DEFAULT_MAX_CYCLES, *,
     return build_system(kernels.saxpy, [A, B, n, 2.0], core=ooo_core(),
                         hierarchy=dae_hierarchy(), memory=mem,
                         injector=injector, profiler=profiler,
-                        checkpoint=checkpoint, max_cycles=max_cycles)
+                        tracer=tracer, checkpoint=checkpoint,
+                        max_cycles=max_cycles)
 
 
 def _assert_resume_identity(make, tmp_path, seed):
@@ -181,6 +183,28 @@ class TestResumeIdentity:
         restored = load_checkpoint(path)
         assert restored.cycle >= 1
         assert find_injector(restored.interleaver) is not None
+
+    def test_resumed_trace_is_byte_identical(self, tmp_path):
+        """The tracer ring travels inside the snapshot: a traced run
+        killed mid-flight and resumed exports the same trace bytes as
+        an uninterrupted traced run."""
+        def traced(checkpoint=None, max_cycles=DEFAULT_MAX_CYCLES):
+            return _saxpy_system(checkpoint, max_cycles, tracer=Tracer())
+
+        baseline = traced()
+        baseline.run()
+        want = tmp_path / "want.json"
+        baseline.tracer.write(str(want), frequency_ghz=2.0)
+        path = str(tmp_path / "ck.bin")
+        with pytest.raises(CycleBudgetExceeded):
+            traced(CheckpointSink(path, NO_AUTOSAVE), 500).run()
+        restored = load_checkpoint(path).interleaver
+        assert len(restored.tracer) > 0
+        restored.max_cycles = DEFAULT_MAX_CYCLES
+        restored.run()
+        got = tmp_path / "got.json"
+        restored.tracer.write(str(got), frequency_ghz=2.0)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_clean_run_has_no_injector(self, tmp_path):
         path = str(tmp_path / "ck.bin")

@@ -82,6 +82,74 @@ class TestTracer:
         assert names[0]["args"]["name"] == "core0"
 
 
+def _mixed_tracer(capacity=200_000):
+    """Spans, instants and counters with and without ``args``, names
+    that need escaping, a ``float`` timestamp, and recording-order ties
+    on ``(cycle, tid, name)``."""
+    tracer = Tracer(capacity=capacity)
+    core = tracer.tid_for("core0")
+    lane = tracer.tid_for('fab"ric\\ é')
+    tracer.complete("core", "add", 10, 14, core)
+    tracer.complete("core", "dbb 3", 8, 20, core, {"index": 1})
+    tracer.complete("cache", 'L1 "miss"', 9, 30, lane, {"line": 7})
+    tracer.complete("dram", "read", 12, 11, lane, {"throttled": False})
+    tracer.instant("fault", "msg.drop", 12, core)
+    tracer.instant("dae", "qé full", 12, core, {"why": "tab\there"})
+    tracer.instant("fault", "msg.drop", 12, core)
+    tracer.counter("dae", "load0", 11, 3, lane)
+    tracer.counter("dae", "load0", 11, 2.5, lane)
+    tracer.complete("accel", "gemm → relu", 5, 9, lane,
+                    {"energy_nj": 0.25, "bytes": 64})
+    tracer.instant("core", "float-ts", 7.0, core)
+    return tracer
+
+
+class TestStreamedExport:
+    """``Tracer.write`` formats events by hand; its bytes must equal the
+    stdlib encoder's output for the same document."""
+
+    @pytest.mark.parametrize("frequency_ghz", [None, 2.0])
+    @pytest.mark.parametrize("run_id", [None, "r-é\"1"])
+    @pytest.mark.parametrize("capacity", [200_000, 4])
+    def test_write_equals_json_dumps(self, tmp_path, frequency_ghz, run_id,
+                                     capacity):
+        tracer = _mixed_tracer(capacity)
+        assert (tracer.dropped > 0) == (capacity == 4)
+        path = tmp_path / "trace.json"
+        count = tracer.write(str(path), frequency_ghz=frequency_ghz,
+                             run_id=run_id)
+        document = tracer.to_chrome(frequency_ghz, run_id=run_id)
+        assert path.read_bytes() == json.dumps(
+            document, separators=(",", ":")).encode()
+        assert count == len(document["traceEvents"])
+
+    def test_empty_tracer(self, tmp_path):
+        lanes_only = Tracer()
+        lanes_only.tid_for("core0")
+        for tracer, count in ((Tracer(), 0), (lanes_only, 1)):
+            path = tmp_path / "empty.json"
+            assert tracer.write(str(path)) == count
+            assert path.read_bytes() == json.dumps(
+                tracer.to_chrome(), separators=(",", ":")).encode()
+
+    def test_export_spanning_several_batches(self, tmp_path):
+        tracer = Tracer()
+        tid = tracer.tid_for("core0")
+        for cycle in range(10_000):
+            tracer.complete("core", f"op{cycle % 7}", cycle, cycle + 3, tid)
+        path = tmp_path / "big.json"
+        assert tracer.write(str(path)) == 10_001
+        assert path.read_bytes() == json.dumps(
+            tracer.to_chrome(), separators=(",", ":")).encode()
+
+    def test_records_keep_recording_order_on_ties(self):
+        tracer = Tracer()
+        tracer.instant("a", "same", 5, 0, {"k": 1})
+        tracer.instant("b", "same", 5, 0, {"k": 2})
+        tracer.instant("c", "earlier", 4, 0)
+        assert [e.category for e in tracer.events()] == ["c", "a", "b"]
+
+
 class TestTraceValidation:
     def _valid(self):
         tracer = Tracer()
