@@ -124,26 +124,38 @@ def _hierarchy(name: str):
     return factory() if factory is not None else None
 
 
-# -- checkpoint/resume path (simulate/inject/analyze --resume) ----------------
+# -- observers and the checkpoint/resume path (--resume) ---------------------
 
-def _checkpoint_sink(args, run_id=None):
-    """Build the autosave sink ``--checkpoint`` asks for (None without)."""
-    if not getattr(args, "checkpoint", None):
-        return None
-    from .checkpoint import CheckpointSink
-    return CheckpointSink(args.checkpoint, args.checkpoint_every,
-                          keep=args.checkpoint_keep, run_id=run_id)
+def _observers(args, run_id=None, source=None) -> dict:
+    """The :class:`Interleaver` observers the flags ask for, keyed by
+    their keyword; a flag the command does not define counts as off.
+    ``run_id`` stamps checkpoints and ``source`` heartbeats."""
+    from .telemetry import (
+        HeartbeatEmitter, MemStat, MetricsRegistry, SelfProfiler, Tracer,
+    )
 
+    def flag(name):
+        return getattr(args, name, None)
 
-def _heartbeat_emitter(args, source=None):
-    """Build the ``--heartbeat`` JSONL emitter (None without)."""
-    if not getattr(args, "heartbeat", None):
-        return None
-    from .telemetry import HeartbeatEmitter
-    return HeartbeatEmitter(
-        args.heartbeat,
-        every_cycles=getattr(args, "heartbeat_every", None) or 100_000,
-        source=source)
+    observers = {}
+    if flag("trace"):
+        observers["tracer"] = Tracer()
+    if flag("metrics"):
+        observers["metrics"] = MetricsRegistry()
+    if flag("profile"):
+        observers["profiler"] = SelfProfiler()
+    if flag("memstat"):
+        observers["memstat"] = MemStat()
+    if flag("checkpoint"):
+        from .checkpoint import CheckpointSink
+        observers["checkpoint"] = CheckpointSink(
+            args.checkpoint, args.checkpoint_every,
+            keep=args.checkpoint_keep, run_id=run_id)
+    if flag("heartbeat"):
+        observers["emitter"] = HeartbeatEmitter(
+            args.heartbeat, every_cycles=flag("heartbeat_every") or 100_000,
+            source=source)
+    return observers
 
 
 def _write_trace(tracer, path, stats, run_id):
@@ -164,15 +176,23 @@ def _resume_run(args, run_id=None):
     restored = load_checkpoint(args.resume)
     run_id = run_id or restored.run_id
     interleaver = restored.interleaver
+    # observers that record the run itself cannot join it mid-flight;
+    # only the checkpoint sink and heartbeat emitter attach on resume
+    for flag, name in (("trace", "tracer"), ("metrics", "metrics"),
+                       ("memstat", "memstat")):
+        if getattr(args, flag, None) and getattr(interleaver, name) is None:
+            print(f"--{flag}: {args.resume} was checkpointed without a "
+                  f"{name}; only --checkpoint and --heartbeat can be "
+                  f"attached on --resume", file=sys.stderr)
+            raise SystemExit(2)
     interleaver.max_cycles = args.max_cycles
     if getattr(args, "timeout", None) is not None:
         interleaver.wall_clock_limit = args.timeout
-    sink = _checkpoint_sink(args, run_id=run_id)
-    if sink is not None:
-        interleaver.checkpoint = sink
-    emitter = _heartbeat_emitter(args, source={"resumed": args.resume})
-    if emitter is not None:
-        interleaver.emitter = emitter
+    observers = _observers(args, run_id=run_id,
+                           source={"resumed": args.resume})
+    for name in ("checkpoint", "emitter"):
+        if name in observers:
+            setattr(interleaver, name, observers[name])
     STATUS.info(f"resuming {args.resume} from cycle {restored.cycle}")
     with graceful_interrupts(interleaver):
         stats = interleaver.run()
@@ -354,9 +374,7 @@ def _prepare(args, workload):
 def cmd_simulate(args) -> int:
     import time as _time
     from .sim.configfile import load_core_config, load_hierarchy_config
-    from .telemetry import (
-        MemStat, MetricsRegistry, SelfProfiler, Tracer, write_stats_json,
-    )
+    from .telemetry import write_stats_json
     core = (load_core_config(args.core_config)
             if getattr(args, "core_config", None) else _core(args.core))
     hierarchy = (load_hierarchy_config(args.hierarchy_config)
@@ -387,11 +405,10 @@ def cmd_simulate(args) -> int:
         if run_id is None:
             run_id = _registry_run_id(args)
         wall = _time.perf_counter() - began
-        tracer = interleaver.tracer
         print(f"workload: {args.workload} (resumed)")
         print(stats.summary())
-        if tracer is not None and args.trace:
-            _write_trace(tracer, args.trace, stats, run_id)
+        if args.trace:
+            _write_trace(interleaver.tracer, args.trace, stats, run_id)
         if args.metrics:
             write_stats_json(stats, args.metrics, run_id=run_id)
             STATUS.info(f"metrics: -> {args.metrics}")
@@ -411,12 +428,8 @@ def cmd_simulate(args) -> int:
     run_id = _registry_run_id(args)
     began = _time.perf_counter()
     prepared, accelerators = _prepare(args, workload)
-    tracer = Tracer() if args.trace else None
-    metrics = MetricsRegistry() if args.metrics else None
-    profiler = SelfProfiler() if args.profile else None
-    memstat = MemStat() if args.memstat else None
-    checkpoint = _checkpoint_sink(args, run_id=run_id)
-    emitter = _heartbeat_emitter(args, source={"workload": args.workload})
+    observers = _observers(args, run_id=run_id,
+                           source={"workload": args.workload})
     config = {"workload": args.workload, "size": args.size or [],
               "core": core, "tiles": args.tiles,
               "hierarchy": args.hierarchy_config or args.hierarchy,
@@ -427,10 +440,7 @@ def cmd_simulate(args) -> int:
             num_tiles=args.tiles, hierarchy=hierarchy,
             accelerators=accelerators,
             max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
-            retries=args.retries, prepared=prepared,
-            tracer=tracer, metrics=metrics,
-            profiler=profiler, checkpoint=checkpoint, emitter=emitter,
-            memstat=memstat)
+            retries=args.retries, prepared=prepared, **observers)
         if not outcome.ok:
             print(f"run failed: {outcome.status} after {outcome.attempts} "
                   f"attempt(s): {outcome.error}", file=sys.stderr)
@@ -453,26 +463,24 @@ def cmd_simulate(args) -> int:
             workload.kernel, workload.args, core=core,
             num_tiles=args.tiles, hierarchy=hierarchy,
             accelerators=accelerators, max_cycles=args.max_cycles,
-            wall_clock_limit=args.timeout, prepared=prepared,
-            tracer=tracer,
-            metrics=metrics, profiler=profiler, checkpoint=checkpoint,
-            emitter=emitter, memstat=memstat)
+            wall_clock_limit=args.timeout, prepared=prepared, **observers)
         with graceful_interrupts(interleaver):
             stats = interleaver.run()
-        profile = profiler.report if profiler is not None else None
+        profile = observers["profiler"].report if args.profile else None
     wall = _time.perf_counter() - began
     workload.verify()
     print(f"workload: {workload.name}  system: {args.tiles}x {core.name} "
           f"/ {args.hierarchy_config or args.hierarchy}")
     print(stats.summary())
-    if tracer is not None:
-        _write_trace(tracer, args.trace, stats, run_id)
+    if args.trace:
+        _write_trace(observers["tracer"], args.trace, stats, run_id)
     if args.metrics:
         write_stats_json(stats, args.metrics, run_id=run_id)
         STATUS.info(f"metrics: -> {args.metrics}")
     if args.stats_json:
         write_stats_json(stats, args.stats_json, run_id=run_id)
         STATUS.info(f"stats: -> {args.stats_json}")
+    emitter = observers.get("emitter")
     if emitter is not None:
         if emitter.errors:
             STATUS.warn(f"heartbeat: {emitter.errors} write error(s) on "
@@ -569,14 +577,50 @@ def _load_report(path: str):
     return document, None
 
 
+def _attributed_report(args, core, hierarchy, memstat=None) -> dict:
+    """The workload path of analyze and memstat: run ``--workload``
+    (DAE-sliced under ``--dae``) with cycle attribution, ``memstat`` and
+    the flags' observers, self-check the report and write ``--json``.
+
+    Attribution always rides along so the report passes full
+    :func:`validate_report` (which requires the attribution block) and
+    stays diff-able across the two commands. Returns the report dict."""
+    from .telemetry import (
+        Attributor, stats_to_dict, validate_report, write_stats_json,
+    )
+    observers = _observers(args)
+    observers["attribution"] = Attributor()
+    if memstat is not None:
+        observers["memstat"] = memstat
+    workload = _build(args.workload, args.size)
+    if args.dae:
+        specs = prepare_dae_sliced(workload.kernel, workload.args,
+                                   pairs=args.pairs)
+        stats = simulate_dae(specs, access_core=inorder_core(),
+                             execute_core=inorder_core(),
+                             hierarchy=hierarchy,
+                             max_cycles=args.max_cycles, **observers)
+    else:
+        prepared, accelerators = _prepare(args, workload)
+        stats = simulate(
+            workload.kernel, workload.args, core=core, num_tiles=args.tiles,
+            hierarchy=hierarchy, accelerators=accelerators,
+            prepared=prepared, max_cycles=args.max_cycles, **observers)
+    document = stats_to_dict(stats)
+    validate_report(document)  # self-check incl. memory conservation
+    if args.json:
+        write_stats_json(stats, args.json)
+        STATUS.info(f"report: -> {args.json}")
+    return document
+
+
 def cmd_analyze(args) -> int:
     """Render per-tile CPI stacks + bottleneck diagnosis. Reads a saved
     report (``--report``) or runs the workload with cycle attribution
     enabled. Exit codes: 0 rendered, 2 invalid input."""
     from .harness import render_attribution_report, render_memstat_report
     from .telemetry import (
-        Attributor, MemStat, stats_to_dict, validate_report,
-        write_stats_json,
+        MemStat, stats_to_dict, validate_report, write_stats_json,
     )
     if args.resume:
         if args.report:
@@ -613,44 +657,19 @@ def cmd_analyze(args) -> int:
             print("analyze --sweep does not combine with --dae",
                   file=sys.stderr)
             return 2
-        attribution = Attributor()
-        memstat = MemStat() if args.memory else None
-        workload = _build(args.workload, args.size)
-        if args.dae:
-            fresh = _build(args.workload, args.size)
-            specs = prepare_dae_sliced(fresh.kernel, fresh.args,
-                                       pairs=args.pairs)
-            stats = simulate_dae(specs, access_core=inorder_core(),
-                                 execute_core=inorder_core(),
-                                 hierarchy=_hierarchy(args.hierarchy),
-                                 max_cycles=args.max_cycles,
-                                 attribution=attribution,
-                                 checkpoint=_checkpoint_sink(args),
-                                 memstat=memstat)
-        else:
-            core = _core(args.core)
-            if args.sweep:
-                result = _run_core_sweep(args, core,
-                                         _hierarchy(args.hierarchy))
-                if not any(p.ok for p in result.points):
-                    print("no successful sweep point to analyze",
-                          file=sys.stderr)
-                    return 2
-                best = result.best("cycles")
-                core = replace(core, **best.parameters)
-                STATUS.info(f"analyzing best point: {best.parameters}")
-            prepared, accelerators = _prepare(args, workload)
-            stats = simulate(
-                workload.kernel, workload.args, core=core,
-                num_tiles=args.tiles, hierarchy=_hierarchy(args.hierarchy),
-                accelerators=accelerators, prepared=prepared,
-                max_cycles=args.max_cycles, attribution=attribution,
-                checkpoint=_checkpoint_sink(args), memstat=memstat)
-        document = stats_to_dict(stats)
-        validate_report(document)  # self-check before rendering
-        if args.json:
-            write_stats_json(stats, args.json)
-            STATUS.info(f"report: -> {args.json}")
+        core = _core(args.core)
+        if args.sweep:
+            result = _run_core_sweep(args, core, _hierarchy(args.hierarchy))
+            if not any(p.ok for p in result.points):
+                print("no successful sweep point to analyze",
+                      file=sys.stderr)
+                return 2
+            best = result.best("cycles")
+            core = replace(core, **best.parameters)
+            STATUS.info(f"analyzing best point: {best.parameters}")
+        document = _attributed_report(
+            args, core, _hierarchy(args.hierarchy),
+            MemStat() if args.memory else None)
         source = args.workload
     else:
         print("analyze needs a workload or --report FILE", file=sys.stderr)
@@ -692,8 +711,7 @@ def cmd_memstat(args) -> int:
     import json
     from .harness import render_memstat_report
     from .telemetry import (
-        Attributor, MemStat, SUPPORTED_REPORT_VERSIONS, stats_to_dict,
-        validate_memory_block, validate_report, write_stats_json,
+        MemStat, SUPPORTED_REPORT_VERSIONS, validate_memory_block,
     )
     if args.report:
         if args.workload:
@@ -733,41 +751,16 @@ def cmd_memstat(args) -> int:
             return 2
         source = args.report
     elif args.workload:
-        # attribution rides along so the emitted report passes full
-        # validate_report (which requires the attribution block) and
-        # stays diff-able against analyze output
         from .sim.configfile import load_core_config, load_hierarchy_config
-        memstat = MemStat(sample_every=args.sample_every,
-                          epoch_cycles=args.epoch_cycles)
         core = (load_core_config(args.core_config)
                 if args.core_config else _core(args.core))
         hierarchy = (load_hierarchy_config(args.hierarchy_config)
                      if args.hierarchy_config
                      else _hierarchy(args.hierarchy))
-        workload = _build(args.workload, args.size)
-        if args.dae:
-            fresh = _build(args.workload, args.size)
-            specs = prepare_dae_sliced(fresh.kernel, fresh.args,
-                                       pairs=args.pairs)
-            stats = simulate_dae(specs, access_core=inorder_core(),
-                                 execute_core=inorder_core(),
-                                 hierarchy=hierarchy,
-                                 max_cycles=args.max_cycles,
-                                 attribution=Attributor(),
-                                 memstat=memstat)
-        else:
-            prepared, accelerators = _prepare(args, workload)
-            stats = simulate(
-                workload.kernel, workload.args, core=core,
-                num_tiles=args.tiles, hierarchy=hierarchy,
-                accelerators=accelerators, prepared=prepared,
-                max_cycles=args.max_cycles, attribution=Attributor(),
-                memstat=memstat)
-        document = stats_to_dict(stats)
-        validate_report(document)  # self-check incl. memory conservation
-        if args.json:
-            write_stats_json(stats, args.json)
-            STATUS.info(f"report: -> {args.json}")
+        document = _attributed_report(
+            args, core, hierarchy,
+            MemStat(sample_every=args.sample_every,
+                    epoch_cycles=args.epoch_cycles))
         source = args.workload
     else:
         print("memstat needs a workload or --report FILE", file=sys.stderr)
@@ -819,7 +812,7 @@ def cmd_inject(args) -> int:
         hierarchy=_hierarchy(args.hierarchy),
         max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
         retries=args.retries, fresh=fresh,
-        checkpoint=_checkpoint_sink(args, run_id=run_id))
+        **_observers(args, run_id=run_id))
     print(f"workload: {workload.name}  plan: seed={plan.seed} "
           f"bitflip={plan.bitflip_load_rate} drop={plan.message_drop_rate} "
           f"delay={plan.message_delay_rate} "

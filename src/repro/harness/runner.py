@@ -91,116 +91,77 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
     return Prepared(func, build_ddg(func), traces, mem)
 
 
-def _check_trace_count(prepared: Prepared, num_tiles: int, detail: str,
-                       strict: bool = False) -> None:
-    """Symmetric trace-count validation: too few traces always raises
-    (tiles would have nothing to run); extra traces warn — they are
-    silently dropped otherwise, usually a sign the caller prepared for a
-    different tile count — or raise under ``strict``."""
+def _check_trace_count(prepared: Prepared, num_tiles: int,
+                       detail: str) -> None:
+    """Symmetric trace-count validation: too few traces raise (tiles
+    would have nothing to run); extra traces warn — they are silently
+    dropped otherwise, usually a sign the caller prepared for a
+    different tile count."""
     count = len(prepared.traces)
     if count < num_tiles:
         raise ValueError(
             f"prepared traces cover {count} tile(s) but {detail}")
     if count > num_tiles:
-        message = (f"prepared traces cover {count} tile(s) but {detail}; "
-                   f"the extra {count - num_tiles} trace(s) are ignored")
-        if strict:
-            raise ValueError(message)
-        STATUS.warn(message)
+        STATUS.warn(f"prepared traces cover {count} tile(s) but {detail}; "
+                    f"the extra {count - num_tiles} trace(s) are ignored")
+
+
+def _assemble(tiles: List[CoreTile], frequency_ghz: float, *,
+              hierarchy: Optional[MemoryHierarchyConfig],
+              accelerators: Optional[AcceleratorFarm],
+              injector: Optional[FaultInjector], max_cycles: int,
+              wall_clock_limit: Optional[float], observers: dict,
+              queue_entries: int = DAE_QUEUE_ENTRIES) -> Interleaver:
+    """Wire ``tiles`` to one scheduler, memory system and fabric, share
+    ``injector`` with every subsystem it can fault, and hand the result
+    (plus ``observers``, unchanged) to an :class:`Interleaver`."""
+    scheduler = Scheduler()
+    memsys = None
+    if hierarchy is not None:
+        memsys = MemorySystem(hierarchy, len(tiles), scheduler,
+                              frequency_ghz, injector=injector)
+    fabric = CommFabric(dae_queue_capacity=queue_entries, injector=injector)
+    if accelerators is not None and injector is not None:
+        accelerators.injector = injector
+    return Interleaver(tiles, memory=memsys, fabric=fabric,
+                       accelerators=accelerators,
+                       frequency_ghz=frequency_ghz, max_cycles=max_cycles,
+                       scheduler=scheduler,
+                       wall_clock_limit=wall_clock_limit, **observers)
 
 
 def build_system(kernel: Kernel, args: Sequence, *,
-                 core: Optional[CoreConfig] = None,
-                 num_tiles: int = 1,
-                 hierarchy: Optional[MemoryHierarchyConfig] = None,
-                 accelerators: Optional[AcceleratorFarm] = None,
-                 memory: Optional[SimMemory] = None,
-                 frequency_ghz: Optional[float] = None,
-                 prepared: Optional[Prepared] = None,
-                 max_cycles: int = DEFAULT_MAX_CYCLES,
-                 wall_clock_limit: Optional[float] = None,
-                 injector: Optional[FaultInjector] = None,
-                 strict_traces: bool = False,
-                 tracer=None, metrics=None, profiler=None,
-                 attribution=None, checkpoint=None,
-                 emitter=None, memstat=None) -> Interleaver:
+                 core: Optional[CoreConfig] = None, num_tiles: int = 1,
+                 **options) -> Interleaver:
     """Build (without running) the homogeneous system :func:`simulate`
-    would run: ``num_tiles`` copies of ``core`` over a shared hierarchy.
+    would run: :func:`build_heterogeneous` over ``num_tiles`` copies of
+    ``core``. Every other keyword in ``options`` (``hierarchy``,
+    ``accelerators``, ``memory``, ``prepared``, ``max_cycles``,
+    ``wall_clock_limit``, ``injector`` and the observers) is
+    build_heterogeneous's.
 
     The build/run split is what checkpoint tests and the graceful-
     interrupt path hang off: the returned Interleaver can be armed for
     signals, run under a cycle budget, snapshotted, and resumed.
     """
     core = core if core is not None else CoreConfig()
-    core.validate()
-    if prepared is None:
-        prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
-                           injector=injector)
-    _check_trace_count(prepared, num_tiles,
-                       f"num_tiles={num_tiles}; call prepare(..., "
-                       f"num_tiles={num_tiles}) first",
-                       strict=strict_traces)
-    freq = frequency_ghz if frequency_ghz is not None else core.frequency_ghz
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, num_tiles, scheduler, freq,
-                              injector=injector)
-    fabric = CommFabric(injector=injector) if injector is not None else None
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
-    tiles = []
-    for t in range(num_tiles):
-        tile = CoreTile(f"{core.name}{t}", t, core, prepared.ddg,
-                        prepared.traces[t])
-        tile.barrier_group_size = num_tiles
-        tiles.append(tile)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators,
-                       frequency_ghz=freq, max_cycles=max_cycles,
-                       scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+    return build_heterogeneous(kernel, args, cores=[core] * num_tiles,
+                               **options)
 
 
-def simulate(kernel: Kernel, args: Sequence, *,
-             core: Optional[CoreConfig] = None,
-             num_tiles: int = 1,
-             hierarchy: Optional[MemoryHierarchyConfig] = None,
-             accelerators: Optional[AcceleratorFarm] = None,
-             memory: Optional[SimMemory] = None,
-             frequency_ghz: Optional[float] = None,
-             prepared: Optional[Prepared] = None,
-             max_cycles: int = DEFAULT_MAX_CYCLES,
-             wall_clock_limit: Optional[float] = None,
-             injector: Optional[FaultInjector] = None,
-             strict_traces: bool = False,
-             tracer=None, metrics=None, profiler=None,
-             attribution=None, checkpoint=None,
-             emitter=None, memstat=None) -> SystemStats:
+def simulate(kernel: Kernel, args: Sequence, **options) -> SystemStats:
     """One-stop homogeneous simulation: ``num_tiles`` copies of ``core``
-    running the SPMD kernel over a shared memory hierarchy.
+    running the SPMD kernel over a shared memory hierarchy. Takes
+    :func:`build_system`'s keywords.
 
     ``injector`` wires timing-level fault injection (fabric, DRAM,
     accelerators) into the run; ``wall_clock_limit`` arms the watchdog.
-    ``tracer``/``metrics``/``profiler``/``attribution`` attach the
-    telemetry layer (see ``docs/observability.md``); ``checkpoint`` (a
-    :class:`~repro.checkpoint.CheckpointSink`) arms periodic autosave
-    (see ``docs/resilience.md``). All default to off.
+    Observer keywords (the telemetry layer, see
+    ``docs/observability.md``, and the checkpoint autosave, see
+    ``docs/resilience.md``) pass unchanged to :class:`Interleaver`. All
+    default to off.
     """
-    return build_system(
-        kernel, args, core=core, num_tiles=num_tiles, hierarchy=hierarchy,
-        accelerators=accelerators, memory=memory,
-        frequency_ghz=frequency_ghz, prepared=prepared,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, strict_traces=strict_traces,
-        tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    return build_system(kernel, args, **options).run()
 
 
 def build_heterogeneous(kernel: Kernel, args: Sequence, *,
@@ -212,32 +173,25 @@ def build_heterogeneous(kernel: Kernel, args: Sequence, *,
                         max_cycles: int = DEFAULT_MAX_CYCLES,
                         wall_clock_limit: Optional[float] = None,
                         injector: Optional[FaultInjector] = None,
-                        strict_traces: bool = False,
-                        tracer=None, metrics=None, profiler=None,
-                        attribution=None, checkpoint=None,
-                        emitter=None, memstat=None) -> Interleaver:
-    """Build (without running) the heterogeneous system
-    :func:`simulate_heterogeneous` would run."""
+                        **observers) -> Interleaver:
+    """Build (without running) the system :func:`simulate_heterogeneous`
+    would run: one tile per entry of ``cores``. ``observers`` pass
+    unchanged to :class:`Interleaver`."""
     if not cores:
-        raise ValueError("simulate_heterogeneous needs at least one core")
-    for c in cores:
-        c.validate()
+        raise ValueError("a system needs at least one core")
+    for core in cores:
+        core.validate()
     num_tiles = len(cores)
     if prepared is None:
         prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
                            injector=injector)
-    _check_trace_count(prepared, num_tiles,
-                       f"{num_tiles} cores were given",
-                       strict=strict_traces)
+    if all(core == cores[0] for core in cores):
+        detail = (f"num_tiles={num_tiles}; call prepare(..., "
+                  f"num_tiles={num_tiles}) first")
+    else:
+        detail = f"{num_tiles} cores were given"
+    _check_trace_count(prepared, num_tiles, detail)
     fastest = max(core.frequency_ghz for core in cores)
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, num_tiles, scheduler, fastest,
-                              injector=injector)
-    fabric = CommFabric(injector=injector) if injector is not None else None
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
     tiles = []
     for index, core in enumerate(cores):
         period = max(1, round(fastest / core.frequency_ghz))
@@ -245,49 +199,25 @@ def build_heterogeneous(kernel: Kernel, args: Sequence, *,
                         prepared.traces[index], period=period)
         tile.barrier_group_size = num_tiles
         tiles.append(tile)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators,
-                       frequency_ghz=fastest, max_cycles=max_cycles,
-                       scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+    return _assemble(tiles, fastest, hierarchy=hierarchy,
+                     accelerators=accelerators, injector=injector,
+                     max_cycles=max_cycles,
+                     wall_clock_limit=wall_clock_limit, observers=observers)
 
 
-def simulate_heterogeneous(kernel: Kernel, args: Sequence, *,
-                           cores: Sequence[CoreConfig],
-                           hierarchy: Optional[MemoryHierarchyConfig] = None,
-                           accelerators: Optional[AcceleratorFarm] = None,
-                           memory: Optional[SimMemory] = None,
-                           prepared: Optional[Prepared] = None,
-                           max_cycles: int = DEFAULT_MAX_CYCLES,
-                           wall_clock_limit: Optional[float] = None,
-                           injector: Optional[FaultInjector] = None,
-                           strict_traces: bool = False,
-                           tracer=None, metrics=None, profiler=None,
-                           attribution=None, checkpoint=None,
-                           emitter=None, memstat=None) -> SystemStats:
+def simulate_heterogeneous(kernel: Kernel, args: Sequence,
+                           **options) -> SystemStats:
     """Heterogeneous SPMD simulation: one tile per entry of ``cores``,
     each with its own microarchitecture and clock (paper §II: "MosaicSim
     can simulate more heterogeneous processors by providing, and hence
     interleaving, more diverse models"; "tiles may run at different clock
     speeds, so the Interleaver queries and coordinates their events
-    accordingly").
+    accordingly"). Takes :func:`build_heterogeneous`'s keywords.
 
     The global clock is the fastest tile's; slower tiles get proportional
     periods (rounded to whole global cycles).
     """
-    return build_heterogeneous(
-        kernel, args, cores=cores, hierarchy=hierarchy,
-        accelerators=accelerators, memory=memory, prepared=prepared,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, strict_traces=strict_traces,
-        tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    return build_heterogeneous(kernel, args, **options).run()
 
 
 @dataclass
@@ -348,28 +278,15 @@ def build_dae(specs: List[DAEPairSpec], *,
               hierarchy: Optional[MemoryHierarchyConfig] = None,
               accelerators: Optional[AcceleratorFarm] = None,
               queue_entries: int = DAE_QUEUE_ENTRIES,
-              frequency_ghz: Optional[float] = None,
               max_cycles: int = DEFAULT_MAX_CYCLES,
               wall_clock_limit: Optional[float] = None,
               injector: Optional[FaultInjector] = None,
-              tracer=None, metrics=None, profiler=None,
-              attribution=None, checkpoint=None,
-              emitter=None, memstat=None) -> Interleaver:
+              **observers) -> Interleaver:
     """Build (without running) the DAE system :func:`simulate_dae`
-    would run."""
+    would run. ``observers`` pass unchanged to :class:`Interleaver`."""
     pairs = len(specs)
     access_core.validate()
     execute_core.validate()
-    freq = frequency_ghz if frequency_ghz is not None \
-        else access_core.frequency_ghz
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, 2 * pairs, scheduler, freq,
-                              injector=injector)
-    fabric = CommFabric(dae_queue_capacity=queue_entries, injector=injector)
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
     tiles = []
     for p, spec in enumerate(specs):
         access = CoreTile(f"access{p}", p, access_core, spec.access_ddg,
@@ -385,40 +302,18 @@ def build_dae(specs: List[DAEPairSpec], *,
         execute.barrier_group = "dae-execute"
         execute.barrier_group_size = pairs
         tiles.append(execute)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators, frequency_ghz=freq,
-                       max_cycles=max_cycles, scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+    return _assemble(tiles, access_core.frequency_ghz, hierarchy=hierarchy,
+                     accelerators=accelerators, injector=injector,
+                     max_cycles=max_cycles,
+                     wall_clock_limit=wall_clock_limit, observers=observers,
+                     queue_entries=queue_entries)
 
 
-def simulate_dae(specs: List[DAEPairSpec], *,
-                 access_core: CoreConfig,
-                 execute_core: CoreConfig,
-                 hierarchy: Optional[MemoryHierarchyConfig] = None,
-                 accelerators: Optional[AcceleratorFarm] = None,
-                 queue_entries: int = DAE_QUEUE_ENTRIES,
-                 frequency_ghz: Optional[float] = None,
-                 max_cycles: int = DEFAULT_MAX_CYCLES,
-                 wall_clock_limit: Optional[float] = None,
-                 injector: Optional[FaultInjector] = None,
-                 tracer=None, metrics=None, profiler=None,
-                 attribution=None, checkpoint=None,
-                 emitter=None, memstat=None) -> SystemStats:
+def simulate_dae(specs: List[DAEPairSpec], **options) -> SystemStats:
     """Simulate P DAE pairs: tiles 0..P-1 are access cores, P..2P-1 the
-    matching execute cores, communicating through bounded DAE queues."""
-    return build_dae(
-        specs, access_core=access_core, execute_core=execute_core,
-        hierarchy=hierarchy, accelerators=accelerators,
-        queue_entries=queue_entries, frequency_ghz=frequency_ghz,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    matching execute cores, communicating through bounded DAE queues.
+    Takes :func:`build_dae`'s keywords."""
+    return build_dae(specs, **options).run()
 
 
 # -- graceful interrupts (robustness layer) --------------------------------------
@@ -560,9 +455,7 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
                    backoff_seconds: float = 0.0,
                    fresh: Optional[Callable[[], tuple]] = None,
                    prepared: Optional[Prepared] = None,
-                   tracer=None, metrics=None, profiler=None,
-                   attribution=None, checkpoint=None,
-                   emitter=None, memstat=None) -> RunOutcome:
+                   **observers) -> RunOutcome:
     """Run a simulation under supervision: cycle budget, wall-clock
     watchdog, and retry-with-backoff for transient faults.
 
@@ -580,12 +473,14 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
     (dropped when a fault injector is active or ``fresh`` rebuilt the
     workload, since both need a new functional run).
 
-    With ``checkpoint`` (a CheckpointSink), the run autosaves and — the
+    ``observers`` pass unchanged to every attempt's :class:`Interleaver`.
+    With a ``checkpoint`` sink, the run autosaves and — the
     supervisor integration — flushes a final snapshot *before* the cycle
     budget or watchdog failure propagates, so ``RunOutcome.
     checkpoint_path`` points at a resumable snapshot of the work already
     done instead of throwing those cycles away.
     """
+    profiler = observers.get("profiler")
     attempts = 0
     start = time.monotonic()
     last_exc: Optional[BaseException] = None
@@ -612,10 +507,7 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
                              memory=m, max_cycles=max_cycles,
                              wall_clock_limit=wall_clock_limit,
                              prepared=attempt_prepared,
-                             injector=injector, tracer=tracer,
-                             metrics=metrics, profiler=profiler,
-                             attribution=attribution, checkpoint=checkpoint,
-                             emitter=emitter, memstat=memstat)
+                             injector=injector, **observers)
             return RunOutcome(
                 "ok", stats=stats, attempts=attempts,
                 fault_log=tuple(injector.log) if injector else (),

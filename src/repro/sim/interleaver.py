@@ -19,15 +19,26 @@ detection that raises :class:`DeadlockError` carrying a structured
 ``diagnose()`` snapshot of every stuck tile, the fabric queues, and the
 outstanding memory requests.
 
-Observability hooks (see ``docs/observability.md``): an optional
-:class:`~repro.telemetry.Tracer` is attached to every subsystem (tiles,
-fabric, memory, accelerators) and records cycle-level spans; an optional
-:class:`~repro.telemetry.MetricsRegistry` collects runtime histograms
-and a whole-run snapshot into ``SystemStats.metrics``; an optional
-:class:`~repro.telemetry.SelfProfiler` accounts wall-clock time per
-simulator phase; an optional
-:class:`~repro.telemetry.HeartbeatEmitter` streams live JSONL snapshots
-from the outer-loop consistency point. All cost nothing when absent.
+Observers (see ``docs/observability.md``): ``Interleaver.__init__`` is
+the one place that lists them; the runner entry points forward them
+unchanged as ``**observers``, and one attach pass hands each to the
+subsystems that feed it. All seven are optional and cost one branch per
+hook site when absent:
+
+* ``tracer`` (:class:`~repro.telemetry.Tracer`) records cycle-level
+  spans from tiles, fabric, memory, accelerators and fault injection;
+* ``metrics`` (:class:`~repro.telemetry.MetricsRegistry`) collects
+  runtime histograms and a whole-run snapshot into ``SystemStats.metrics``;
+* ``profiler`` (:class:`~repro.telemetry.SelfProfiler`) accounts
+  wall-clock time per simulator phase;
+* ``attribution`` (:class:`~repro.telemetry.Attributor`) charges every
+  tile cycle to a CPI-stack category;
+* ``memstat`` (:class:`~repro.telemetry.MemStat`) classifies misses and
+  measures reuse, DRAM bank locality and link utilization;
+* ``checkpoint`` (:class:`~repro.checkpoint.CheckpointSink`) autosaves
+  snapshots from the outer-loop consistency point;
+* ``emitter`` (:class:`~repro.telemetry.HeartbeatEmitter`) streams live
+  JSONL snapshots from the same point.
 """
 
 from __future__ import annotations
@@ -147,72 +158,61 @@ class Interleaver:
         self._interrupt_signum: Optional[int] = None
         #: whether run() should poll _interrupt_signum at all
         self._signals_armed = False
-        service_fabric = self.fabric
-        if profiler is not None:
-            service_fabric = ProfiledFabric(self.fabric, profiler)
-        self.services = TileServices(self.scheduler, memory, service_fabric,
+        self.services = TileServices(self.scheduler, memory, self.fabric,
                                      accelerators)
-        if profiler is not None:
-            self.services.mem_access = timed(profiler, "memory",
-                                             self.services.mem_access)
-        for tile in tiles:
-            tile.services = self.services
-        if tracer is not None:
-            self._attach_tracer(tracer)
-        if metrics is not None:
-            self._attach_metrics(metrics)
-        if attribution is not None:
-            self._attach_attribution(attribution)
-        if memstat is not None:
-            self._attach_memstat(memstat)
+        self._attach()
 
     # ------------------------------------------------------------------
-    def _attach_tracer(self, tracer) -> None:
-        """Hand the tracer to every subsystem, assigning stable lanes.
+    def _attach(self) -> None:
+        """Hand every subsystem its services and the observers it feeds,
+        in one pass. Absent observers are skipped here, so their hook
+        sites keep a single ``is not None`` branch.
 
-        Lane order (tiles first, then fabric/memory/accelerators) is
-        fixed so the same configuration always produces the same tids —
-        part of the determinism contract.
+        Tracer lane order (tiles first, then fabric/memory/accelerators/
+        faults) is fixed so the same configuration always produces the
+        same tids — part of the determinism contract.
         """
+        tracer, profiler = self.tracer, self.profiler
+        attribution, memstat = self.attribution, self.memstat
+        fabric, memory = self.fabric, self.memory
+        services = self.services
+        if profiler is not None:
+            services.fabric = ProfiledFabric(fabric, profiler)
+            services.mem_access = timed(profiler, "memory",
+                                        services.mem_access)
         for tile in self.tiles:
-            tile.tracer = tracer
-            tile.trace_tid = tracer.tid_for(tile.name)
-        self.fabric.tracer = tracer
-        self.fabric.trace_tid = tracer.tid_for("fabric")
-        if self.memory is not None:
-            self.memory.attach_tracer(tracer)
-        if self.accelerators is not None:
-            self.accelerators.tracer = tracer
-            self.accelerators.trace_tid = tracer.tid_for("accel")
-        # the shared FaultInjector (if any) records fault instants; all
-        # wired subsystems share one injector, so attaching once suffices
-        for holder in (self.fabric, self.accelerators,
-                       getattr(self.memory, "dram", None)):
-            injector = getattr(holder, "injector", None)
-            if injector is not None:
-                injector.tracer = tracer
-                injector.trace_tid = tracer.tid_for("fault")
-                break
-
-    def _attach_metrics(self, metrics) -> None:
-        """Register runtime instruments with the subsystems that observe
-        values only available mid-run (latency distributions)."""
-        if self.memory is not None:
-            self.memory.attach_metrics(metrics)
-
-    def _attach_attribution(self, attribution) -> None:
-        """Hand every tile its cycle ledger and the fabric its stall
-        counters (same per-subsystem attach pattern as the tracer)."""
-        for tile in self.tiles:
-            tile.attributor = attribution.for_tile(tile.name)
-        self.fabric.attributor = attribution
-
-    def _attach_memstat(self, memstat) -> None:
-        """Hand the data-movement observatory to the memory path and the
-        fabric (same per-subsystem attach pattern as the tracer)."""
-        if self.memory is not None:
-            self.memory.attach_memstat(memstat)
-        self.fabric.memstat = memstat
+            tile.services = services
+            if tracer is not None:
+                tile.tracer = tracer
+                tile.trace_tid = tracer.tid_for(tile.name)
+            if attribution is not None:
+                tile.attributor = attribution.for_tile(tile.name)
+        if tracer is not None:
+            fabric.tracer = tracer
+            fabric.trace_tid = tracer.tid_for("fabric")
+            if memory is not None:
+                memory.attach_tracer(tracer)
+            if self.accelerators is not None:
+                self.accelerators.tracer = tracer
+                self.accelerators.trace_tid = tracer.tid_for("accel")
+            # the shared FaultInjector (if any) records fault instants;
+            # all wired subsystems share one injector, so one suffices
+            for holder in (fabric, self.accelerators,
+                           getattr(memory, "dram", None)):
+                injector = getattr(holder, "injector", None)
+                if injector is not None:
+                    injector.tracer = tracer
+                    injector.trace_tid = tracer.tid_for("fault")
+                    break
+        if attribution is not None:
+            fabric.attributor = attribution
+        if memstat is not None:
+            fabric.memstat = memstat
+        if memory is not None:
+            if self.metrics is not None:
+                memory.attach_metrics(self.metrics)
+            if memstat is not None:
+                memory.attach_memstat(memstat)
 
     # ------------------------------------------------------------------
     def run(self) -> SystemStats:

@@ -382,8 +382,8 @@ class NoCLinkObserver:
 
 class MemStat:
     """The observatory: one per run, handed to every memory-path
-    subsystem by ``Interleaver._attach_memstat`` (the same fan-out
-    pattern as the tracer and the attributor)."""
+    subsystem by the Interleaver's attach pass (the same fan-out as the
+    tracer and the attributor)."""
 
     def __init__(self, *, sample_every: int = DEFAULT_SAMPLE_EVERY,
                  epoch_cycles: int = DEFAULT_EPOCH_CYCLES):

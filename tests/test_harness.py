@@ -196,9 +196,3 @@ class TestTraceCountValidation:
         assert stats.cycles > 0
         err = capsys.readouterr().err
         assert "extra 1 trace(s) are ignored" in err
-
-    def test_extra_traces_raise_under_strict(self):
-        prepared = prepare(kernels.collatz_steps, [27], num_tiles=2)
-        with pytest.raises(ValueError, match="extra 1 trace"):
-            simulate(prepared.function, [], prepared=prepared,
-                     num_tiles=1, core=ooo_core(), strict_traces=True)
