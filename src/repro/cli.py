@@ -291,9 +291,9 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
     workload = _build(args.workload, args.size)
     prepared = prepare(workload.kernel, workload.args,
                        num_tiles=args.tiles, memory=workload.memory)
-    # journaled sweeps stream worker heartbeats into a live-status file
-    # next to the journal by default, so `repro watch JOURNAL` works
-    # without extra flags; --heartbeat-every tunes the stride
+    # journaled sweeps stream point heartbeats next to the journal by
+    # default, so `repro watch JOURNAL` works without extra flags;
+    # --heartbeat-every tunes the stride
     heartbeat_every = getattr(args, "heartbeat_every", None)
     if heartbeat_every is None and args.journal:
         heartbeat_every = 100_000
@@ -388,6 +388,11 @@ def cmd_simulate(args) -> int:
             print("--sweep is incompatible with --trace/--metrics/"
                   "--stats-json/--profile/--retries/--checkpoint/--resume/"
                   "--heartbeat/--registry/--run-id/--memstat",
+                  file=sys.stderr)
+            return 2
+        if args.heartbeat_every is not None and not args.journal:
+            print("--heartbeat-every with --sweep needs --journal FILE "
+                  "(sweep heartbeats stream beside the journal)",
                   file=sys.stderr)
             return 2
         result = _run_core_sweep(args, core, hierarchy,
@@ -1014,7 +1019,7 @@ def cmd_watch(args) -> int:
     """Live sweep dashboard: render journal + streamed heartbeats until
     every point is done (or forever, with --interval polling, until
     interrupted). Exit codes: 0 rendered/finished."""
-    return watch_loop(args.journal, args.live, interval=args.interval,
+    return watch_loop(args.journal, interval=args.interval,
                       stall_after=args.stall_after, once=args.once)
 
 
@@ -1268,7 +1273,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N", dest="heartbeat_every",
                      help="simulated cycles between heartbeats (default "
                           "100000; with --heartbeat, or with --sweep "
-                          "--journal to tune the live-status stride)")
+                          "--journal to tune the JOURNAL.heartbeats.jsonl "
+                          "stride)")
     sim.set_defaults(func=cmd_simulate)
 
     inject = with_registry(with_checkpoint(with_sweep(
@@ -1497,9 +1503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "watch", help="live terminal dashboard for a running sweep "
                       "(per-point progress, ETA, straggler diagnosis)")
     watch.add_argument("journal", help="the sweep's --journal FILE")
-    watch.add_argument("--live", metavar="FILE", default=None,
-                       help="live-status file (default: JOURNAL"
-                            ".live.json, where sweeps stream it)")
     watch.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="seconds between dashboard refreshes")

@@ -25,14 +25,11 @@ from .sweeps import (
     sweep_runs,
 )
 from .watch import (
-    SweepLiveStatus, estimate_total_cycles, eta_seconds, live_path_for,
-    load_live, render_watch, watch_loop,
+    estimate_total_cycles, eta_seconds, heartbeats_path_for, render_watch,
+    watch_loop,
 )
-from .simspeed import (
-    BENCH_SCHEMA_VERSION, PAPER_MIPS, SpeedReport,
-    measure_simulation_speed, measure_sweep_scaling,
-    trace_footprint_bytes, write_bench_json,
-)
+from .simspeed import PAPER_MIPS
+from ..trace.tracefile import trace_footprint_bytes
 from .systems import (
     DAE_QUEUE_ENTRIES, DAE_QUEUE_LATENCY, INO_AREA_MM2, OOO_AREA_MM2,
     dae_hierarchy, inorder_core, ooo_core, xeon_core, xeon_hierarchy,
@@ -55,11 +52,9 @@ __all__ = [
     "set_status_level",
     "SweepJournal", "SweepPoint", "SweepResult", "sweep_core",
     "sweep_hierarchy", "sweep_runs",
-    "SweepLiveStatus", "estimate_total_cycles", "eta_seconds",
-    "live_path_for", "load_live", "render_watch", "watch_loop",
-    "BENCH_SCHEMA_VERSION", "PAPER_MIPS", "SpeedReport",
-    "measure_simulation_speed", "measure_sweep_scaling",
-    "trace_footprint_bytes", "write_bench_json",
+    "estimate_total_cycles", "eta_seconds", "heartbeats_path_for",
+    "render_watch", "watch_loop",
+    "PAPER_MIPS", "trace_footprint_bytes",
     "DAE_QUEUE_ENTRIES", "DAE_QUEUE_LATENCY", "INO_AREA_MM2",
     "OOO_AREA_MM2", "dae_hierarchy", "inorder_core", "ooo_core",
     "xeon_core", "xeon_hierarchy",

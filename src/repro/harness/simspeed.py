@@ -1,37 +1,13 @@
-"""Simulation-speed measurement (paper §VI-B).
+"""Simulation-speed reference points (paper §VI-B).
 
 The paper reports MosaicSim reaching up to 0.47 MIPS single-threaded,
 comparable to Sniper (0.45 MIPS) and an order of magnitude above gem5
-(0.053 MIPS). This harness measures *this* implementation's simulation
-throughput (simulated instructions per wall-clock second) and reports it
-next to the paper's quoted numbers. Being pure Python, the reproduction
-is expected to be well below the C++ original — the relevant
-reproduction claims are the *relative* observations: accelerator
+(0.053 MIPS). ``bench/run.py`` measures *this* implementation's
+throughput; ``benchmarks/test_simspeed.py`` sets one timed run beside
+these quoted figures and checks the relative §VI-B claims: accelerator
 performance models are orders of magnitude faster than cycle-level
 simulation, and trace footprints stay modest.
 """
-
-from __future__ import annotations
-
-import os
-import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
-
-from ..sim.accelerator.library import sgemm_design
-from ..sim.accelerator.perf_model import GenericPerformanceModel
-from ..sim.config import CoreConfig
-from ..telemetry.profiler import ProfileReport, SelfProfiler
-from .runner import DEFAULT_MAX_CYCLES, Prepared, simulate
-from .systems import dae_hierarchy, ooo_core
-
-#: bump when the BENCH_simspeed.json layout changes incompatibly
-#: (v2: headline ``mips`` is derived from the self-profile when one was
-#: captured, and an optional ``parallel_sweep`` block records sweep
-#: scaling — see ``measure_sweep_scaling``; v3 files written before the
-#: prepare cache was removed may still carry an optional
-#: ``prepare_cache`` block, which readers ignore)
-BENCH_SCHEMA_VERSION = 3
 
 #: paper-quoted comparison points (§VI-B), MIPS
 PAPER_MIPS = {
@@ -39,154 +15,3 @@ PAPER_MIPS = {
     "Sniper (paper)": 0.45,
     "gem5 (paper)": 0.053,
 }
-
-
-@dataclass
-class SpeedReport:
-    simulated_instructions: int
-    wall_seconds: float
-    #: closed-form accelerator model invocations per second
-    accel_models_per_second: float
-    #: per-phase self-profile (set when measured with profile=True)
-    profile: Optional[ProfileReport] = None
-    #: serial-vs-parallel sweep timing (from measure_sweep_scaling)
-    parallel_sweep: Optional[Dict] = None
-
-    @property
-    def mips(self) -> float:
-        # The headline figure is derived from the self-profile when one
-        # was captured: the profile and the outer timer are independent
-        # clocks, and publishing both (slightly disagreeing) numbers made
-        # BENCH_simspeed.json self-inconsistent. The outer timer remains
-        # in ``wall_seconds`` (it additionally covers run setup).
-        if self.profile is not None and self.profile.wall_seconds:
-            return self.profile.mips
-        return self.simulated_instructions / self.wall_seconds / 1e6
-
-    def as_dict(self) -> dict:
-        document = {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "mips": self.mips,
-            "simulated_instructions": self.simulated_instructions,
-            "wall_seconds": self.wall_seconds,
-            "accel_models_per_second": self.accel_models_per_second,
-            "paper_mips": dict(PAPER_MIPS),
-        }
-        if self.profile is not None:
-            document["profile"] = self.profile.as_dict()
-        if self.parallel_sweep is not None:
-            document["parallel_sweep"] = dict(self.parallel_sweep)
-        return document
-
-
-def write_bench_json(report: SpeedReport, path: str) -> None:
-    """Serialize a :class:`SpeedReport` to ``BENCH_simspeed.json``."""
-    document = report.as_dict()
-    profile = document.get("profile")
-    if profile is not None:
-        # the file must carry ONE MIPS figure: the headline is defined
-        # as the profile's number whenever a profile was captured
-        assert document["mips"] == profile["mips"], (
-            f"headline mips {document['mips']} disagrees with "
-            f"profile.mips {profile['mips']}")
-    from ..ioutil import atomic_write_json
-    atomic_write_json(path, document, indent=2)
-
-
-def measure_simulation_speed(prepared: Prepared,
-                             core: Optional[CoreConfig] = None,
-                             profile: bool = False) -> SpeedReport:
-    """Simulate prepared traces and measure wall-clock throughput.
-
-    With ``profile=True`` the run carries a :class:`SelfProfiler`, so
-    the report also says *where* the wall-clock time went."""
-    core = core if core is not None else ooo_core()
-    profiler = SelfProfiler() if profile else None
-    start = time.perf_counter()
-    stats = simulate(prepared.function, [], core=core,
-                     hierarchy=dae_hierarchy(), prepared=prepared,
-                     profiler=profiler)
-    wall = time.perf_counter() - start
-
-    # accelerator performance-model speed: closed-form evaluations/second
-    model = GenericPerformanceModel(sgemm_design())
-    calls = 2000
-    accel_start = time.perf_counter()
-    for _ in range(calls):
-        model.estimate({"n": 64, "m": 64, "k": 64})
-    accel_wall = time.perf_counter() - accel_start
-    return SpeedReport(stats.instructions, wall, calls / accel_wall,
-                       profile=profiler.report if profiler else None)
-
-
-def _point_fingerprint(point) -> tuple:
-    """A comparable record of one sweep point: its full stats report (or
-    its failure record) — the unit of the bit-identical contract."""
-    from ..telemetry import stats_to_dict
-    stats = (stats_to_dict(point.stats)
-             if point.stats is not None else None)
-    return (point.parameters, point.outcome, point.error, stats)
-
-
-def measure_sweep_scaling(prepared: Prepared, core: CoreConfig,
-                          grid: Dict[str, Iterable], *,
-                          jobs: int = 4,
-                          hierarchy=None, hierarchy_factory=None,
-                          num_tiles: int = 1,
-                          max_cycles: int = DEFAULT_MAX_CYCLES,
-                          wall_clock_limit: Optional[float] = None) -> Dict:
-    """Time the same ``sweep_core`` grid serially and with ``jobs``
-    workers, and check the per-point reports are bit-identical.
-
-    Returns the ``parallel_sweep`` block for ``BENCH_simspeed.json``:
-    points, jobs, serial/parallel wall seconds, the parallel:serial
-    ratio, ``identical`` (the determinism contract), and ``cpus`` (the
-    CPUs the pool could actually use — on a single-CPU host the ratio
-    measures pool overhead, not speedup; see docs/performance.md).
-    """
-    from .sweeps import sweep_core
-
-    def run(jobs_n: int):
-        start = time.perf_counter()
-        result = sweep_core(
-            prepared, core, grid, hierarchy=hierarchy,
-            hierarchy_factory=hierarchy_factory, num_tiles=num_tiles,
-            max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-            jobs=jobs_n)
-        return result, time.perf_counter() - start
-
-    serial, serial_wall = run(1)
-    parallel, parallel_wall = run(jobs)
-    identical = (
-        [_point_fingerprint(p) for p in serial.points]
-        == [_point_fingerprint(p) for p in parallel.points])
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count() or 1
-    return {
-        "points": len(serial.points),
-        "jobs": jobs,
-        "cpus": cpus,
-        "serial_seconds": serial_wall,
-        "parallel_seconds": parallel_wall,
-        "ratio": parallel_wall / serial_wall if serial_wall else 0.0,
-        "identical": identical,
-        "outcomes": serial.outcomes(),
-    }
-
-
-def trace_footprint_bytes(prepared: Prepared) -> Dict[str, int]:
-    """Approximate on-disk trace sizes (§VI-B storage discussion)."""
-    import pickle
-    import zlib
-    total = 0
-    blocks = 0
-    addresses = 0
-    for trace in prepared.traces:
-        payload = zlib.compress(pickle.dumps(trace, protocol=4), 6)
-        total += len(payload)
-        blocks += len(trace.block_trace)
-        addresses += trace.num_memory_accesses
-    return {"compressed_bytes": total, "dbbs": blocks,
-            "memory_accesses": addresses}

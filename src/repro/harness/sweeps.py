@@ -40,10 +40,8 @@ import base64
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import pickle
-import threading
 import time
 import zlib
 from collections import Counter
@@ -62,7 +60,7 @@ from .runner import (
     DEFAULT_MAX_CYCLES, Prepared, classify_failure, simulate,
 )
 from .status import STATUS
-from .watch import SweepLiveStatus, live_path_for
+from .watch import heartbeats_path_for
 
 
 @dataclass
@@ -262,18 +260,15 @@ class SweepJournal:
 
 #: per-worker-process Prepared workload, installed by _worker_init
 _WORKER_PREPARED: Optional[Prepared] = None
-#: heartbeat fan-in queue shared with the coordinator (None = no live
-#: progress requested); workers publish (index, kind, payload) tuples
-_WORKER_HB_QUEUE = None
-_WORKER_HB_EVERY: Optional[int] = None
+
+#: a point task: (index, parameters, spec, on_error, stream), where
+#: ``stream`` is None or (heartbeat path, cycle stride, point count)
+Task = Tuple[int, Dict, Dict, str, Optional[Tuple[str, int, int]]]
 
 
-def _worker_init(payload: bytes, hb_queue=None,
-                 hb_every: Optional[int] = None) -> None:
-    global _WORKER_PREPARED, _WORKER_HB_QUEUE, _WORKER_HB_EVERY
+def _worker_init(payload: bytes) -> None:
+    global _WORKER_PREPARED
     _WORKER_PREPARED = pickle.loads(zlib.decompress(payload))
-    _WORKER_HB_QUEUE = hb_queue
-    _WORKER_HB_EVERY = hb_every
 
 
 def _execute_spec(prepared: Prepared, spec: Dict,
@@ -291,64 +286,33 @@ def _execute_spec(prepared: Prepared, spec: Dict,
     return simulate(prepared.function, [], prepared=prepared, **spec)
 
 
-class _LiveSend:
-    """In-process heartbeat sink for serial sweeps: heartbeats go
-    straight into the live status, no queue hop."""
-
-    def __init__(self, live, index: int):
-        self.live = live
-        self.index = index
-
-    def __call__(self, heartbeat: dict) -> None:
-        self.live.heartbeat(self.index, heartbeat)
-
-
-class _QueueSend:
-    """Picklable heartbeat sink: tags each heartbeat with its point
-    index and publishes it on the coordinator's fan-in queue."""
-
-    def __init__(self, queue, index: int):
-        self.queue = queue
-        self.index = index
-
-    def __call__(self, heartbeat: dict) -> None:
-        self.queue.put((self.index, "hb", heartbeat))
-
-
-def _worker_point(task: Tuple[int, Dict, Dict, str]) -> SweepPoint:
-    index, parameters, spec, on_error = task
+def _point(prepared, task: Task) -> SweepPoint:
+    """Run one point, serially or in a worker: the same code either way.
+    With a ``stream``, the point's emitter appends its heartbeats to the
+    sweep's shared JSONL stream itself."""
+    index, parameters, spec, on_error, stream = task
     runner = spec.get("point_runner")
     if runner is not None:
-        return runner(parameters, spec, _WORKER_PREPARED)
-    if _WORKER_HB_QUEUE is not None:
-        try:
-            _WORKER_HB_QUEUE.put((index, "start", None))
-        except Exception as exc:
-            # a dead coordinator queue must not fail the point, but the
-            # lost live progress should be observable on worker stderr
-            STATUS.warn(f"sweep point {index}: heartbeat queue "
-                        f"unreachable ({exc}); live progress for this "
-                        f"point is lost")
-        emitter = HeartbeatEmitter(
-            send=_QueueSend(_WORKER_HB_QUEUE, index),
-            every_cycles=_WORKER_HB_EVERY or 100_000,
-            source={"point": index})
-        run = lambda: _execute_spec(_WORKER_PREPARED, spec, emitter)
-    else:
-        # two-arg call kept distinct so tests can stub _execute_spec
-        # without caring about heartbeats
-        run = lambda: _execute_spec(_WORKER_PREPARED, spec)
-    return _run_point(parameters, run, on_error)
+        return runner(parameters, spec, prepared)
+    # two-arg call without a stream, so tests can stub _execute_spec
+    # without caring about heartbeats
+    args = (prepared, spec)
+    if stream is not None:
+        path, every, total = stream
+        args += (HeartbeatEmitter(path, every_cycles=every,
+                                  source={"point": index,
+                                          "points": total}),)
+    return _run_point(parameters, lambda: _execute_spec(*args), on_error)
 
 
-def _execute_parallel(payload: bytes,
-                      todo: List[Tuple[int, Dict, Dict]],
-                      on_error: str, jobs: int,
+def _worker_point(task: Task) -> SweepPoint:
+    return _point(_WORKER_PREPARED, task)
+
+
+def _execute_parallel(payload: bytes, todo: List[Task], jobs: int,
                       point_retries: int, retry_backoff: float,
-                      collected, hb_queue=None,
-                      hb_every: Optional[int] = None) -> None:
-    """Run ``(index, parameters, spec)`` tasks on a process pool,
-    surviving hard worker deaths.
+                      collected) -> None:
+    """Run point tasks on a process pool, surviving hard worker deaths.
 
     A SIGKILLed/OOMed worker breaks the whole executor: its unfinished
     futures all raise :class:`BrokenProcessPool`. Finished results are
@@ -364,33 +328,29 @@ def _execute_parallel(payload: bytes,
     while pending:
         workers = min(jobs, len(pending))
         broken = False
-        survivors: List[Tuple[int, Dict, Dict]] = []
+        survivors: List[Task] = []
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_worker_init,
-                                 initargs=(payload, hb_queue,
-                                           hb_every)) as pool:
+                                 initargs=(payload,)) as pool:
             futures = []
             try:
-                for index, parameters, spec in pending:
-                    futures.append((index, parameters,
-                                    pool.submit(_worker_point,
-                                                (index, parameters, spec,
-                                                 on_error))))
+                for task in pending:
+                    futures.append((task, pool.submit(_worker_point, task)))
             except BrokenProcessPool:
                 broken = True
-            for position, (index, parameters, future) in enumerate(futures):
+            for task, future in futures:
                 try:
-                    collected(index, parameters, future.result())
+                    collected(task[0], task[1], future.result())
                 except BrokenProcessPool:
                     broken = True
-                    survivors.append(pending[position])
+                    survivors.append(task)
             # tasks never submitted (pool broke first) must retry too
             survivors.extend(pending[len(futures):])
         if not broken:
             return
         attempt += 1
         if attempt > point_retries:
-            for index, parameters, spec in survivors:
+            for index, parameters, *_ in survivors:
                 STATUS.warn(f"sweep point {index}: worker died hard and "
                             f"retries are exhausted; recording "
                             f"worker_died")
@@ -405,20 +365,6 @@ def _execute_parallel(payload: bytes,
         if retry_backoff > 0:
             time.sleep(retry_backoff * (2 ** (attempt - 1)))
         pending = survivors
-
-
-def _drain_heartbeats(queue, live: SweepLiveStatus) -> None:
-    """Coordinator-side fan-in thread: fold worker heartbeats into the
-    live status sidecar until the None sentinel arrives."""
-    while True:
-        item = queue.get()
-        if item is None:
-            return
-        index, kind, payload = item
-        if kind == "start":
-            live.point_started(index)
-        elif kind == "hb":
-            live.heartbeat(index, payload)
 
 
 def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
@@ -445,22 +391,29 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
     as ``worker_died`` (parallel mode; a serial worker death kills the
     process itself, which is exactly what the journal recovers from).
 
-    With ``heartbeat_every`` (a cycle stride) and a ``journal_path``,
-    running points stream heartbeats into a ``<journal>.live.json``
-    sidecar — serially in-process, in parallel over a multiprocessing
-    fan-in queue — which ``repro watch`` renders as a live dashboard.
-    Heartbeats are advisory: they never change point results (the
-    emitter only reads simulation state at consistency points), so
-    serial/parallel bit-identity is preserved.
+    With ``heartbeat_every`` (a cycle stride; needs a ``journal_path``),
+    every running point appends heartbeats labelled ``{"point": i,
+    "points": n}`` to ``<journal>.heartbeats.jsonl``, which ``repro
+    watch`` folds with the journal into a live dashboard. A fresh sweep
+    starts the stream empty; a resumed one appends to it. Heartbeats
+    are advisory: they never change point results (the emitter only
+    reads simulation state at consistency points), so serial/parallel
+    bit-identity is preserved.
     """
     if resume and journal_path is None:
         raise ValueError("resume=True needs a journal_path to resume from")
+    if heartbeat_every is not None and journal_path is None:
+        raise ValueError("heartbeat_every needs a journal_path to stream "
+                         "heartbeats beside")
     journal = SweepJournal(journal_path) if journal_path else None
-    live: Optional[SweepLiveStatus] = None
-    if heartbeat_every is not None and journal_path is not None:
-        live = SweepLiveStatus(live_path_for(journal_path), len(tasks))
+    stream = None
+    if heartbeat_every is not None:
+        path = heartbeats_path_for(journal_path)
+        if not resume:
+            open(path, "w").close()
+        stream = (path, heartbeat_every, len(tasks))
     points: List[Optional[SweepPoint]] = [None] * len(tasks)
-    todo: List[Tuple[int, Dict, Dict]] = []
+    todo: List[Task] = []
     entries = journal.load() if (journal is not None and resume) else {}
     for index, (parameters, spec) in enumerate(tasks):
         entry = entries.get(index)
@@ -470,64 +423,24 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
             if restored is not None:
                 points[index] = restored
                 continue
-        todo.append((index, parameters, spec))
+        todo.append((index, parameters, spec, on_error, stream))
 
     def collected(index: int, parameters: Dict, point: SweepPoint) -> None:
         points[index] = point
         if journal is not None and point.outcome != "worker_died":
             journal.append(index, parameters, point)
-        if live is not None:
-            live.point_done(index, point)
         STATUS.verbose(f"sweep point {index}: {point.outcome}"
                        + (f" ({point.cycles} cycles)"
                           if point.cycles is not None else ""))
 
     jobs = min(jobs, len(todo))
-    if jobs <= 1 or len(todo) <= 1 or on_error == "raise":
-        for index, parameters, spec in todo:
-            runner = spec.get("point_runner")
-            if runner is not None:
-                if live is not None:
-                    live.point_started(index)
-                collected(index, parameters,
-                          runner(parameters, spec, prepared))
-                continue
-            if live is not None:
-                live.point_started(index)
-                emitter = HeartbeatEmitter(
-                    send=_LiveSend(live, index),
-                    every_cycles=heartbeat_every,
-                    source={"point": index})
-                run = (lambda s=spec, e=emitter:
-                       _execute_spec(prepared, s, e))
-            else:
-                # two-arg call kept distinct so tests can stub
-                # _execute_spec without caring about heartbeats
-                run = lambda s=spec: _execute_spec(prepared, s)
-            collected(index, parameters,
-                      _run_point(parameters, run, on_error))
-    elif todo:
+    if jobs <= 1 or on_error == "raise":
+        for task in todo:
+            collected(task[0], task[1], _point(prepared, task))
+    else:
         payload = zlib.compress(pickle.dumps(prepared, protocol=4), 6)
-        hb_queue = None
-        manager = None
-        drain = None
-        if live is not None:
-            manager = multiprocessing.Manager()
-            hb_queue = manager.Queue()
-            drain = threading.Thread(target=_drain_heartbeats,
-                                     args=(hb_queue, live), daemon=True)
-            drain.start()
-        try:
-            _execute_parallel(payload, todo, on_error, jobs,
-                              point_retries, retry_backoff, collected,
-                              hb_queue=hb_queue,
-                              hb_every=heartbeat_every)
-        finally:
-            if drain is not None:
-                hb_queue.put(None)
-                drain.join(timeout=10)
-            if manager is not None:
-                manager.shutdown()
+        _execute_parallel(payload, todo, jobs, point_retries,
+                          retry_backoff, collected)
     return SweepResult(points)
 
 
@@ -564,7 +477,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
     same order). ``journal_path``/``resume``/``point_retries``/
     ``retry_backoff`` make the sweep crash-recoverable — see
     :func:`_execute_sweep` and ``docs/resilience.md``.
-    ``heartbeat_every`` (with a journal) streams live per-point
+    ``heartbeat_every`` (needs a journal) streams live per-point
     progress for ``repro watch`` — see ``docs/observability.md``.
     """
     names = sorted(grid)

@@ -1,19 +1,19 @@
-"""Live sweep dashboard: progress fan-in, ETA math, and the `watch` view.
+"""Live sweep dashboard: ETA math and the `watch` view.
 
-A running sweep publishes two files next to its journal:
+A running sweep publishes two files:
 
-* the journal itself (``SweepJournal`` JSONL) — completed points;
-* a live-status sidecar (``<journal>.live.json``, atomic JSON) — which
-  points are running right now, their latest heartbeat, and per-point
-  wall timing, maintained by :class:`SweepLiveStatus` from the worker
-  heartbeats fanned in over a multiprocessing queue (or directly, in a
-  serial sweep).
+* the journal (``SweepJournal`` JSONL) — completed points;
+* the heartbeat stream (``<journal>.heartbeats.jsonl``) — every point's
+  :class:`~repro.telemetry.livestream.HeartbeatEmitter` appends to it
+  directly, each line labelled ``source={"point": i, "points": n}``.
 
-``repro watch JOURNAL`` renders both into a terminal dashboard:
-per-point progress, ETA from rolling cycles/s, and straggler detection —
-a running point whose last heartbeat is older than ``stall_after``
-seconds is flagged STALLED and its final heartbeat's per-tile
-``stall_state()`` payload is surfaced as a deadlock diagnosis.
+``repro watch JOURNAL`` folds both into a terminal dashboard. A point
+is done exactly when the journal has it; otherwise its last heartbeat
+is its state (no heartbeat yet: pending). A running point whose last
+heartbeat is older than ``stall_after`` seconds is flagged STALLED and
+that heartbeat's per-tile ``stall_state()`` payload is surfaced as a
+deadlock diagnosis. Per-point progress, and ETA from rolling cycles/s,
+come from the same heartbeats.
 
 The ETA arithmetic lives in small pure functions
 (:func:`estimate_total_cycles`, :func:`eta_seconds`) so the math is
@@ -22,121 +22,35 @@ testable without running a sweep.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..ioutil import atomic_write_json
+from ..telemetry.livestream import read_heartbeats
 
 __all__ = [
-    "LIVE_STATUS_VERSION", "SweepLiveStatus", "estimate_total_cycles",
-    "eta_seconds", "live_path_for", "load_live", "render_watch",
-    "watch_loop",
+    "estimate_total_cycles", "eta_seconds", "heartbeats_path_for",
+    "render_watch", "watch_loop",
 ]
 
-#: bump when the live-status sidecar layout changes incompatibly
-LIVE_STATUS_VERSION = 1
+
+def heartbeats_path_for(journal_path: str) -> str:
+    """A journaled sweep streams its heartbeats next to the journal."""
+    return journal_path + ".heartbeats.jsonl"
 
 
-def live_path_for(journal_path: str) -> str:
-    """The live-status sidecar conventionally sits next to the journal."""
-    return journal_path + ".live.json"
-
-
-class SweepLiveStatus:
-    """Coordinator-side aggregate of per-point progress.
-
-    Thread-safe: the parallel sweep drains worker heartbeats on a
-    background thread while ``collected()`` records finished points on
-    the main thread. Every update atomically rewrites the sidecar, so a
-    concurrently running ``repro watch`` never reads a torn document.
-
-    ``clock`` is injectable (tests fake wall time to exercise the
-    straggler detector without sleeping).
-    """
-
-    def __init__(self, path: str, total: int, clock=time.time):
-        self.path = path
-        self.total = total
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._points: Dict[int, dict] = {}
-        self._started_unix = clock()
-
-    def point_started(self, index: int) -> None:
-        with self._lock:
-            # the drain thread can deliver a queued start/heartbeat
-            # after the main thread already recorded the point done;
-            # done is terminal, late progress messages must not revive
-            if self._points.get(index, {}).get("state") == "done":
-                return
-            self._points[index] = {"state": "running",
-                                   "started_unix": self._clock()}
-            self._write()
-
-    def heartbeat(self, index: int, heartbeat: dict) -> None:
-        with self._lock:
-            entry = self._points.setdefault(
-                index, {"state": "running", "started_unix": self._clock()})
-            # a late-drained heartbeat (the worker's final one usually
-            # lands after the main thread records completion) still
-            # refreshes the snapshot, but done state is terminal
-            entry["last"] = heartbeat
-            entry["last_unix"] = self._clock()
-            self._write()
-
-    def point_done(self, index: int, point) -> None:
-        """Record a finished SweepPoint (any outcome)."""
-        with self._lock:
-            previous = self._points.get(index, {})
-            entry = {"state": "done", "outcome": point.outcome}
-            if point.error:
-                entry["error"] = point.error
-            if point.cycles is not None:
-                entry["cycles"] = point.cycles
-            started = previous.get("started_unix")
-            if started is not None:
-                entry["wall_seconds"] = max(0.0, self._clock() - started)
-            # keep the last streamed snapshot: it carries the per-tile
-            # end state the dashboard shows for finished points
-            if "last" in previous:
-                entry["last"] = previous["last"]
-                entry["last_unix"] = previous.get("last_unix")
-            self._points[index] = entry
-            self._write()
-
-    def as_dict(self) -> dict:
-        return {
-            "version": LIVE_STATUS_VERSION,
-            "total": self.total,
-            "started_unix": self._started_unix,
-            "updated_unix": self._clock(),
-            "points": {str(index): entry
-                       for index, entry in sorted(self._points.items())},
-        }
-
-    def _write(self) -> None:
-        # advisory, like heartbeats: a failed sidecar write (disk full,
-        # directory removed) must never take the sweep down
-        try:
-            atomic_write_json(self.path, self.as_dict())
-        except OSError:
-            pass
-
-
-def load_live(path: str) -> Optional[dict]:
-    """The live-status document, or None when absent/undecodable (the
-    writer is atomic, so undecodable means not-a-sidecar, not torn)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(document, dict) or \
-            document.get("version") != LIVE_STATUS_VERSION:
-        return None
-    return document
+def _fold(heartbeats: List[dict]) -> Tuple[Dict[int, dict], int]:
+    """Each point's last heartbeat (later lines win, so a resumed
+    point's fresh stream supersedes its torn one), and the sweep's point
+    count from the ``source`` labels (0 when nothing streamed yet)."""
+    last: Dict[int, dict] = {}
+    total = 0
+    for heartbeat in heartbeats:
+        source = heartbeat.get("source") or {}
+        index = source.get("point")
+        if isinstance(index, int):
+            last[index] = heartbeat
+            total = max(total, source.get("points") or 0, index + 1)
+    return last, total
 
 
 # -- ETA math (pure) --------------------------------------------------------
@@ -200,77 +114,66 @@ def _straggler_lines(heartbeat: dict) -> List[str]:
     return lines
 
 
-def render_watch(journal_entries: Dict[int, dict], live: Optional[dict],
+def render_watch(journal_entries: Dict[int, dict], heartbeats: List[dict],
                  now: Optional[float] = None,
                  stall_after: float = 10.0) -> str:
     """One frame of the sweep dashboard, as a plain string.
 
     ``journal_entries`` is ``SweepJournal.load()`` output;
-    ``live`` is the sidecar document (or None when the sweep has no live
-    status — journal-only progress is still rendered). ``now`` defaults
-    to the current wall clock and exists for tests.
+    ``heartbeats`` is the sweep's stream (``read_heartbeats`` output,
+    empty when nothing streamed — journal-only progress is still
+    rendered). ``now`` defaults to the current wall clock and exists
+    for tests.
     """
     if now is None:
         now = time.time()
-    live_points = (live or {}).get("points", {})
-    total = (live or {}).get("total") or (
-        max(journal_entries) + 1 if journal_entries else 0)
-    total = max(total, (max(journal_entries) + 1) if journal_entries else 0,
-                (max((int(k) for k in live_points), default=-1) + 1))
-    done_cycles: List[int] = []
-    for entry in live_points.values():
-        if entry.get("state") == "done" and entry.get("cycles"):
-            done_cycles.append(entry["cycles"])
-    per_point_estimate = estimate_total_cycles(done_cycles)
-    done_walls = [entry["wall_seconds"] for entry in live_points.values()
-                  if entry.get("state") == "done"
-                  and entry.get("wall_seconds")]
+    last, total = _fold(heartbeats)
+    total = max(total, max(journal_entries, default=-1) + 1)
+    # a done point's cycles and wall time come from its final heartbeat
+    finals = [last[index] for index in journal_entries
+              if last.get(index, {}).get("final")]
+    per_point_estimate = estimate_total_cycles(
+        [heartbeat["cycle"] for heartbeat in finals])
+    done_walls = [heartbeat["wall"]["seconds"] for heartbeat in finals
+                  if heartbeat.get("wall", {}).get("seconds")]
 
     lines = []
     done = running = stalled = 0
     for index in range(total):
         journal_entry = journal_entries.get(index)
-        entry = live_points.get(str(index), {})
-        if entry.get("state") == "done":
-            done += 1
-            outcome = entry.get("outcome", "ok")
-            detail = f"{entry['cycles']} cycles" if entry.get("cycles") \
-                else entry.get("error", "")[:50]
-            wall = entry.get("wall_seconds")
-            if wall is not None:
-                detail += f" in {wall:.1f}s" if detail else f"{wall:.1f}s"
-            lines.append(f"  [{index:>3}] {outcome:<12} {detail}")
-            continue
+        heartbeat = last.get(index)
         if journal_entry is not None:
-            # journal-only view (no sidecar): completed, outcome known
             done += 1
-            lines.append(f"  [{index:>3}] {journal_entry.get('outcome', 'ok')}")
-            continue
-        if entry.get("state") == "running":
-            heartbeat = entry.get("last")
-            last_unix = entry.get("last_unix")
-            if heartbeat is None:
-                running += 1
-                lines.append(f"  [{index:>3}] RUNNING      starting...")
-                continue
-            age = now - last_unix if last_unix is not None else 0.0
-            cycle = heartbeat.get("cycle", 0)
-            rate = heartbeat.get("wall", {}).get("cycles_per_second", 0.0)
-            if age > stall_after:
-                stalled += 1
-                lines.append(
-                    f"  [{index:>3}] STALLED      no heartbeat for "
-                    f"{age:.0f}s, stuck at cycle {cycle}:")
-                lines.extend(_straggler_lines(heartbeat))
+            outcome = journal_entry.get("outcome", "ok")
+            if heartbeat is not None and heartbeat.get("final"):
+                detail = f"{heartbeat['cycle']} cycles"
+                wall = heartbeat.get("wall", {}).get("seconds")
+                if wall is not None:
+                    detail += f" in {wall:.1f}s"
             else:
-                running += 1
-                eta = eta_seconds(cycle, rate, per_point_estimate)
-                lines.append(
-                    f"  [{index:>3}] RUNNING      cycle {cycle}, "
-                    f"ipc {heartbeat.get('ipc', 0.0):.2f}, "
-                    f"{rate:,.0f} cyc/s, {_format_eta(eta)}")
+                detail = journal_entry.get("error", "")[:50]
+            lines.append(f"  [{index:>3}] {outcome:<12} {detail}".rstrip())
             continue
-        lines.append(f"  [{index:>3}] pending")
+        if heartbeat is None:
+            lines.append(f"  [{index:>3}] pending")
+            continue
+        wall = heartbeat.get("wall", {})
+        age = now - wall["unix"] if "unix" in wall else 0.0
+        cycle = heartbeat.get("cycle", 0)
+        rate = wall.get("cycles_per_second", 0.0)
+        if age > stall_after:
+            stalled += 1
+            lines.append(
+                f"  [{index:>3}] STALLED      no heartbeat for "
+                f"{age:.0f}s, stuck at cycle {cycle}:")
+            lines.extend(_straggler_lines(heartbeat))
+        else:
+            running += 1
+            eta = eta_seconds(cycle, rate, per_point_estimate)
+            lines.append(
+                f"  [{index:>3}] RUNNING      cycle {cycle}, "
+                f"ipc {heartbeat.get('ipc', 0.0):.2f}, "
+                f"{rate:,.0f} cyc/s, {_format_eta(eta)}")
 
     header = (f"sweep: {done}/{total} done, {running} running, "
               f"{stalled} stalled, {total - done - running - stalled} "
@@ -282,31 +185,29 @@ def render_watch(journal_entries: Dict[int, dict], live: Optional[dict],
     return "\n".join([header] + lines)
 
 
-def watch_loop(journal_path: str, live_path: Optional[str] = None,
-               *, interval: float = 2.0, stall_after: float = 10.0,
-               once: bool = False, out=None) -> int:
+def watch_loop(journal_path: str, *, interval: float = 2.0,
+               stall_after: float = 10.0, once: bool = False,
+               out=None) -> int:
     """The ``repro watch`` driver: render the dashboard every
-    ``interval`` seconds until the sweep's points are all done (or
+    ``interval`` seconds until the sweep's points are all journaled (or
     forever, for an abandoned journal, until interrupted). Returns 0.
     """
     import sys
     from .sweeps import SweepJournal
     if out is None:
         out = sys.stdout
-    if live_path is None:
-        live_path = live_path_for(journal_path)
     while True:
         journal_entries = SweepJournal(journal_path).load()
-        live = load_live(live_path)
-        frame = render_watch(journal_entries, live, stall_after=stall_after)
+        heartbeats = read_heartbeats(heartbeats_path_for(journal_path))
+        frame = render_watch(journal_entries, heartbeats,
+                             stall_after=stall_after)
         out.write(frame + "\n")
         out.flush()
         if once:
             return 0
-        total = (live or {}).get("total", 0)
-        done = sum(1 for entry in ((live or {}).get("points") or {}).values()
-                   if entry.get("state") == "done")
-        if total and done >= total:
+        _, total = _fold(heartbeats)
+        if total and all(index in journal_entries
+                         for index in range(total)):
             return 0
         try:
             time.sleep(interval)

@@ -14,7 +14,8 @@ comparison.
 Regression checks gate on **cycles** by default — simulated cycles are
 deterministic, so any drift is a real behavior change. MIPS (host
 simulation speed) varies across machines and is only gated behind
-``check_mips=True`` (CI uses its own same-host simspeed gate instead).
+``check_mips=True`` (CI gates speed with ``bench/run.py`` instead,
+parent and change on the same host).
 """
 
 from __future__ import annotations
@@ -398,10 +399,9 @@ def seed_history_from_bench(results_dir: str, history_path: str,
     """Bootstrap a history file from the committed BENCH artifacts.
 
     ``BENCH_cycle_identity.json`` contributes one deterministic entry
-    per kernel (cycles + instructions); ``BENCH_simspeed.json``
-    contributes the headline simspeed run (with MIPS). Returns the
-    number of entries appended — existing history lines are kept (the
-    file is append-only).
+    per kernel (cycles + instructions). Returns the number of entries
+    appended — existing history lines are kept (the file is
+    append-only).
     """
     appended = 0
     identity_path = os.path.join(results_dir, "BENCH_cycle_identity.json")
@@ -428,27 +428,4 @@ def seed_history_from_bench(results_dir: str, history_path: str,
                 "ipc": None, "mips": None, "wall_seconds": 0.0,
             })
             appended += 1
-    simspeed_path = os.path.join(results_dir, "BENCH_simspeed.json")
-    try:
-        with open(simspeed_path, "r", encoding="utf-8") as handle:
-            simspeed = json.load(handle)
-    except (OSError, ValueError):
-        simspeed = None
-    if isinstance(simspeed, dict) and simspeed.get("mips"):
-        profile = simspeed.get("profile") or {}
-        append_history(history_path, {
-            "v": HISTORY_SCHEMA_VERSION,
-            "run_id": "bench-simspeed",
-            "label": label,
-            "workload": "simspeed",
-            "status": "ok",
-            "config_digest": "",
-            "created_unix": 0.0,
-            "cycles": profile.get("cycles"),
-            "instructions": simspeed.get("simulated_instructions"),
-            "ipc": None,
-            "mips": simspeed.get("mips"),
-            "wall_seconds": simspeed.get("wall_seconds", 0.0),
-        })
-        appended += 1
     return appended

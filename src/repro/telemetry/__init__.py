@@ -15,7 +15,8 @@ Three cooperating pieces, all opt-in and zero-cost when disabled:
   validation/diffing behind ``repro analyze`` / ``repro diff``;
 * :class:`HeartbeatEmitter` — live JSONL heartbeat streaming from an
   in-flight run (cycle, IPC, in-flight memory, attribution deltas),
-  the feed behind ``repro watch`` and sweep progress fan-in;
+  the feed behind ``repro watch`` (every sweep point appends to one
+  stream beside the journal);
 * :class:`MemStat` — the data-movement observatory: miss
   classification (compulsory/capacity/conflict), per-set conflict
   heatmaps, sampled reuse-distance histograms, DRAM bank/row-buffer

@@ -50,14 +50,16 @@ class HeartbeatEmitter:
     """Streams periodic run snapshots to a JSONL file or a callable.
 
     Exactly one sink: ``path`` (lines are appended — a file or a named
-    pipe) or ``send`` (called with the heartbeat dict; used by sweep
-    workers to publish over a multiprocessing queue). The Interleaver
-    polls :meth:`due` on its watchdog stride and calls :meth:`emit` only
-    at outer-loop consistency points, where every event due at the
-    stamped cycle has fired — the same guarantee checkpoints rely on.
+    pipe; every point of a journaled sweep appends to one shared file)
+    or ``send`` (called with the heartbeat dict, for in-process
+    consumers). The Interleaver polls :meth:`due` on its watchdog stride
+    and calls :meth:`emit` only at outer-loop consistency points, where
+    every event due at the stamped cycle has fired — the same guarantee
+    checkpoints rely on.
 
     ``source`` labels (run id, sweep point index, workload) are merged
-    into every heartbeat so fan-in consumers can demultiplex streams.
+    into every heartbeat so readers of a shared stream can demultiplex
+    it. The ``wall`` block's ``seconds`` count from construction.
 
     Instances are picklable (files are opened per append), so a
     checkpointed run carrying an emitter snapshots and resumes its
@@ -97,7 +99,7 @@ class HeartbeatEmitter:
         self._last_instructions = 0
         self._last_attribution: dict = {}
         self._last_wall: Optional[float] = None
-        self._start_wall: Optional[float] = None
+        self._start_wall = time.monotonic()
 
     # -- scheduling (polled on the Interleaver's watchdog stride) --------
     def due(self, cycle: int) -> bool:
@@ -119,8 +121,6 @@ class HeartbeatEmitter:
         it directly). Sink failures are counted, never raised.
         """
         now = time.monotonic()
-        if self._start_wall is None:
-            self._start_wall = now
         instructions = sum(t.stats.instructions for t in interleaver.tiles)
         delta_cycles = cycle - self._last_cycle
         delta_instructions = instructions - self._last_instructions

@@ -82,6 +82,21 @@ def save_traces(traces: List[KernelTrace],
     return len(payload)
 
 
+def trace_footprint_bytes(prepared) -> Dict[str, int]:
+    """Approximate on-disk sizes of ``prepared.traces`` (§VI-B storage
+    discussion): compressed bytes, DBBs and memory accesses."""
+    total = 0
+    blocks = 0
+    addresses = 0
+    for trace in prepared.traces:
+        payload = zlib.compress(pickle.dumps(trace, protocol=4), 6)
+        total += len(payload)
+        blocks += len(trace.block_trace)
+        addresses += trace.num_memory_accesses
+    return {"compressed_bytes": total, "dbbs": blocks,
+            "memory_accesses": addresses}
+
+
 def load_traces(path: Union[str, Path]) -> List[KernelTrace]:
     payload = Path(path).read_bytes()
     traces = pickle.loads(zlib.decompress(payload))

@@ -29,7 +29,6 @@ from repro.harness import (
     prepare_dae_sliced, sweep_core, xeon_core, xeon_hierarchy,
 )
 from repro.harness import sweeps
-from repro.harness.simspeed import _point_fingerprint
 from repro.harness.sweeps import SweepJournal
 from repro.ir import F64
 from repro.resilience import FaultInjector, FaultPlan
@@ -44,6 +43,7 @@ from repro.workloads import PAPER_ORDER, build_parboil
 from repro.workloads.sinkhorn import build_combined, build_ewsd
 
 from . import kernels
+from .test_sweeps import point_fingerprint
 
 #: shrunken datasets so the all-Parboil identity sweep stays fast
 SMALL_SIZES = {
@@ -357,7 +357,7 @@ GRID = {"rob_size": [16, 32, 64, 128], "issue_width": [1, 2]}  # 8 points
 
 
 def _fingerprints(result):
-    return [_point_fingerprint(point) for point in result.points]
+    return [point_fingerprint(point) for point in result.points]
 
 
 class TestSweepJournal:

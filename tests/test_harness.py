@@ -1,15 +1,14 @@
 """Harness tests: system presets, reference machine, reporting, trends,
-simulation-speed measurement, power/area."""
+trace footprint, power/area."""
 
 import numpy as np
 import pytest
 
 from repro.harness import (
-    PAPER_MIPS, accuracy_factor, dae_hierarchy, fold_for_x86, geomean,
-    inorder_core, measure_simulation_speed, microprocessor_trends, ooo_core,
-    prepare, reference_stats, render_bars, render_figure1, render_table,
-    simulate, stagnation_year, trace_footprint_bytes, xeon_core,
-    xeon_hierarchy,
+    accuracy_factor, dae_hierarchy, fold_for_x86, geomean, inorder_core,
+    microprocessor_trends, ooo_core, prepare, reference_stats, render_bars,
+    render_figure1, render_table, simulate, stagnation_year,
+    trace_footprint_bytes, xeon_core, xeon_hierarchy,
 )
 from repro.ir import F64, Opcode
 from repro.power import (
@@ -141,13 +140,6 @@ class TestTrends:
 
 
 class TestSimSpeed:
-    def test_measurement(self, saxpy_prepared):
-        report = measure_simulation_speed(saxpy_prepared)
-        assert report.simulated_instructions > 0
-        assert report.mips > 0
-        assert report.accel_models_per_second > 1000
-        assert PAPER_MIPS["gem5 (paper)"] < PAPER_MIPS["Sniper (paper)"]
-
     def test_trace_footprint(self, saxpy_prepared):
         footprint = trace_footprint_bytes(saxpy_prepared)
         assert footprint["compressed_bytes"] > 0

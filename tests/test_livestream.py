@@ -5,7 +5,7 @@ Covers the PR-7 observability layer end to end:
 * heartbeat determinism — cycle-stamped fields are bit-identical
   across reruns (wall-clock lives under one strippable key);
 * the emitter is non-blocking and zero-cost when absent;
-* sweep live-status fan-in (serial and parallel) and the watch
+* sweep heartbeat streams (serial and parallel) and the watch
   dashboard's ETA/straggler math;
 * run-registry manifest round-trips and the cross-run history
   regression gate;
@@ -13,6 +13,7 @@ Covers the PR-7 observability layer end to end:
   artifacts that lack it.
 """
 
+import io
 import json
 
 import numpy as np
@@ -20,14 +21,12 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.harness import (
-    NORMAL, QUIET, STATUS, VERBOSE, dae_hierarchy, inorder_core,
-    ooo_core, prepare, render_watch, set_status_level, simulate,
-    sweep_core, watch_loop,
+    NORMAL, QUIET, STATUS, VERBOSE, dae_hierarchy, estimate_total_cycles,
+    eta_seconds, heartbeats_path_for, inorder_core, ooo_core, prepare,
+    render_watch, set_status_level, simulate, sweep_core, sweep_hierarchy,
+    sweep_runs, watch_loop,
 )
-from repro.harness.watch import (
-    SweepLiveStatus, estimate_total_cycles, eta_seconds, live_path_for,
-    load_live,
-)
+from repro.harness import watch
 from repro.ir import F64
 from repro.registry import (
     HISTORY_SCHEMA_VERSION, RunManifest, RunRegistry, append_history,
@@ -133,7 +132,7 @@ class TestHeartbeatEmitter:
                                 "seq": -1})
 
 
-# -- sweep live status + watch dashboard -------------------------------------
+# -- sweep heartbeat stream + watch dashboard ---------------------------------
 
 GRID = {"rob_size": [16, 32, 64]}
 
@@ -148,7 +147,7 @@ def prepared():
     return prepare(kernels.saxpy, [A, B, n, 2.0], memory=mem)
 
 
-class TestSweepLiveStatus:
+class TestSweepHeartbeatStream:
     def _run(self, prepared, tmp_path, jobs):
         tmp_path.mkdir(parents=True, exist_ok=True)
         journal = tmp_path / "sweep.jsonl"
@@ -156,48 +155,75 @@ class TestSweepLiveStatus:
                             hierarchy_factory=dae_hierarchy, jobs=jobs,
                             journal_path=str(journal),
                             heartbeat_every=200)
-        return result, journal
+        return result, read_heartbeats(heartbeats_path_for(str(journal)))
 
-    def test_serial_sweep_streams_live_status(self, prepared, tmp_path):
-        result, journal = self._run(prepared, tmp_path, jobs=1)
-        live = load_live(live_path_for(str(journal)))
-        assert live is not None and live["total"] == 3
+    def test_serial_sweep_streams_heartbeats(self, prepared, tmp_path):
+        result, heartbeats = self._run(prepared, tmp_path, jobs=1)
+        for heartbeat in heartbeats:
+            validate_heartbeat(heartbeat)
+            assert heartbeat["source"]["points"] == 3
         for index, point in enumerate(result.points):
-            entry = live["points"][str(index)]
-            assert entry["state"] == "done"
-            assert entry["cycles"] == point.cycles
-            # workers streamed at least one mid-run heartbeat
-            assert entry["last"]["source"] == {"point": index}
+            own = [h for h in heartbeats
+                   if h["source"]["point"] == index]
+            # a mid-run heartbeat, then exactly one final at the end
+            assert len(own) >= 2
+            assert [h.get("final", False) for h in own] == \
+                [False] * (len(own) - 1) + [True]
+            assert own[-1]["cycle"] == point.cycles
 
-    def test_parallel_fan_in_matches_serial(self, prepared, tmp_path):
+    def test_parallel_final_heartbeats_match_points(self, prepared,
+                                                    tmp_path):
         serial, _ = self._run(prepared, tmp_path / "s", jobs=1)
-        parallel, journal = self._run(prepared, tmp_path / "p", jobs=2)
+        parallel, heartbeats = self._run(prepared, tmp_path / "p", jobs=2)
         assert [p.cycles for p in parallel.points] == \
             [p.cycles for p in serial.points]
-        live = load_live(live_path_for(str(journal)))
-        assert [live["points"][str(i)]["state"] for i in range(3)] == \
-            ["done"] * 3
+        finals = {h["source"]["point"]: h["cycle"] for h in heartbeats
+                  if h.get("final")}
+        assert finals == {index: point.cycles
+                          for index, point in enumerate(parallel.points)}
 
-    def test_done_is_terminal_for_late_heartbeats(self, tmp_path):
-        live = SweepLiveStatus(str(tmp_path / "live.json"), total=1)
+    def test_fresh_sweep_restarts_stream_resume_appends(self, prepared,
+                                                        tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        stream = heartbeats_path_for(str(journal))
 
-        class Point:
-            outcome, error, cycles = "ok", "", 777
+        def run(resume):
+            sweep_core(prepared, inorder_core(), GRID,
+                       hierarchy_factory=dae_hierarchy,
+                       journal_path=str(journal), resume=resume,
+                       heartbeat_every=200)
+            return len(read_heartbeats(stream))
 
-        live.point_started(0)
-        live.point_done(0, Point())
-        # the drain thread may deliver queued messages after the main
-        # thread recorded completion — they must not revive the point
-        live.heartbeat(0, {"cycle": 5})
-        live.point_started(0)
-        entry = live.as_dict()["points"]["0"]
-        assert entry["state"] == "done" and entry["cycles"] == 777
+        first = run(resume=False)
+        assert run(resume=False) == first
+        # crash after one point, then resume: only the two missing
+        # points stream, after what the first run left behind
+        journal.write_text(journal.read_text().splitlines(True)[0])
+        assert first < run(resume=True) < 2 * first
 
-    def test_load_live_rejects_other_versions(self, tmp_path):
-        path = tmp_path / "live.json"
-        path.write_text(json.dumps({"version": 999, "points": {}}))
-        assert load_live(str(path)) is None
-        assert load_live(str(tmp_path / "absent.json")) is None
+    @pytest.mark.parametrize("entry", ["core", "hierarchy", "runs"])
+    def test_heartbeats_need_a_journal(self, prepared, entry):
+        calls = {
+            "core": lambda **kw: sweep_core(
+                prepared, inorder_core(), GRID, **kw),
+            "hierarchy": lambda **kw: sweep_hierarchy(
+                prepared, inorder_core(), {"dae": dae_hierarchy()}, **kw),
+            "runs": lambda **kw: sweep_runs(
+                prepared, {"ino": {"core": inorder_core()}}, **kw),
+        }
+        with pytest.raises(ValueError, match="journal_path"):
+            calls[entry](heartbeat_every=200)
+
+
+def _beat(point, cycle, unix, points=3, final=False, **extra):
+    heartbeat = {"cycle": cycle, "ipc": 0.5,
+                 "source": {"point": point, "points": points},
+                 "wall": {"unix": unix, "seconds": 4.0,
+                          "cycles_per_second": 100.0}}
+    if final:
+        heartbeat["final"] = True
+    heartbeat.update(extra)
+    return heartbeat
 
 
 class TestWatchMath:
@@ -212,56 +238,66 @@ class TestWatchMath:
         assert eta_seconds(500, 0.0, 1500.0) is None
         assert eta_seconds(500, 100.0, None) is None
 
-    def _live(self, now, points):
-        return {"version": 1, "total": len(points), "started_unix": now,
-                "updated_unix": now,
-                "points": {str(i): p for i, p in enumerate(points)}}
-
     def test_render_counts_and_eta(self):
         now = 1000.0
-        live = self._live(now, [
-            {"state": "done", "outcome": "ok", "cycles": 1000,
-             "wall_seconds": 4.0},
-            {"state": "running", "last_unix": now - 1.0,
-             "last": {"cycle": 500, "ipc": 0.5,
-                      "wall": {"cycles_per_second": 100.0}}},
-            {"state": "running"},
-        ])
-        frame = render_watch({}, live, now=now)
-        assert "1/3 done, 2 running, 0 stalled" in frame
+        heartbeats = [_beat(0, 400, now - 5.0),
+                      _beat(1, 200, now - 3.0),
+                      _beat(0, 1000, now - 2.0, final=True),
+                      _beat(1, 500, now - 1.0)]
+        frame = render_watch({0: {"outcome": "ok"}}, heartbeats, now=now)
+        assert "1/3 done, 1 running, 0 stalled, 1 pending" in frame
+        # the done point's cycles and time come from its final heartbeat
+        assert "1000 cycles in 4.0s" in frame
         # 500 of ~1000 cycles left at 100 cyc/s -> 5s ETA
         assert "eta 5s" in frame
-        assert "starting..." in frame
+        # a started point with no heartbeat yet reads pending
+        assert "[  2] pending" in frame
 
     def test_stale_heartbeat_renders_straggler_diagnosis(self):
         now = 1000.0
-        live = self._live(now, [
-            {"state": "running", "last_unix": now - 60.0,
-             "last": {"cycle": 123, "ipc": 0.0, "mem_inflight": 2,
-                      "events_pending": 0,
-                      "wall": {"cycles_per_second": 0.0},
-                      "tiles": [{"name": "InO0", "done": False,
-                                 "next_attention": None,
-                                 "in_flight": 1,
-                                 "outstanding_memory_ops": 2,
-                                 "ready": 0, "accel_inflight": 0}]}},
-        ])
-        frame = render_watch({}, live, now=now, stall_after=10.0)
+        stuck = _beat(0, 123, now - 60.0, points=1, mem_inflight=2,
+                      events_pending=0,
+                      tiles=[{"name": "InO0", "done": False,
+                              "next_attention": None, "in_flight": 1,
+                              "outstanding_memory_ops": 2, "ready": 0,
+                              "accel_inflight": 0}])
+        frame = render_watch({}, [stuck], now=now, stall_after=10.0)
+        assert "0/1 done, 0 running, 1 stalled" in frame
         assert "STALLED" in frame and "stuck at cycle 123" in frame
         assert "InO0" in frame and "outstanding_memory_ops=2" in frame
 
+    def test_journal_entry_beats_later_heartbeat(self):
+        # a stale mid-run heartbeat (e.g. from before a crash) must not
+        # make a journaled point read running or stalled
+        now = 1000.0
+        frame = render_watch({0: {"outcome": "deadlock",
+                                  "error": "deadlock at cycle 9"}},
+                             [_beat(0, 9, now - 60.0, points=1)], now=now)
+        assert "1/1 done, 0 running, 0 stalled, 0 pending" in frame
+        assert "deadlock at cycle 9" in frame and "STALLED" not in frame
+
     def test_journal_only_progress_still_renders(self):
-        frame = render_watch({0: {"outcome": "ok"}}, None, now=0.0)
+        frame = render_watch({0: {"outcome": "ok"}}, [], now=0.0)
         assert "1/1 done" in frame
 
     def test_watch_loop_once_exits_zero(self, prepared, tmp_path,
-                                        capsys):
+                                        monkeypatch):
         journal = tmp_path / "sweep.jsonl"
-        sweep_core(prepared, inorder_core(), {"rob_size": [16]},
-                   hierarchy_factory=dae_hierarchy,
+        sweep_core(prepared, inorder_core(), GRID,
+                   hierarchy_factory=dae_hierarchy, jobs=2,
                    journal_path=str(journal), heartbeat_every=200)
-        assert watch_loop(str(journal), once=True) == 0
-        assert "1/1 done" in capsys.readouterr().out
+        out = io.StringIO()
+        assert watch_loop(str(journal), once=True, out=out) == 0
+        assert "3/3 done, 0 running, 0 stalled, 0 pending" in \
+            out.getvalue()
+
+        # without once, a finished sweep ends the loop after one frame
+        def no_sleep(seconds):
+            raise AssertionError("watch kept polling a finished sweep")
+        monkeypatch.setattr(watch.time, "sleep", no_sleep)
+        out = io.StringIO()
+        assert watch_loop(str(journal), out=out) == 0
+        assert out.getvalue().count("3/3 done") == 1
 
 
 # -- run registry + history gate ---------------------------------------------
@@ -363,10 +399,14 @@ class TestHistoryGate:
         path = tmp_path / "history.jsonl"
         appended = seed_history_from_bench("benchmarks/results",
                                            str(path))
-        assert appended >= 1
+        assert appended == 11
         entries = load_history(str(path))
         assert len(entries) == appended
         assert all(e["label"] == "baseline" for e in entries)
+        with open("benchmarks/results/BENCH_cycle_identity.json") as handle:
+            kernels = json.load(handle)["kernels"]
+        assert {e["workload"]: e["cycles"] for e in entries} == \
+            {name: record["cycles"] for name, record in kernels.items()}
 
 
 # -- run_id provenance stamping ----------------------------------------------
@@ -494,6 +534,12 @@ class TestCLI:
             "--sweep", "rob_size=16,32",
             "--heartbeat", str(tmp_path / "hb.jsonl")]) == 2
         assert "incompatible" in capsys.readouterr().err
+
+    def test_sweep_heartbeat_every_needs_journal(self, capsys):
+        assert cli_main(["simulate"] + HISTO + [
+            "--sweep", "rob_size=16,32", "--heartbeat-every", "500"]) == 2
+        err = capsys.readouterr().err
+        assert "--heartbeat-every" in err and "--journal" in err
 
     def test_history_check_gates_and_exits_2(self, tmp_path, capsys):
         path = tmp_path / "history.jsonl"

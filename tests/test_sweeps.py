@@ -28,6 +28,14 @@ BASE = CoreConfig(issue_width=4, rob_size=64, lsq_size=64,
                   branch_predictor="perfect")
 
 
+def point_fingerprint(point) -> tuple:
+    """A comparable record of one sweep point: its full stats report (or
+    its failure record) — the unit of the bit-identical contract."""
+    stats = (stats_to_dict(point.stats)
+             if point.stats is not None else None)
+    return (point.parameters, point.outcome, point.error, stats)
+
+
 class TestSweepCore:
     def test_grid_cardinality(self, prepared):
         result = sweep_core(prepared, BASE,
@@ -66,12 +74,6 @@ class TestParallelSweeps:
     same points, in the same order, with bit-identical per-point reports
     — including points that fail (deadlock) or run under a FaultPlan."""
 
-    @staticmethod
-    def _fingerprint(point):
-        stats = (stats_to_dict(point.stats)
-                 if point.stats is not None else None)
-        return (point.parameters, point.outcome, point.error, stats)
-
     def test_serial_and_jobs4_are_bit_identical(self):
         # 8 points: 2 issue widths x 4 fault scenarios. drop-everything
         # deadlocks ping_pong (the tiles wait on messages that never
@@ -96,8 +98,8 @@ class TestParallelSweeps:
         serial, parallel = run(1), run(4)
         assert len(serial.points) == 8
         assert serial.outcomes() == {"ok": 6, "deadlock": 2}
-        assert ([self._fingerprint(p) for p in serial.points]
-                == [self._fingerprint(p) for p in parallel.points])
+        assert ([point_fingerprint(p) for p in serial.points]
+                == [point_fingerprint(p) for p in parallel.points])
 
     def test_on_error_raise_stays_serial_and_propagates(self):
         from repro.sim.errors import DeadlockError
