@@ -383,13 +383,14 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
     either way. ``on_error="raise"`` executes serially so the first
     failure propagates with a usable traceback.
 
-    With ``journal_path``, completed points are journaled as they finish;
-    ``resume=True`` additionally skips points the journal already has
-    (matched by index + parameter fingerprint) and restores their results
-    bit-identically. Hard worker deaths are retried ``point_retries``
-    times with exponential ``retry_backoff`` before a point is recorded
-    as ``worker_died`` (parallel mode; a serial worker death kills the
-    process itself, which is exactly what the journal recovers from).
+    With ``journal_path``, completed points are journaled as they finish,
+    and a fresh sweep starts the journal empty. ``resume=True`` keeps it
+    instead, skips points it already has (matched by index + parameter
+    fingerprint) and restores their results bit-identically. Hard worker
+    deaths are retried ``point_retries`` times with exponential
+    ``retry_backoff`` before a point is recorded as ``worker_died``
+    (parallel mode; a serial worker death kills the process itself,
+    which is exactly what the journal recovers from).
 
     With ``heartbeat_every`` (a cycle stride; needs a ``journal_path``),
     every running point appends heartbeats labelled ``{"point": i,
@@ -406,6 +407,9 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
         raise ValueError("heartbeat_every needs a journal_path to stream "
                          "heartbeats beside")
     journal = SweepJournal(journal_path) if journal_path else None
+    if journal is not None and not resume:
+        # a fresh sweep over a stale journal must not report old points
+        open(journal_path, "w").close()
     stream = None
     if heartbeat_every is not None:
         path = heartbeats_path_for(journal_path)

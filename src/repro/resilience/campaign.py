@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import zlib
 from dataclasses import dataclass, field, replace
@@ -514,11 +513,6 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
 
     payload = CampaignPayload(blob=blob, prepared=prepared,
                               golden_digests=digests)
-    if journal_path and not resume and os.path.exists(journal_path):
-        # a fresh campaign over a stale journal must not resurrect old
-        # trials; --resume-campaign is the explicit opt-in
-        os.remove(journal_path)
-
     points: List = []
     early_stopped = False
     position = 0

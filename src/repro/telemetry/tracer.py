@@ -31,9 +31,11 @@ schema.
 from __future__ import annotations
 
 import json
-from collections import deque
+from array import array
 from itertools import islice
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 #: bump when the exported JSON layout changes incompatibly
 TRACE_SCHEMA_VERSION = 1
@@ -45,7 +47,8 @@ _PHASES = ("X", "i", "C", "M")
 #: compact encoder matching ``json.dumps(..., separators=(",", ":"))``
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
-#: events formatted and encoded per write of a trace export
+#: events formatted and encoded per write of a trace export, and slots
+#: the ring's columns grow by while they fill
 _WRITE_BATCH = 4096
 
 
@@ -99,10 +102,15 @@ class Tracer:
     which assigns a stable integer per lane name in first-use order —
     deterministic because attachment order is deterministic.
 
-    The ring holds plain tuples ``(cycle, tid, name, n, phase, category,
-    dur, args)``, where ``n`` numbers the pushes. ``n`` is unique, so
-    comparing two records never reaches ``phase``: sorting the tuples is
-    the stable sort by ``(cycle, tid, name)`` in recording order, and
+    The ring is a set of columns, and push ``n`` lives in slot
+    ``n % capacity``: ``array('q')`` for cycle and duration,
+    ``array('i')`` for tid and kind, and a list for ``args``. A *kind*
+    interns ``(name, category, phase)`` once, so an event costs 24 bytes
+    plus its ``args`` pointer. A cycle, duration or tid that does not
+    fit its column (a ``float`` timestamp, say) is kept beside the ring
+    in ``_odd``, keyed by slot and stamped with its push number so a
+    later push into the slot outdates it. The columns grow in blocks of
+    :data:`_WRITE_BATCH` slots until they reach ``capacity``.
     :class:`TraceEvent` objects are built only when :meth:`events` asks.
     """
 
@@ -111,7 +119,17 @@ class Tracer:
             raise ValueError(f"tracer capacity must be positive, "
                              f"got {capacity}")
         self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
+        self._cycle = array("q")
+        self._dur = array("q")
+        self._tid = array("i")
+        self._kind = array("i")
+        self._args: List[Optional[dict]] = []
+        #: slot -> (push number, cycle, tid, dur) for values the columns
+        #: cannot hold
+        self._odd: Dict[int, tuple] = {}
+        #: (name, category, phase) -> kind id, and the keys by id
+        self._kinds: Dict[tuple, int] = {}
+        self._kind_keys: List[tuple] = []
         #: events recorded so far, evicted ones included
         self._pushed = 0
         #: lane name -> tid, in registration order
@@ -134,41 +152,116 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events evicted from the ring (oldest-first)."""
-        return self._pushed - len(self._ring)
+        return self._pushed - len(self)
+
+    def _push(self, key: tuple, cycle, tid: int, dur, args) -> None:
+        try:
+            kind = self._kinds[key]
+        except KeyError:
+            kind = self._kinds[key] = len(self._kind_keys)
+            self._kind_keys.append(key)
+        n = self._pushed
+        self._pushed = n + 1
+        slot = n % self.capacity
+        if slot == len(self._args):
+            self._grow()
+        self._kind[slot] = kind
+        self._args[slot] = args
+        try:
+            self._cycle[slot] = cycle
+            self._dur[slot] = dur
+            self._tid[slot] = tid
+        except (TypeError, OverflowError):
+            self._odd[slot] = (n, cycle, tid, dur)
+
+    def _grow(self) -> None:
+        block = min(_WRITE_BATCH, self.capacity - len(self._args))
+        for column in (self._cycle, self._dur, self._tid, self._kind):
+            column.frombytes(bytes(column.itemsize * block))
+        self._args.extend([None] * block)
 
     def complete(self, category: str, name: str, start_cycle: int,
                  end_cycle: int, tid: int = 0,
                  args: Optional[dict] = None) -> None:
         """Record a span covering ``[start_cycle, end_cycle]``."""
-        n = self._pushed
-        self._pushed = n + 1
         dur = end_cycle - start_cycle
-        self._ring.append((start_cycle, tid, name, n, "X", category,
-                           dur if dur > 0 else 0, args))
+        self._push((name, category, "X"), start_cycle, tid,
+                   dur if dur > 0 else 0, args)
 
     def instant(self, category: str, name: str, cycle: int, tid: int = 0,
                 args: Optional[dict] = None) -> None:
-        n = self._pushed
-        self._pushed = n + 1
-        self._ring.append((cycle, tid, name, n, "i", category, 0, args))
+        self._push((name, category, "i"), cycle, tid, 0, args)
 
     def counter(self, category: str, name: str, cycle: int, value,
                 tid: int = 0) -> None:
         """Record a sampled counter value (rendered as a track)."""
-        n = self._pushed
-        self._pushed = n + 1
-        self._ring.append((cycle, tid, name, n, "C", category, 0,
-                           {"value": value}))
+        self._push((name, category, "C"), cycle, tid, 0, {"value": value})
 
     # -- reading ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self._pushed, self.capacity)
+
+    def _order(self) -> Tuple[np.ndarray, Dict[int, tuple]]:
+        """Buffered slots in export order, and the live ``_odd`` values
+        as slot -> (cycle, tid, dur).
+
+        The order sorts by ``(cycle, tid, name)`` with ties in push
+        order. Names sort by their rank among the interned names, so
+        ``numpy.lexsort`` orders the columns in place of a Python object
+        per event. Values on the side path can be any comparable type,
+        so when there are any the sort falls back to ``sorted``."""
+        size = len(self)
+        first = self._pushed - size  # push number of the oldest event
+        odd = {slot: values for slot, (n, *values) in self._odd.items()
+               if n >= first}
+        if not size:
+            return np.arange(0), odd
+        start = first % self.capacity  # the oldest event's slot
+        names = [name for name, _, _ in self._kind_keys]
+        rank = {name: index for index, name in enumerate(sorted(set(names)))}
+        name_rank = [rank[name] for name in names]
+        if odd:
+            def key(slot: int) -> tuple:
+                cycle, tid, _ = odd.get(slot) or (
+                    self._cycle[slot], self._tid[slot], 0)
+                return (cycle, tid, name_rank[self._kind[slot]],
+                        (slot - start) % size)
+            return np.array(sorted(range(size), key=key)), odd
+
+        def column(values: array) -> np.ndarray:
+            return np.frombuffer(values, values.typecode, size)
+        # slots below the oldest event's were pushed after it: as the
+        # last key of a stable sort, this leaves ties in push order
+        later = np.zeros(size, dtype=bool)
+        later[:start] = True
+        keys = (later, np.array(name_rank, np.int32)[column(self._kind)],
+                column(self._tid), column(self._cycle))
+        return np.lexsort(keys), odd
+
+    def _records(self) -> Iterator[tuple]:
+        """``(kind, cycle, tid, dur, args)`` of every buffered event, in
+        export order."""
+        order, odd = self._order()
+        kinds, cycles, tids = self._kind, self._cycle, self._tid
+        durs, args = self._dur, self._args
+        for begin in range(0, len(order), _WRITE_BATCH):
+            for slot in order[begin:begin + _WRITE_BATCH].tolist():
+                values = odd.get(slot)
+                if values is None:
+                    yield (kinds[slot], cycles[slot], tids[slot], durs[slot],
+                           args[slot])
+                else:
+                    yield (kinds[slot], *values, args[slot])
 
     def events(self) -> List[TraceEvent]:
         """Recorded events in chronological (start-cycle) order."""
-        return [TraceEvent(phase, category, name, cycle, dur, tid, args)
-                for cycle, tid, name, _, phase, category, dur, args
-                in sorted(self._ring)]
+        keys = self._kind_keys
+        events = []
+        for kind, cycle, tid, dur, args in self._records():
+            name, category, phase = keys[kind]
+            events.append(
+                TraceEvent(phase, category, name, cycle, dur, tid, args))
+        return events
 
     def event_keys(self) -> List[tuple]:
         """Determinism fingerprint: stable keys of every buffered event."""
@@ -207,22 +300,18 @@ class Tracer:
     def _chrome_texts(self) -> Iterator[str]:
         """Compact JSON text of every :meth:`to_chrome` event, in order,
         formatted without building the event dicts. Each event's fixed
-        head comes from a prefix cached per ``(name, category, phase)``;
-        cycles, tids and durations are formatted with ``str``, which is
-        the encoder's output for ``int`` and finite ``float``."""
+        head comes from a prefix built once per kind; cycles, tids and
+        durations are formatted with ``str``, which is the encoder's
+        output for ``int`` and finite ``float``."""
         encode = _ENCODE
         for name, tid in self._tids.items():
             yield (f'{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},'
                    f'"args":{{"name":{encode(name)}}}}}')
-        prefixes: Dict[tuple, str] = {}
-        for cycle, tid, name, _, phase, category, dur, args in sorted(
-                self._ring):
-            key = (name, category, phase)
-            prefix = prefixes.get(key)
-            if prefix is None:
-                prefix = prefixes[key] = (
-                    f'{{"name":{encode(name)},"cat":{encode(category)},'
-                    f'"ph":"{phase}","ts":')
+        heads = [(f'{{"name":{encode(name)},"cat":{encode(category)},'
+                  f'"ph":"{phase}","ts":', phase)
+                 for name, category, phase in self._kind_keys]
+        for kind, cycle, tid, dur, args in self._records():
+            prefix, phase = heads[kind]
             if phase == "X":
                 text = f'{prefix}{cycle},"pid":0,"tid":{tid},"dur":{dur}'
             elif phase == "i":
@@ -265,7 +354,7 @@ class Tracer:
         from ..ioutil import atomic_write_chunks
         atomic_write_chunks(path, self._chrome_chunks(frequency_ghz,
                                                       run_id))
-        return len(self._tids) + len(self._ring)
+        return len(self._tids) + len(self)
 
 
 def validate_chrome_trace(document: dict) -> int:

@@ -206,6 +206,31 @@ class TestResumeIdentity:
         restored.tracer.write(str(got), frequency_ghz=2.0)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_resumed_wrapped_trace_is_byte_identical(self, tmp_path):
+        """A small ring wraps before the snapshot and again after the
+        resume, so the resumed run overwrites slots the snapshot
+        carried."""
+        def traced(checkpoint=None, max_cycles=DEFAULT_MAX_CYCLES):
+            return _saxpy_system(checkpoint, max_cycles,
+                                 tracer=Tracer(capacity=64))
+
+        baseline = traced()
+        baseline.run()
+        want = tmp_path / "want.json"
+        baseline.tracer.write(str(want), frequency_ghz=2.0)
+        path = str(tmp_path / "ck.bin")
+        with pytest.raises(CycleBudgetExceeded):
+            traced(CheckpointSink(path, NO_AUTOSAVE), 500).run()
+        restored = load_checkpoint(path).interleaver
+        assert restored.tracer.dropped > 0
+        dropped_at_snapshot = restored.tracer.dropped
+        restored.max_cycles = DEFAULT_MAX_CYCLES
+        restored.run()
+        assert restored.tracer.dropped > dropped_at_snapshot + 64
+        got = tmp_path / "got.json"
+        restored.tracer.write(str(got), frequency_ghz=2.0)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_clean_run_has_no_injector(self, tmp_path):
         path = str(tmp_path / "ck.bin")
         with pytest.raises(CycleBudgetExceeded):
@@ -415,6 +440,27 @@ class TestSweepJournal:
         assert SweepJournal.restore_point({"rob_size": 16}, entry) is None
         entry["stats"] = "!!not base64!!"
         assert SweepJournal.restore_point({"rob_size": 16}, entry) is None
+
+    def test_fresh_sweep_starts_journal_empty(self, prepared, tmp_path,
+                                              monkeypatch):
+        grid = {"rob_size": [16, 64]}
+        journal = tmp_path / "sweep.jsonl"
+        for _ in range(2):
+            first = sweep_core(prepared, BASE, grid,
+                               hierarchy_factory=dae_hierarchy,
+                               journal_path=str(journal))
+        # the second fresh sweep replaced the first one's points
+        assert len(journal.read_text().splitlines()) == 2
+        calls = []
+        real = sweeps._execute_spec
+        monkeypatch.setattr(
+            sweeps, "_execute_spec",
+            lambda prep, spec: calls.append(1) or real(prep, spec))
+        resumed = sweep_core(prepared, BASE, grid,
+                             hierarchy_factory=dae_hierarchy,
+                             journal_path=str(journal), resume=True)
+        assert calls == []
+        assert _fingerprints(resumed) == _fingerprints(first)
 
     def test_resume_without_journal_rejected(self, prepared):
         with pytest.raises(ValueError, match="journal_path"):

@@ -9,9 +9,11 @@ The load-bearing properties:
 """
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.harness import (
@@ -148,6 +150,82 @@ class TestStreamedExport:
         tracer.instant("b", "same", 5, 0, {"k": 2})
         tracer.instant("c", "earlier", 4, 0)
         assert [e.category for e in tracer.events()] == ["c", "a", "b"]
+
+
+class _TupleRing:
+    """Reference model: the ``deque`` of 8-tuples the columnar ring
+    replaced. Sorting the tuples is the export order."""
+
+    def __init__(self, capacity):
+        self.ring, self.pushed = deque(maxlen=capacity), 0
+
+    def push(self, phase, category, name, cycle, tid, args, end=None):
+        dur = 0 if end is None or end - cycle <= 0 else end - cycle
+        self.ring.append((cycle, tid, name, self.pushed, phase, category,
+                          dur, args))
+        self.pushed += 1
+
+    def chrome_events(self):
+        for cycle, tid, name, _, phase, category, dur, args in sorted(
+                self.ring):
+            event = {"name": name, "cat": category, "ph": phase,
+                     "ts": cycle, "pid": 0, "tid": tid}
+            event.update({"X": {"dur": dur}, "i": {"s": "t"}}.get(phase, {}))
+            if args is not None:
+                event["args"] = args
+            yield event
+
+
+def _events(odd):
+    """Random pushes: ``(phase, category, name, cycle, span, tid, args,
+    counter value)``. Small domains make ``(cycle, tid, name)`` ties
+    common; with ``odd``, some cycles, spans and tids do not fit the
+    ring's columns (floats, and ints past 64 or 32 bits)."""
+    def ints(low, high, *extra):
+        values = st.integers(low, high)
+        return values | st.sampled_from(extra) if odd else values
+    return st.lists(st.tuples(
+        st.sampled_from("XiC"), st.sampled_from(["core", "cache"]),
+        st.sampled_from(["add", "ld", 'a"b']), ints(0, 6, 2.5, 4.0, 2 ** 64),
+        ints(-3, 4, 1.5), ints(0, 2, 2 ** 40),
+        st.none() | st.fixed_dictionaries({"k": st.integers(0, 3)}),
+        st.integers(0, 9) | st.just(0.5)), min_size=10, max_size=120)
+
+
+class TestColumnarRing:
+    """The columnar ring against the tuple ring it replaced: same
+    export bytes, lengths, drop counts and event keys."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 40),
+           events=st.booleans().flatmap(_events))
+    def test_matches_tuple_ring(self, tmp_path_factory, capacity, events):
+        tracer, model = Tracer(capacity=capacity), _TupleRing(capacity)
+        tracer.tid_for("core0")
+        for phase, cat, name, cycle, span, tid, args, value in events:
+            if phase == "X":
+                tracer.complete(cat, name, cycle, cycle + span, tid, args)
+                model.push("X", cat, name, cycle, tid, args, cycle + span)
+            elif phase == "i":
+                tracer.instant(cat, name, cycle, tid, args)
+                model.push("i", cat, name, cycle, tid, args)
+            else:
+                tracer.counter(cat, name, cycle, value, tid)
+                model.push("C", cat, name, cycle, tid, {"value": value})
+        assert len(tracer) == len(model.ring)
+        assert tracer.dropped == model.pushed - len(model.ring)
+        want = list(model.chrome_events())
+        assert [event.as_chrome() for event in tracer.events()] == want
+        assert tracer.event_keys() == [
+            (e["ph"], e["cat"], e["name"], e["ts"], e.get("dur", 0),
+             e["tid"], tuple(sorted(e.get("args", {}).items())))
+            for e in want]
+        path = tmp_path_factory.mktemp("ring") / "trace.json"
+        tracer.write(str(path), run_id="r1")
+        document = tracer.to_chrome(run_id="r1")
+        assert json.dumps(document["traceEvents"][1:]) == json.dumps(want)
+        assert path.read_bytes() == json.dumps(
+            document, separators=(",", ":")).encode()
 
 
 class TestTraceValidation:
