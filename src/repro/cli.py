@@ -31,10 +31,6 @@ Commands
 * ``watch JOURNAL`` — live terminal dashboard for a running (or
   crashed) sweep: per-point progress, rolling ETA, straggler/stall
   diagnosis from streamed heartbeats;
-* ``history`` — the run-registry regression gate: ``list``/``diff``
-  compare runs, ``check --baseline NAME`` exits 2 on regressions
-  beyond a threshold, ``seed`` bootstraps history from committed BENCH
-  artifacts, ``add`` labels a recorded manifest as a baseline.
 
 ``--quiet``/``--verbose`` (before the command) set the stderr status
 level; stdout stays machine-readable report content. ``simulate
@@ -242,8 +238,7 @@ def _record_manifest(args, run_id, *, workload, status, stats=None,
         artifacts={kind: path for kind, path in (artifacts or {}).items()
                    if path},
         extra=extra)
-    path = RunRegistry(args.registry).record(
-        manifest, label=getattr(args, "label", "") or "")
+    path = RunRegistry(args.registry).record(manifest)
     STATUS.info(f"run {run_id}: manifest -> {path}")
     return path
 
@@ -1023,126 +1018,6 @@ def cmd_watch(args) -> int:
                       stall_after=args.stall_after, once=args.once)
 
 
-# -- history / run-registry commands ------------------------------------------
-
-def _history_path(args) -> str:
-    """``--history FILE`` wins; otherwise the registry's feed."""
-    if getattr(args, "history", None):
-        return args.history
-    import os
-    return os.path.join(args.registry or "runs", "history.jsonl")
-
-
-def cmd_history_list(args) -> int:
-    from .registry import load_history
-    path = _history_path(args)
-    entries = load_history(path)
-    if not entries:
-        print(f"no history at {path}", file=sys.stderr)
-        return 2
-    rows = []
-    for entry in entries[-args.limit:] if args.limit else entries:
-        rows.append([
-            entry.get("run_id", "?"), entry.get("label") or "-",
-            entry.get("workload") or "-", entry.get("status", "?"),
-            entry.get("cycles") if entry.get("cycles") is not None else "-",
-            f"{entry['ipc']:.3f}" if entry.get("ipc") else "-",
-            f"{entry['mips']:.2f}" if entry.get("mips") else "-",
-        ])
-    print(render_table(
-        ["run", "label", "workload", "status", "cycles", "IPC", "MIPS"],
-        rows, title=f"{path}: {len(entries)} run(s)"))
-    return 0
-
-
-def cmd_history_check(args) -> int:
-    """Regression gate: compare the latest run of each workload against
-    the named baseline. Exit codes: 0 pass, 2 regressions (or no
-    comparable history)."""
-    from .registry import find_baseline, history_check, load_history
-    path = _history_path(args)
-    entries = load_history(path)
-    if not entries:
-        print(f"no history at {path}", file=sys.stderr)
-        return 2
-    if find_baseline(entries, args.baseline) is None:
-        # a typo'd label must not read as a passing gate
-        print(f"no baseline {args.baseline!r} in {path}", file=sys.stderr)
-        return 2
-    regressions = history_check(entries, args.baseline,
-                                threshold=args.threshold,
-                                check_mips=args.check_mips)
-    if not regressions:
-        print(f"history check vs {args.baseline!r}: ok "
-              f"({len(entries)} entries, threshold {args.threshold:.0%})")
-        return 0
-    print(f"history check vs {args.baseline!r}: "
-          f"{len(regressions)} regression(s)")
-    for record in regressions:
-        if record["metric"] == "status":
-            print(f"  {record['workload']}: status "
-                  f"{record['baseline']} -> {record['latest']} "
-                  f"(run {record['run_id']})")
-        else:
-            print(f"  {record['workload']}: {record['metric']} "
-                  f"{record['baseline']:g} -> {record['latest']:g} "
-                  f"({record['ratio'] - 1.0:+.2%}, run {record['run_id']})")
-    return 2
-
-
-def cmd_history_diff(args) -> int:
-    from .registry import render_history_diff, load_history
-    path = _history_path(args)
-    entries = load_history(path)
-    if not entries:
-        print(f"no history at {path}", file=sys.stderr)
-        return 2
-    print(render_history_diff(entries, args.baseline,
-                              threshold=args.threshold,
-                              check_mips=args.check_mips))
-    return 0
-
-
-def cmd_history_add(args) -> int:
-    """Append a recorded manifest to the history feed under a label —
-    how a known-good run gets pinned as the named baseline."""
-    import json
-    from .registry import RunManifest, append_history, history_entry
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return 2
-    try:
-        manifest = RunManifest.from_dict(document)
-    except ValueError as exc:
-        print(f"invalid manifest: {exc}", file=sys.stderr)
-        return 2
-    path = _history_path(args)
-    append_history(path, history_entry(manifest, label=args.label))
-    print(f"added {manifest.run_id} to {path}"
-          + (f" as {args.label!r}" if args.label else ""))
-    return 0
-
-
-def cmd_history_seed(args) -> int:
-    """Bootstrap history from the committed BENCH artifacts so fresh
-    clones can gate against the repo's recorded baseline."""
-    from .registry import seed_history_from_bench
-    path = _history_path(args)
-    appended = seed_history_from_bench(args.results, path,
-                                      label=args.label)
-    if not appended:
-        print(f"no BENCH artifacts found under {args.results}",
-              file=sys.stderr)
-        return 2
-    print(f"seeded {appended} baseline entr"
-          f"{'y' if appended == 1 else 'ies'} from {args.results} "
-          f"-> {path}")
-    return 0
-
-
 # -- argument parsing ----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1207,15 +1082,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="DIR",
                          help="record a provenance manifest (run id, "
                               "config digest, host, headline stats, "
-                              "artifact paths) in DIR (default: runs) "
-                              "and append to its history feed")
+                              "artifact paths) in DIR (default: runs)")
         sub.add_argument("--run-id", dest="run_id", metavar="ID",
                          help="stamp artifacts with this run id instead "
                               "of a generated one")
-        sub.add_argument("--label", default="",
-                         metavar="NAME",
-                         help="label the history entry (e.g. 'baseline') "
-                              "so later runs can gate against it")
         return sub
 
     def with_checkpoint(sub):
@@ -1514,67 +1384,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--once", action="store_true",
                        help="render one frame and exit (CI-friendly)")
     watch.set_defaults(func=cmd_watch)
-
-    history = commands.add_parser(
-        "history", help="run-registry history: list runs, diff and "
-                        "gate against a named baseline")
-    hsub = history.add_subparsers(dest="history_command", required=True)
-
-    def with_history(sub):
-        sub.add_argument("--history", metavar="FILE",
-                         help="history JSONL to read/append (default: "
-                              "REGISTRY/history.jsonl)")
-        sub.add_argument("--registry", metavar="DIR", default=None,
-                         help="registry directory the history feed "
-                              "lives in (default: runs)")
-        return sub
-
-    hlist = with_history(hsub.add_parser(
-        "list", help="tabulate recorded runs"))
-    hlist.add_argument("--limit", type=int, default=0, metavar="N",
-                       help="show only the newest N entries")
-    hlist.set_defaults(func=cmd_history_list)
-
-    def with_baseline(sub):
-        sub.add_argument("--baseline", default="baseline", metavar="NAME",
-                         help="label or run id to compare against "
-                              "(default: 'baseline')")
-        sub.add_argument("--threshold", type=float, default=0.05,
-                         metavar="FRACTION",
-                         help="relative regression threshold "
-                              "(default 0.05 = 5%%)")
-        sub.add_argument("--check-mips", action="store_true",
-                         dest="check_mips",
-                         help="also gate on MIPS (host-speed; only "
-                              "meaningful on one machine)")
-        return sub
-
-    hcheck = with_baseline(with_history(hsub.add_parser(
-        "check", help="regression gate: exit 2 if the latest run of "
-                      "any workload regressed beyond the threshold")))
-    hcheck.set_defaults(func=cmd_history_check)
-
-    hdiff = with_baseline(with_history(hsub.add_parser(
-        "diff", help="render latest-vs-baseline per workload")))
-    hdiff.set_defaults(func=cmd_history_diff)
-
-    hadd = with_history(hsub.add_parser(
-        "add", help="append a recorded manifest to the history feed "
-                    "(pin a baseline with --label)"))
-    hadd.add_argument("manifest", help="manifest JSON from --registry")
-    hadd.add_argument("--label", default="", metavar="NAME",
-                      help="label the entry (e.g. 'baseline')")
-    hadd.set_defaults(func=cmd_history_add)
-
-    hseed = with_history(hsub.add_parser(
-        "seed", help="bootstrap baseline history from committed BENCH "
-                     "artifacts"))
-    hseed.add_argument("--results", default="benchmarks/results",
-                       metavar="DIR",
-                       help="directory holding BENCH_*.json artifacts")
-    hseed.add_argument("--label", default="baseline", metavar="NAME",
-                       help="label for the seeded entries")
-    hseed.set_defaults(func=cmd_history_seed)
     return parser
 
 

@@ -13,7 +13,7 @@ Contract (same as the tracer and the attributor):
 * zero-cost-when-disabled — every hook on the simulation hot path is a
   single ``memstat is not None`` branch; with no collector attached the
   cycle counts of all 11 Parboil kernels stay bit-identical
-  (``tests/test_hotpath_identity.py``);
+  (``tests/test_behaviour_baseline.py``);
 * observation only — an *enabled* collector never changes timing
   either, so enabling it on a run reproduces the exact same cycles;
 * deterministic — sampling is stride-based on a per-tracker access

@@ -7,8 +7,8 @@ Covers the PR-7 observability layer end to end:
 * the emitter is non-blocking and zero-cost when absent;
 * sweep heartbeat streams (serial and parallel) and the watch
   dashboard's ETA/straggler math;
-* run-registry manifest round-trips and the cross-run history
-  regression gate;
+* run-registry manifest round-trips, and ``latest()`` picking the
+  newest recorded manifest;
 * run_id provenance stamping, including acceptance of pre-registry
   artifacts that lack it.
 """
@@ -29,10 +29,7 @@ from repro.harness import (
 from repro.harness import watch
 from repro.ir import F64
 from repro.registry import (
-    HISTORY_SCHEMA_VERSION, RunManifest, RunRegistry, append_history,
-    config_digest, find_baseline, history_check, history_entry,
-    load_history, new_run_id, render_history_diff,
-    seed_history_from_bench, validate_manifest,
+    RunManifest, RunRegistry, config_digest, new_run_id, validate_manifest,
 )
 from repro.telemetry import (
     HeartbeatEmitter, heartbeat_digest, heartbeat_key, read_heartbeats,
@@ -300,7 +297,7 @@ class TestWatchMath:
         assert out.getvalue().count("3/3 done") == 1
 
 
-# -- run registry + history gate ---------------------------------------------
+# -- run registry --------------------------------------------------------------
 
 class TestRunRegistry:
     def test_manifest_round_trip(self, tmp_path):
@@ -325,8 +322,6 @@ class TestRunRegistry:
             registry.record(manifest)
         assert len(registry.run_ids()) == 2
         assert registry.latest().run_id == "r20260101-000001-abcdef"
-        # history feed grew one line per recorded run
-        assert len(load_history(registry.history_path)) == 2
 
     def test_validate_manifest_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -339,74 +334,6 @@ class TestRunRegistry:
         second = config_digest({"b": [2, 3], "a": 1})
         assert first == second and len(first) == 16
         assert first != config_digest({"a": 2, "b": [2, 3]})
-
-
-def _entry(run_id, workload, cycles, label="", status="ok", mips=None):
-    return {"v": HISTORY_SCHEMA_VERSION, "run_id": run_id,
-            "label": label, "workload": workload, "status": status,
-            "config_digest": "", "created_unix": 0.0, "cycles": cycles,
-            "instructions": 100, "ipc": None, "mips": mips,
-            "wall_seconds": 0.0}
-
-
-class TestHistoryGate:
-    def test_regression_beyond_threshold_detected(self):
-        entries = [_entry("r0", "saxpy", 1000, label="baseline"),
-                   _entry("r1", "saxpy", 1100)]
-        found = history_check(entries, "baseline", threshold=0.05)
-        assert [(r["workload"], r["metric"]) for r in found] == \
-            [("saxpy", "cycles")]
-        assert found[0]["ratio"] == pytest.approx(1.1)
-        assert history_check(entries, "baseline", threshold=0.15) == []
-
-    def test_status_regression_detected(self):
-        entries = [_entry("r0", "saxpy", 1000, label="baseline"),
-                   _entry("r1", "saxpy", None, status="deadlock")]
-        found = history_check(entries, "baseline")
-        assert found[0]["metric"] == "status"
-
-    def test_mips_only_gated_behind_flag(self):
-        entries = [_entry("r0", "saxpy", 1000, label="baseline", mips=10.0),
-                   _entry("r1", "saxpy", 1000, mips=5.0)]
-        assert history_check(entries, "baseline") == []
-        found = history_check(entries, "baseline", check_mips=True)
-        assert found[0]["metric"] == "mips"
-
-    def test_repinned_label_supersedes(self):
-        entries = [_entry("r0", "saxpy", 1000, label="baseline"),
-                   _entry("r1", "saxpy", 2000, label="baseline"),
-                   _entry("r2", "saxpy", 2050)]
-        assert find_baseline(entries, "baseline")["run_id"] == "r1"
-        assert history_check(entries, "baseline") == []
-
-    def test_render_history_diff_flags_regressions(self):
-        entries = [_entry("r0", "saxpy", 1000, label="baseline"),
-                   _entry("r1", "saxpy", 1200)]
-        rendered = render_history_diff(entries, "baseline")
-        assert "saxpy cycles: 1000 -> 1200" in rendered
-        assert "<-- REGRESSION" in rendered
-
-    def test_history_append_and_torn_tail(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        manifest = RunManifest.capture("r-x", workload="saxpy")
-        append_history(str(path), history_entry(manifest, label="pin"))
-        with open(path, "a") as handle:
-            handle.write('{"v": 1, "run')
-        entries = load_history(str(path))
-        assert len(entries) == 1 and entries[0]["label"] == "pin"
-
-    def test_seed_history_from_committed_bench(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        appended = seed_history_from_bench("benchmarks/results",
-                                           str(path))
-        assert appended == 11
-        entries = load_history(str(path))
-        assert len(entries) == appended
-        assert all(e["label"] == "baseline" for e in entries)
-        with open("benchmarks/results/BENCH_cycle_identity.json") as handle:
-            kernels = json.load(handle)["kernels"]
-        assert {e["workload"]: e["cycles"] for e in entries} == \
-            {name: record["cycles"] for name, record in kernels.items()}
 
 
 # -- run_id provenance stamping ----------------------------------------------
@@ -510,6 +437,31 @@ class TestCLI:
         document = json.loads(stats_json.read_text())
         assert document["run_id"] == manifest.run_id
 
+    def test_registry_ignores_other_json_files(self, tmp_path, capsys):
+        registry_dir = tmp_path / "runs"
+        registry_dir.mkdir()
+        assert cli_main(["simulate"] + HISTO + [
+            "--registry", str(registry_dir),
+            "--stats-json", str(registry_dir / "zz-stats.json")]) == 0
+        capsys.readouterr()
+        registry = RunRegistry(str(registry_dir))
+        assert len(registry.run_ids()) == 1
+        assert registry.latest().workload == "histo"
+
+    def test_latest_is_the_newest_run_whatever_its_id(self, tmp_path,
+                                                      capsys):
+        registry_dir = str(tmp_path / "runs")
+        assert cli_main(["simulate"] + HISTO
+                        + ["--registry", registry_dir]) == 0
+        assert cli_main(["simulate"] + HISTO + [
+            "--registry", registry_dir, "--run-id", "ci-job-7"]) == 0
+        capsys.readouterr()
+        registry = RunRegistry(registry_dir)
+        # a generated "r2026..." id sorts after "ci-job-7" by name
+        assert sorted(registry.run_ids())[-1].startswith("r")
+        assert registry.run_ids()[-1] == "ci-job-7"
+        assert registry.latest().run_id == "ci-job-7"
+
     def test_quiet_suppresses_status_lines(self, tmp_path, capsys):
         stats_json = tmp_path / "stats.json"
         assert cli_main(["-q", "simulate"] + HISTO
@@ -540,31 +492,3 @@ class TestCLI:
             "--sweep", "rob_size=16,32", "--heartbeat-every", "500"]) == 2
         err = capsys.readouterr().err
         assert "--heartbeat-every" in err and "--journal" in err
-
-    def test_history_check_gates_and_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        append_history(str(path),
-                       _entry("r0", "histo", 1000, label="baseline"))
-        append_history(str(path), _entry("r1", "histo", 1200))
-        assert cli_main(["history", "check", "--history",
-                         str(path)]) == 2
-        assert "regression" in capsys.readouterr().out
-        assert cli_main(["history", "check", "--history", str(path),
-                         "--threshold", "0.5"]) == 0
-
-    def test_history_check_missing_baseline_fails(self, tmp_path,
-                                                  capsys):
-        path = tmp_path / "history.jsonl"
-        append_history(str(path), _entry("r0", "histo", 1000))
-        assert cli_main(["history", "check", "--history", str(path),
-                         "--baseline", "nope"]) == 2
-        assert "no baseline" in capsys.readouterr().err
-
-    def test_history_seed_and_list(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        assert cli_main(["history", "seed", "--results",
-                         "benchmarks/results", "--history",
-                         str(path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["history", "list", "--history", str(path)]) == 0
-        assert "baseline" in capsys.readouterr().out

@@ -8,7 +8,7 @@ Three contracts under test:
 * **observation only** — attaching a MemStat leaves the cycle counts of
   the ooo/dae reference system bit-identical to the seed baseline
   (``BENCH_cycle_identity.json``), the same numbers the disabled path
-  pins in ``test_hotpath_identity.py``;
+  pins in ``test_behaviour_baseline.py``;
 * **diagnosis** — a synthetic conflict-thrash microbenchmark whose
   misses classify as *conflict* at low associativity and vanish once
   the associativity covers the walk's footprint.
