@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _MAGIC = b"MSIMCKPT"
 _HEADER = struct.Struct("<8sI32sQ")

@@ -559,8 +559,9 @@ def cmd_timeline(args) -> int:
     return 0
 
 
-def _load_report(path: str):
-    """Load + validate a saved report JSON; returns (document, error)."""
+def _load_report(path: str, attribution: bool = True):
+    """Load + validate a saved report JSON; returns (document, error).
+    ``attribution=False`` also accepts a plain ``--stats-json`` report."""
     import json
     from .telemetry import validate_report
     try:
@@ -571,7 +572,7 @@ def _load_report(path: str):
     except json.JSONDecodeError as exc:
         return None, f"not a JSON report: {exc}"
     try:
-        validate_report(document)
+        validate_report(document, attribution=attribution)
     except ValueError as exc:
         return None, f"invalid report: {exc}"
     return document, None
@@ -684,23 +685,33 @@ def cmd_analyze(args) -> int:
 
 def cmd_diff(args) -> int:
     """Diff two saved report JSONs: attribute the cycle delta to the
-    categories that moved. Exit codes: 0 rendered, 2 invalid input."""
-    from .harness import render_memory_diff, render_report_diff
-    from .telemetry import diff_reports
-    before, error = _load_report(args.before)
+    categories that moved. Plain ``simulate --stats-json`` reports have
+    no attribution block, so only their cycle, instruction and energy
+    deltas print. Exit codes: 0 rendered, 2 invalid input."""
+    from .harness import (
+        render_memory_diff, render_report_diff, render_totals_diff,
+    )
+    from .telemetry import diff_memory_blocks, diff_reports
+    before, error = _load_report(args.before, attribution=False)
     if error:
         print(f"{args.before}: {error}", file=sys.stderr)
         return 2
-    after, error = _load_report(args.after)
+    after, error = _load_report(args.after, attribution=False)
     if error:
         print(f"{args.after}: {error}", file=sys.stderr)
         return 2
-    result = diff_reports(before, after)
     print(f"diff {args.before} -> {args.after}:")
-    print(render_report_diff(result, top=args.top))
+    if "attribution" in before and "attribution" in after:
+        result = diff_reports(before, after)
+        print(render_report_diff(result, top=args.top))
+        memory = result.get("memory")
+    else:
+        print(render_totals_diff(before, after))
+        memory = diff_memory_blocks(before.get("memory"),
+                                    after.get("memory"))
     if args.memory:
         print()
-        print(render_memory_diff(result.get("memory") or {}))
+        print(render_memory_diff(memory or {}))
     return 0
 
 
@@ -1418,6 +1429,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (ConfigError, ConfigFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # surface tool errors cleanly, not as
         raise SystemExit(f"error: {exc}")  # tracebacks

@@ -8,7 +8,7 @@ from .reference import (
 from .reporting import (
     geomean, render_attribution_report, render_bars,
     render_campaign_report, render_memory_diff, render_memstat_report,
-    render_report_diff, render_table, render_timeline,
+    render_report_diff, render_table, render_timeline, render_totals_diff,
 )
 from .runner import (
     DAEPairSpec, DEFAULT_MAX_CYCLES, FaultedRun, Prepared, RunOutcome,
@@ -42,7 +42,7 @@ __all__ = [
     "geomean", "render_attribution_report", "render_bars",
     "render_campaign_report", "render_memory_diff",
     "render_memstat_report", "render_report_diff", "render_table",
-    "render_timeline",
+    "render_timeline", "render_totals_diff",
     "DAEPairSpec", "DEFAULT_MAX_CYCLES", "FaultedRun", "Prepared",
     "RunOutcome", "build_dae", "build_heterogeneous", "build_system",
     "classify_failure", "graceful_interrupts", "prepare", "prepare_dae",

@@ -145,14 +145,34 @@ def render_attribution_report(document: dict, top: int = 3,
     return "\n".join(lines)
 
 
+def _cycles_line(before: int, after: int) -> str:
+    speedup = before / after if after else 0.0
+    return (f"cycles: {before} -> {after} "
+            f"({after - before:+d}, {speedup:.2f}x speedup)")
+
+
+def render_totals_diff(before: dict, after: dict) -> str:
+    """Render a ``repro diff`` of two reports that lack attribution
+    blocks (plain ``simulate --stats-json`` output): the cycle,
+    instruction and energy deltas, without the category table."""
+    energy_a = before["energy"]["total_nj"]
+    energy_b = after["energy"]["total_nj"]
+    return "\n".join([
+        _cycles_line(before["cycles"], after["cycles"]),
+        f"instructions: {before['instructions']} -> "
+        f"{after['instructions']} "
+        f"({after['instructions'] - before['instructions']:+d})",
+        f"energy: {energy_a:.1f} -> {energy_b:.1f} nJ "
+        f"({energy_b - energy_a:+.1f} nJ)",
+        "category deltas skipped: a report has no attribution block "
+        "(write both with `repro analyze --json` for them)"])
+
+
 def render_report_diff(diff: dict, top: int = 5) -> str:
     """Render a ``repro diff`` result (``diff_reports`` output):
     cycle delta, speedup, and the categories the delta is attributed
     to. Positive deltas are regressions (more cycles spent there)."""
-    delta = diff["cycles_delta"]
-    lines = [
-        f"cycles: {diff['cycles_before']} -> {diff['cycles_after']} "
-        f"({delta:+d}, {diff['speedup']:.2f}x speedup)"]
+    lines = [_cycles_line(diff["cycles_before"], diff["cycles_after"])]
     categories = diff["categories"]
     if categories:
         rows = [

@@ -26,8 +26,12 @@ def atomic_write_chunks(path: str, chunks: Iterable[bytes]) -> None:
     never has to exist in memory whole. If ``chunks`` raises, the
     temporary file is removed and ``path`` keeps its previous content."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    except OSError as exc:
+        # name the destination, not the temporary file nobody asked for
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:

@@ -304,6 +304,21 @@ class MemorySystem:
         self._entries[core_id](request, cycle)
         return request
 
+    def diagnostics(self) -> dict:
+        """Memory snapshot for deadlock diagnosis: outstanding requests,
+        and each cache's MSHR occupancy and parked-request count (a
+        parked request is not a scheduled event, so the event count
+        alone does not show it)."""
+        caches = {}
+        for core, levels in enumerate(self.private_caches):
+            for cache in levels:
+                caches[f"{cache.stats.name}.core{core}"] = {
+                    "mshr": cache.mshr_occupancy, "parked": cache.parked}
+        if self.llc is not None:
+            caches[self.llc.stats.name] = {
+                "mshr": self.llc.mshr_occupancy, "parked": self.llc.parked}
+        return {"outstanding_requests": self.outstanding, "caches": caches}
+
     @property
     def line_bytes(self) -> int:
         """Cache-line size of the innermost configured level (used to turn

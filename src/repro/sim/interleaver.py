@@ -383,8 +383,7 @@ class Interleaver:
             "events_pending": self.scheduler.pending,
         }
         if self.memory is not None:
-            diagnosis["memory"] = {
-                "outstanding_requests": self.memory.outstanding}
+            diagnosis["memory"] = self.memory.diagnostics()
         return diagnosis
 
     def _raise_deadlock(self, cycle: int) -> None:

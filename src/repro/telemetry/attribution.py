@@ -351,7 +351,8 @@ def capture_roofline(stats, tiles, memory=None) -> dict:
 
 # -- report validation + diffing ----------------------------------------------
 
-def validate_report(document: dict, schema_version: int = None) -> int:
+def validate_report(document: dict, schema_version: int = None, *,
+                    attribution: bool = True) -> int:
     """Validate an ``analyze`` report and re-check the conservation
     invariants on the serialized numbers: per-tile cycle conservation
     (schema v2) and, when a ``memory`` observatory block is present
@@ -359,7 +360,9 @@ def validate_report(document: dict, schema_version: int = None) -> int:
     level's misses, per-set and per-bank counters sum to their totals,
     per-link busy cycles never exceed the epoch span. Returns the
     number of attributed tiles; raises :class:`ValueError` on the first
-    violation (exit 2 in the CLI)."""
+    violation (exit 2 in the CLI). With ``attribution=False`` a plain
+    ``simulate --stats-json`` report passes too: its totals are checked
+    instead of the missing attribution block, and 0 is returned."""
     from .metrics import SUPPORTED_REPORT_VERSIONS
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")
@@ -379,14 +382,24 @@ def validate_report(document: dict, schema_version: int = None) -> int:
     if run_id is not None and (not isinstance(run_id, str) or not run_id):
         raise ValueError(
             f"report run_id must be a non-empty string, got {run_id!r}")
-    attribution = document.get("attribution")
-    if not isinstance(attribution, dict):
+    block = document.get("attribution")
+    if block is None and not attribution:
+        for key in ("cycles", "instructions"):
+            if not isinstance(document.get(key), int) or document[key] < 0:
+                raise ValueError(f"report has no non-negative {key}")
+        energy = document.get("energy")
+        if not isinstance(energy, dict) or not isinstance(
+                energy.get("total_nj"), (int, float)):
+            raise ValueError("report has no energy.total_nj")
+        tiles = {}
+    elif not isinstance(block, dict):
         raise ValueError(
             "report has no attribution block (was the run made with "
             "cycle attribution enabled, e.g. `repro analyze`?)")
-    tiles = attribution.get("tiles")
-    if not isinstance(tiles, dict) or not tiles:
-        raise ValueError("attribution block has no tiles")
+    else:
+        tiles = block.get("tiles")
+        if not isinstance(tiles, dict) or not tiles:
+            raise ValueError("attribution block has no tiles")
     for name, entry in tiles.items():
         categories = entry.get("categories")
         if not isinstance(categories, dict):

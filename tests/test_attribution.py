@@ -359,6 +359,37 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "cycles:" in out and "memory-stall delta" in out
 
+    def test_diff_plain_stats_reports(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        for path, core in ((a, "ooo"), (b, "ino")):
+            assert main(["simulate", "sgemm", "--size", "n=6",
+                         "--core", core, "--stats-json", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        before, after = (json.loads(path.read_text()) for path in (a, b))
+        assert f"cycles: {before['cycles']} -> {after['cycles']}" in out
+        assert (f"instructions: {before['instructions']} -> "
+                f"{after['instructions']}") in out
+        assert "energy:" in out
+        assert "category deltas skipped" in out
+        assert "category deltas (cycles" not in out
+        # a plain report still has to carry its totals
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"schema_version":
+                                    before["schema_version"]}))
+        assert main(["diff", str(a), str(bare)]) == 2
+        assert "no non-negative cycles" in capsys.readouterr().err
+
+    def test_stats_json_into_missing_directory_exits_2(self, tmp_path,
+                                                       capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["simulate", "sgemm", "--size", "n=6",
+                     "--stats-json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and ".tmp" not in err
+
     def test_diff_rejects_unreadable_input(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text("not json")

@@ -40,6 +40,7 @@ from repro.telemetry import (
 )
 from repro.trace import SimMemory
 from repro.workloads import PAPER_ORDER, build_parboil
+from repro.workloads.graphproj import build as build_graphproj
 from repro.workloads.sinkhorn import build_combined, build_ewsd
 
 from . import kernels
@@ -123,6 +124,30 @@ class TestResumeIdentity:
                              checkpoint=checkpoint, max_cycles=max_cycles)
 
         _assert_resume_identity(make, tmp_path, seed=7)
+
+    def test_dae_pair_with_parked_l1_requests(self, tmp_path):
+        """The snapshot catches requests parked behind a full L1 MSHR
+        (they are on the cache's wait list, not in the scheduler heap)."""
+        def make(checkpoint, max_cycles):
+            w = build_graphproj(nleft=16, nright=64, avg_degree=4)
+            specs = prepare_dae_sliced(w.kernel, w.args, pairs=1)
+            return build_dae(specs, access_core=inorder_core(),
+                             execute_core=inorder_core(),
+                             hierarchy=dae_hierarchy(),
+                             checkpoint=checkpoint, max_cycles=max_cycles)
+
+        want = stats_to_dict(make(None, DEFAULT_MAX_CYCLES).run())
+        path = str(tmp_path / "ck.bin")
+        for kill_at in range(500, want["cycles"], 50):
+            with pytest.raises(CycleBudgetExceeded):
+                make(CheckpointSink(path, NO_AUTOSAVE), kill_at).run()
+            memory = load_checkpoint(path).interleaver.memory
+            if memory.private_caches[0][0].parked:
+                break
+        else:
+            pytest.fail("no snapshot caught a parked L1 request")
+        resumed = resume_simulation(path, max_cycles=DEFAULT_MAX_CYCLES)
+        assert stats_to_dict(resumed) == want
 
     def test_fault_injected(self, tmp_path):
         plan = FaultPlan(seed=3, bitflip_load_rate=0.05,
@@ -258,6 +283,20 @@ class TestCheckpointFormat:
                            + blob[_HEADER.size:])
         with pytest.raises(CheckpointError, match="schema version"):
             load_checkpoint(str(bumped))
+
+    def test_previous_schema_version_is_refused(self, snapshot, tmp_path):
+        # version 4: caches carry an MSHR wait list and the wake-up
+        # event changed shape, so a version-3 pickle cannot resume
+        assert CHECKPOINT_SCHEMA_VERSION == 4
+        blob = open(snapshot, "rb").read()
+        magic, _, digest, length = _HEADER.unpack_from(blob)
+        old = tmp_path / "v3.bin"
+        old.write_bytes(_HEADER.pack(magic, 3, digest, length)
+                        + blob[_HEADER.size:])
+        with pytest.raises(CheckpointError,
+                           match="schema version 3, but this build reads "
+                                 "version 4"):
+            load_checkpoint(str(old))
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):
         blob = open(snapshot, "rb").read()
