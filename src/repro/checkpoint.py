@@ -3,8 +3,10 @@
 A checkpoint is a pickled snapshot of the *entire* simulation object
 graph, taken at a consistency point of the Interleaver's outer loop:
 the Scheduler heap (cancellable events included), the Interleaver's
-active set and cycle cursor, per-tile CoreTile dynamic state (window,
-MAO, DynNodes, branch state), cache/MSHR/coherence/DRAM/NoC in-flight
+active set and cycle cursor, per-tile CoreTile dynamic state (the
+seq-indexed instruction rings, MAO, completion calendar, branch state;
+a compiled tile saves the same Python layout, so a snapshot resumes
+under either core backend), cache/MSHR/coherence/DRAM/NoC in-flight
 requests, CommFabric message buffers and DAE queues, accelerator farm
 state, FaultInjector RNG streams, and the telemetry ledgers
 (attribution cursors, metrics registry, tracer ring). Every callback
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 
 _MAGIC = b"MSIMCKPT"
 _HEADER = struct.Struct("<8sI32sQ")

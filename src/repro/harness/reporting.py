@@ -173,6 +173,9 @@ def render_report_diff(diff: dict, top: int = 5) -> str:
     cycle delta, speedup, and the categories the delta is attributed
     to. Positive deltas are regressions (more cycles spent there)."""
     lines = [_cycles_line(diff["cycles_before"], diff["cycles_after"])]
+    if diff.get("tiles_matched_by") == "position":
+        lines.append("tiles matched by position (no shared names): "
+                     + ", ".join(diff["tiles"]))
     categories = diff["categories"]
     if categories:
         rows = [

@@ -58,7 +58,11 @@ class _FillCallback:
         self.miss_cycle = miss_cycle
 
     def __call__(self, cycle: int) -> None:
-        self.cache._fill(self.fill, self.was_write, cycle, self.miss_cycle)
+        fill = self.fill
+        # the fill request holds this callback: drop that link so a served
+        # miss leaves no reference cycle for the garbage collector
+        fill.callback = None
+        self.cache._fill(fill, self.was_write, cycle, self.miss_cycle)
 
 
 class _Set:

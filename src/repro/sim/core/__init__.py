@@ -1,5 +1,5 @@
 """Core tile models (paper §III)."""
 
-from .model import CoreTile, DynDBB, DynNode
+from .model import CoreTile
 
-__all__ = ["CoreTile", "DynDBB", "DynNode"]
+__all__ = ["CoreTile"]

@@ -35,16 +35,16 @@ Parboil identity benchmark).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...ir.instructions import OpClass, Opcode
 from ...passes.ddg import DDGNode, StaticDDG
 from ...telemetry.attribution import (
     CAT_ACCEL, CAT_BARRIER, CAT_COMPUTE, CAT_DAE_CONSUME, CAT_DAE_SUPPLY,
-    CAT_FABRIC, CAT_FRONTEND_IDLE, CAT_MISPREDICT)
+    CAT_FABRIC, CAT_FRONTEND_IDLE, CAT_MISPREDICT, MEMORY_PREFIX)
 from ...trace.tracefile import KernelTrace
 from ..config import CoreConfig
-from ..errors import AcceleratorFaultError
+from ..errors import AcceleratorFaultError, SimulationError
 from ..tile import NEVER, Tile
 from .branch import make_predictor
 
@@ -71,50 +71,6 @@ _C_BARRIER = 4          # full-fence: must be the window head
 _C_ACCEL = 8            # serialized through the device driver
 
 
-class DynNode:
-    """One dynamic instruction instance."""
-
-    __slots__ = ("seq", "snode", "pending", "dependents", "state",
-                 "address", "dbb", "addr_producer", "issued_at", "mem_req",
-                 "is_store")
-
-    def __init__(self, seq: int, snode: DDGNode, dbb: "DynDBB"):
-        self.seq = seq
-        self.snode = snode
-        self.pending = 0
-        self.dependents: List["DynNode"] = []
-        self.state = _WAITING
-        self.address = 0
-        self.dbb = dbb
-        #: dynamic producer of the address operand (memory ops only);
-        #: the MAO treats the address as resolved once this completes
-        self.addr_producer: "DynNode" = None
-        #: in-flight memory request (set only while attribution is on;
-        #: carries the service level that classifies the stall)
-        self.mem_req = None
-        # is_store is assigned at launch for memory ops only (the MAO
-        # scan reads it without going through snode)
-
-    @property
-    def addr_resolved(self) -> bool:
-        return self.addr_producer is None or self.addr_producer.completed
-
-    @property
-    def completed(self) -> bool:
-        return self.state == _DONE
-
-
-class DynDBB:
-    """One dynamic basic block instance (paper Figure 3)."""
-
-    __slots__ = ("index", "bid", "remaining", "launched_at")
-
-    def __init__(self, index: int, bid: int, size: int):
-        self.index = index       # position in the control-flow trace
-        self.bid = bid
-        self.remaining = size    # uncompleted instructions
-
-
 # -- scheduler/fabric callback objects ----------------------------------------
 #
 # Every callback that can sit in the Scheduler heap or a CommFabric
@@ -129,46 +85,46 @@ def _noop(cycle: int) -> None:
 
 
 class _ExternalComplete:
-    """Complete ``node`` at the callback cycle (memory-response path)."""
+    """Complete instruction ``seq`` at the callback cycle (memory-response path)."""
 
-    __slots__ = ("tile", "node")
+    __slots__ = ("tile", "seq")
 
-    def __init__(self, tile: "CoreTile", node: DynNode):
+    def __init__(self, tile: "CoreTile", seq: int):
         self.tile = tile
-        self.node = node
+        self.seq = seq
 
     def __call__(self, cycle: int) -> None:
-        self.tile._external_complete(self.node, cycle)
+        self.tile._external_complete(self.seq, cycle)
 
 
 class _PenaltyComplete:
-    """Complete ``node`` a fixed penalty after the response (atomics)."""
+    """Complete instruction ``seq`` a fixed penalty after the response (atomics)."""
 
-    __slots__ = ("tile", "node", "penalty")
+    __slots__ = ("tile", "seq", "penalty")
 
-    def __init__(self, tile: "CoreTile", node: DynNode, penalty: int):
+    def __init__(self, tile: "CoreTile", seq: int, penalty: int):
         self.tile = tile
-        self.node = node
+        self.seq = seq
         self.penalty = penalty
 
     def __call__(self, cycle: int) -> None:
-        self.tile._complete_later(self.node, cycle + self.penalty)
+        self.tile._complete_later(self.seq, cycle + self.penalty)
 
 
 class _FloorComplete:
-    """Complete ``node`` at the wakeup cycle, no earlier than ``floor``
+    """Complete instruction ``seq`` at the wakeup cycle, no earlier than ``floor``
     (fabric waits: barrier release, recv, DAE consume)."""
 
-    __slots__ = ("tile", "node", "floor")
+    __slots__ = ("tile", "seq", "floor")
 
-    def __init__(self, tile: "CoreTile", node: DynNode, floor: int):
+    def __init__(self, tile: "CoreTile", seq: int, floor: int):
         self.tile = tile
-        self.node = node
+        self.seq = seq
         self.floor = floor
 
     def __call__(self, cycle: int) -> None:
         floor = self.floor
-        self.tile._complete_later(self.node,
+        self.tile._complete_later(self.seq,
                                   cycle if cycle > floor else floor)
 
 
@@ -223,40 +179,51 @@ class _ScheduleAtFloor:
 
 
 class _AccelFinish:
-    """Release the device-driver serialization and complete ``node`` when
+    """Release the device-driver serialization and complete instruction ``seq`` when
     an accelerator invocation returns."""
 
-    __slots__ = ("tile", "node")
+    __slots__ = ("tile", "seq")
 
-    def __init__(self, tile: "CoreTile", node: DynNode):
+    def __init__(self, tile: "CoreTile", seq: int):
         self.tile = tile
-        self.node = node
+        self.seq = seq
 
     def __call__(self, cycle: int) -> None:
         tile = self.tile
         tile._accel_inflight -= 1
-        tile._external_complete(self.node, cycle)
+        tile._external_complete(self.seq, cycle)
 
 
 class _RetryProduce:
     """Re-attempt a DAE produce once a consumer freed a slot."""
 
-    __slots__ = ("tile", "node", "queue", "latency")
+    __slots__ = ("tile", "seq", "queue", "latency")
 
-    def __init__(self, tile: "CoreTile", node: DynNode, queue: str,
+    def __init__(self, tile: "CoreTile", seq: int, queue: str,
                  latency: int):
         self.tile = tile
-        self.node = node
+        self.seq = seq
         self.queue = queue
         self.latency = latency
 
     def __call__(self, cycle: int) -> None:
         tile = self.tile
-        tile._try_produce(self.node, self.queue, cycle, self.latency)
+        tile._try_produce(self.seq, self.queue, cycle, self.latency)
         tile.wake(cycle)
 
 
 class CoreTile(Tile):
+    """The reference (pure-Python) core model.
+
+    A dynamic instruction is its sequence number ``seq``. Its state lives
+    in power-of-two ring lists indexed by ``seq & mask``; the ring holds
+    the live window ``[window_base, next_seq)``, which never exceeds
+    ``rob_size + largest block``, so a slot is reused only after its
+    previous occupant retired. A producer ``p`` is done when
+    ``p < window_base`` or its slot says so. The compiled backend
+    (:mod:`.compiled`) runs the same layout in C.
+    """
+
     def __init__(self, name: str, tile_id: int, config: CoreConfig,
                  ddg: StaticDDG, trace: KernelTrace,
                  services=None, period: int = 1,
@@ -269,26 +236,30 @@ class CoreTile(Tile):
         #: index into the memory system (defaults to tile id)
         self.mem_port = tile_id if mem_port is None else mem_port
 
+        nodes = ddg.nodes
+        blocks = ddg.blocks
         self._next_dbb = 0                     # cursor into block_trace
         self._num_blocks = len(trace.block_trace)
         self._next_seq = 0
         self._window_base = 0
-        self._in_flight: Dict[int, DynNode] = {}
-        self._ready: List[Tuple[int, DynNode]] = []
-        self._retry: List[DynNode] = []
-        self._last_dyn: Dict[int, DynNode] = {}
+        #: ready instructions, a heap of seqs
+        self._ready: List[int] = []
+        self._retry: List[int] = []
+        #: newest dynamic instance of each static instruction (-1: none)
+        self._last_seq = [-1] * len(nodes)
         self._accel_cursor = 0
         self._accel_inflight = 0
-        self._fu_used: Dict[OpClass, int] = {}
-        self._mao: List[DynNode] = []
+        self._mao: List[int] = []     # memory seqs in program order
         self._mao_start = 0           # completed-prefix skip index
         self._mao_incomplete = 0
-        self._live_dbbs: Dict[int, int] = {}
+        self._live_dbbs = [0] * len(blocks)
         self._live_total = 0
-        self._completions: List[Tuple[int, int, DynNode]] = []
-        self._completion_seq = 0
-        #: terminator of the most recently launched DBB
-        self._last_terminator: Optional[DynNode] = None
+        #: fixed-latency completion calendar: cycle -> seqs in issue
+        #: order, plus a heap of the cycles that have a bucket
+        self._calendar: Dict[int, List[int]] = {}
+        self._calendar_cycles: List[int] = []
+        #: terminator of the most recently launched DBB (-1: none yet)
+        self._last_terminator = -1
         self._last_terminator_done_at = 0
         #: earliest cycle a mispredict-stalled launch may proceed
         self._launch_stall_until = 0
@@ -300,57 +271,93 @@ class CoreTile(Tile):
         self._prev_bid: Optional[int] = None
         self._finished = self._num_blocks == 0
 
+        # -- the instruction rings ------------------------------------
+        sizes = [len(b.node_iids) for b in blocks]
+        largest = max(sizes, default=1)
+        total = sum(sizes[bid] for bid in trace.block_trace)
+        need = min(config.rob_size + largest + 1, total + 1)
+        ring = 2
+        while ring < need:
+            ring <<= 1
+        self._mask = ring - 1
+        self._r_iid = [0] * ring
+        self._r_state = [_DONE] * ring
+        self._r_pending = [0] * ring
+        #: dependents to wake on completion (None: none registered)
+        self._r_deps: List[Optional[List[int]]] = [None] * ring
+        self._r_addr = [0] * ring
+        #: dynamic producer of the address operand (memory ops; -1 none);
+        #: the MAO treats the address as resolved once it completes
+        self._r_addr_producer = [-1] * ring
+        #: DBB (block-trace position) each instruction belongs to
+        self._r_dbb = [0] * ring
+        #: issue cycle (tracer) and in-flight memory request (attributor)
+        self._r_issued_at = [0] * ring
+        self._r_request: List[object] = [None] * ring
+        #: per-DBB ring, indexed by block-trace position & mask: live DBBs
+        #: each keep an instruction in the window, so they fit too
+        self._d_remaining = [0] * ring
+        self._d_launched_at = [0] * ring
+
         # -- hot-path tables, precomputed per static instruction ---------
         # (all immutable for the duration of the run: the DDG is final
         # once the slicing/ISA passes have run, and the config is fixed)
         latencies = config.latencies
         energies = config.energy_nj
         fu_counts = config.fu_counts
-        nodes = ddg.nodes
         self._latency_by_iid = [
             latencies[n.opclass] * period for n in nodes]
         self._energy_by_iid = [energies[n.opclass] for n in nodes]
-        self._fu_limit_by_iid = [
-            fu_counts.get(n.opclass) for n in nodes]
+        #: functional-unit class per instruction (-1: unlimited); the
+        #: counters and limits are per class
+        fu_classes = sorted(fu_counts, key=lambda c: c.value)
+        fu_index = {opclass: i for i, opclass in enumerate(fu_classes)}
+        self._fu_limits = [fu_counts[c] for c in fu_classes]
+        self._fu_used = [0] * len(fu_classes)
+        self._fu_by_iid = [fu_index.get(n.opclass, -1) for n in nodes]
         #: phis and ISA-folded nodes are free (complete with their parents,
         #: not counted as instructions)
         self._free_by_iid = [
             n.opclass is OpClass.PHI or n.folded for n in nodes]
+        self._memory_by_iid = [n.is_memory for n in nodes]
+        self._store_by_iid = [n.is_store for n in nodes]
         self._issue_checks = [self._issue_check_mask(n) for n in nodes]
         self._dispatch_kind = [
             self._dispatch_kind_of(n, config) for n in nodes]
-        #: (size, is_write, is_atomic, completion penalty) for plain
-        #: memory ops; None slots for everything else
+        #: (size, is_write, is_atomic, completion penalty) for memory
+        #: ops; None slots for everything else
         self._mem_args_by_iid = [
             (n.access_size or 8, n.is_store and not n.is_load,
              n.opcode is Opcode.ATOMICRMW,
              config.atomic_penalty * period
              if n.opcode is Opcode.ATOMICRMW else 0)
             if n.is_memory else None for n in nodes]
-        #: per-block launch plan: one tuple per node with everything the
-        #: launch loop needs (snode, iid, operand producers, phi map,
-        #: memory/pointer/free/store flags), so launching is pure
+        #: per-block launch template: one tuple per node with everything
+        #: the launch loop needs (iid, operand producers, phi map, memory
+        #: flag, pointer producer, free flag), so launching is pure
         #: iteration instead of per-node attribute re-derivation
         self._block_plans = []
-        for b in ddg.blocks:
+        for b in blocks:
             plan = []
             for iid in b.node_iids:
                 n = nodes[iid]
                 plan.append((
-                    n, iid, n.operand_iids,
+                    iid, n.operand_iids,
                     n.phi_incoming if n.opcode is Opcode.PHI else None,
-                    n.is_memory, n.pointer_operand_iid,
-                    n.opclass is OpClass.PHI or n.folded, n.is_store))
+                    n.is_memory,
+                    -1 if n.pointer_operand_iid is None
+                    else n.pointer_operand_iid,
+                    n.opclass is OpClass.PHI or n.folded))
             self._block_plans.append(
                 (plan, b.terminator_iid, len(b.node_iids)))
         #: trace span names per static instruction and per block
         self._span_by_iid = [n.opclass.name.lower() for n in nodes]
         self._dbb_span_by_bid = [f"dbb {bid}"
-                                 for bid in range(len(ddg.blocks))]
+                                 for bid in range(len(blocks))]
         #: memory ops per block, for the MAO launch gate
         self._block_mem_ops = [
             sum(1 for iid in b.node_iids if nodes[iid].is_memory)
-            for b in ddg.blocks]
+            for b in blocks]
         #: per-iid cursors into the address / comm traces (lists are
         #: cheaper than dicts on the launch path)
         self._addr_cursor = [0] * len(nodes)
@@ -412,6 +419,12 @@ class CoreTile(Tile):
         return _D_FIXED
 
     # ------------------------------------------------------------------
+    def begin_run(self) -> None:
+        """Switch to the compiled step when it applies (see
+        :func:`.compiled.bind`); the Python core is the fallback."""
+        from .compiled import bind
+        bind(self)
+
     @property
     def done(self) -> bool:
         return self._finished
@@ -419,7 +432,7 @@ class CoreTile(Tile):
     def stall_state(self) -> dict:
         """What this core is waiting on (deadlock diagnostics)."""
         state = {
-            "in_flight": len(self._in_flight),
+            "in_flight": self._next_seq - self._window_base,
             "ready": len(self._ready),
             "window_base": self._window_base,
             "next_dbb": self._next_dbb,
@@ -433,11 +446,6 @@ class CoreTile(Tile):
             state["attribution"] = self.attributor.snapshot()
         return state
 
-    def _check_finished(self) -> None:
-        if (self._next_dbb >= self._num_blocks
-                and not self._in_flight):
-            self._finished = True
-
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> int:
         attributor = self.attributor
@@ -447,20 +455,22 @@ class CoreTile(Tile):
             attributor.advance(cycle)
         self.next_attention = NEVER
         # 1. internal fixed-latency completions due now
-        completions = self._completions
-        if completions and completions[0][0] <= cycle:
+        cycles = self._calendar_cycles
+        if cycles and cycles[0] <= cycle:
             pop = heapq.heappop
+            calendar = self._calendar
             complete = self._complete
-            while completions and completions[0][0] <= cycle:
-                complete(pop(completions)[2], cycle)
+            while cycles and cycles[0] <= cycle:
+                for seq in calendar.pop(pop(cycles)):
+                    complete(seq, cycle)
         # 2. launch DBBs while the launch gate and resource limits allow
         # (the gate is §III-C branch speculation: launch immediately when
         # speculating correctly, else wait for the previous terminator)
         while self._next_dbb < self._num_blocks:
             term = self._last_terminator
-            if not (term is None or self._spec_perfect
+            if not (term < self._window_base or self._spec_perfect
                     or (self._speculates and self._prediction_correct)
-                    or term.state == _DONE):
+                    or self._r_state[term & self._mask] == _DONE):
                 break
             # window-headroom gate hoisted out of _launch_dbb: when the
             # ROB is full (the common blocked case) we skip the call
@@ -472,7 +482,7 @@ class CoreTile(Tile):
         issue_saturated = self._issue(cycle) if self._ready else False
 
         if (self._next_dbb >= self._num_blocks
-                and not self._in_flight):
+                and self._next_seq == self._window_base):
             self._finished = True
         stats = self.stats
         if cycle > stats.cycles:
@@ -482,8 +492,8 @@ class CoreTile(Tile):
         if self._finished:
             return NEVER
         nxt = NEVER
-        if completions:
-            nxt = completions[0][0]
+        if cycles:
+            nxt = cycles[0]
         stall = self._launch_stall_until
         if stall > cycle and stall < nxt:
             nxt = stall
@@ -502,10 +512,10 @@ class CoreTile(Tile):
     def _classify_wait(self, cycle: int, issue_saturated: bool):
         """Decide what the interval until the next step belongs to.
 
-        Returns a category string — or the window-head DynNode itself for
-        in-flight memory accesses, whose ``memory.<level>`` bucket is only
-        known once the hierarchy's response arrives (the attributor banks
-        the interval against the node and flushes it on completion).
+        Returns a category string — or the window head's in-flight memory
+        request, whose ``memory.<level>`` bucket is only known once the
+        hierarchy's response arrives (the attributor banks the interval
+        against the request and flushes it on completion).
         """
         if self._finished:
             return CAT_FRONTEND_IDLE
@@ -514,14 +524,15 @@ class CoreTile(Tile):
             return CAT_COMPUTE
         if self._launch_stall_until > cycle:
             return CAT_MISPREDICT
-        head = self._in_flight.get(self._window_base)
-        if head is None:
+        head = self._window_base
+        if head == self._next_seq:
             # nothing in flight but the trace is not exhausted: the
             # frontend is between DBB launches
             return CAT_FRONTEND_IDLE
-        snode = head.snode
+        slot = head & self._mask
+        snode = self.ddg.nodes[self._r_iid[slot]]
         if snode.is_memory:
-            if head.state != _ISSUED:
+            if self._r_state[slot] != _ISSUED:
                 # ready but structurally blocked at the window head
                 return CAT_DAE_SUPPLY if snode.decoupled else CAT_COMPUTE
             if snode.decoupled or snode.decoupled_store or (
@@ -529,7 +540,10 @@ class CoreTile(Tile):
                     and self.config.store_buffer):
                 # retires next cycle (queue deposit / store buffer)
                 return CAT_COMPUTE
-            return head  # defer to the response's service level
+            # defer to the response's service level (no request: the
+            # ideal path behind a None hierarchy)
+            request = self._r_request[slot]
+            return MEMORY_PREFIX + "ideal" if request is None else request
         if snode.opcode is Opcode.CALL:
             timing = snode.intrinsic_timing
             if timing == "accel":
@@ -549,24 +563,18 @@ class CoreTile(Tile):
     _PREDICTED_MODES = ("static", "twobit", "gshare")
 
     # -- DBB launching -----------------------------------------------------
-    def _launch_allowed(self) -> bool:
-        """Branch-speculation gate (paper §III-C); kept for
-        introspection — ``step`` inlines the same condition."""
-        term = self._last_terminator
-        return (term is None or self._spec_perfect
-                or (self._speculates and self._prediction_correct)
-                or term.state == _DONE)
-
     def _launch_dbb(self, cycle: int) -> bool:
         """Try to launch the next DBB from the trace; False if blocked on
         resource limits (window headroom, live-DBB limit, MAO space)."""
         next_seq = self._next_seq
-        if next_seq >= self._window_base + self._rob_size:
+        window_base = self._window_base
+        if next_seq >= window_base + self._rob_size:
             return False
-        bid = self.trace.block_trace[self._next_dbb]
+        index = self._next_dbb
+        bid = self.trace.block_trace[index]
         limit = self._live_dbb_limit
         live_dbbs = self._live_dbbs
-        if limit is not None and live_dbbs.get(bid, 0) >= limit:
+        if limit is not None and live_dbbs[bid] >= limit:
             return False
         mem_ops = self._block_mem_ops[bid]
         mao_incomplete = self._mao_incomplete
@@ -592,11 +600,11 @@ class CoreTile(Tile):
                                     self.trace_tid)
 
         plan, terminator_iid, size = self._block_plans[bid]
-        dbb = DynDBB(self._next_dbb, bid, size)
+        mask = self._mask
+        self._d_remaining[index & mask] = size
         if self.tracer is not None:
-            # slot assigned only while tracing; reads guard the same way
-            dbb.launched_at = cycle
-        live_dbbs[bid] = live_dbbs.get(bid, 0) + 1
+            self._d_launched_at[index & mask] = cycle
+        live_dbbs[bid] += 1
         self._live_total += 1
         stats = self.stats
         stats.dbbs_launched += 1
@@ -604,53 +612,66 @@ class CoreTile(Tile):
             stats.max_live_dbbs = self._live_total
 
         prev_bid = self._prev_bid
-        last_dyn = self._last_dyn
-        in_flight = self._in_flight
+        last_seq = self._last_seq
+        r_iid = self._r_iid
+        r_state = self._r_state
+        r_pending = self._r_pending
+        r_deps = self._r_deps
+        r_dbb = self._r_dbb
         addr_cursor = self._addr_cursor
         addr_trace = self.trace.addr_trace
         ready = self._ready
         mao = self._mao
         push = heapq.heappush
-        for snode, iid, producers, phi_map, is_mem, ptr_iid, free, \
-                is_store in plan:
-            dyn = DynNode(next_seq, snode, dbb)
-            in_flight[next_seq] = dyn
+        for iid, producers, phi_map, is_mem, ptr_iid, free in plan:
+            seq = next_seq
+            slot = seq & mask
             next_seq += 1
+            r_iid[slot] = iid
+            r_dbb[slot] = index
+            r_state[slot] = _WAITING
             if phi_map is not None:
                 producer = phi_map.get(prev_bid)
                 producers = () if producer is None else (producer,)
             pending = 0
             for producer_iid in producers:
-                last = last_dyn.get(producer_iid)
-                if last is not None and last.state != _DONE:
-                    last.dependents.append(dyn)
+                # a stale window_base only under-approximates "retired":
+                # the slot of any p >= it still holds p itself
+                p = last_seq[producer_iid]
+                if p >= window_base and r_state[p & mask] != _DONE:
+                    waiters = r_deps[p & mask]
+                    if waiters is None:
+                        r_deps[p & mask] = [seq]
+                    else:
+                        waiters.append(seq)
                     pending += 1
-            dyn.pending = pending
-            last_dyn[iid] = dyn
+            r_pending[slot] = pending
+            last_seq[iid] = seq
             if is_mem:
                 cursor = addr_cursor[iid]
-                dyn.address = addr_trace[iid][cursor]
+                try:
+                    self._r_addr[slot] = addr_trace[iid][cursor]
+                except (IndexError, KeyError):
+                    raise SimulationError(
+                        f"{self.name}: the address trace ran out while "
+                        f"launching DBB {index}") from None
                 addr_cursor[iid] = cursor + 1
-                dyn.is_store = is_store
-                if ptr_iid is not None:
-                    producer = last_dyn.get(ptr_iid)
-                    if producer is not None and producer.state != _DONE:
-                        dyn.addr_producer = producer
-                mao.append(dyn)
+                self._r_addr_producer[slot] = (
+                    last_seq[ptr_iid] if ptr_iid >= 0 else -1)
+                mao.append(seq)
                 self._mao_incomplete += 1
             if pending == 0:
                 if free:
                     # phis and ISA-folded nodes are free: complete at once
                     self._next_seq = next_seq
-                    self._complete(dyn, cycle)
-                    next_seq = self._next_seq
+                    self._complete(seq, cycle)
                 else:
-                    dyn.state = _READY
-                    push(ready, (dyn.seq, dyn))
+                    r_state[slot] = _READY
+                    push(ready, seq)
         self._next_seq = next_seq
 
         # record launch gate state for the *next* DBB
-        self._last_terminator = last_dyn[terminator_iid]
+        self._last_terminator = last_seq[terminator_iid]
         self._prev_bid = bid
         self._next_dbb += 1
         if self._speculates:
@@ -674,11 +695,14 @@ class CoreTile(Tile):
                 block.terminator_iid, backward)
             self._dyn_predictor.update(block.terminator_iid, taken_actual)
             return predicted_taken == taken_actual
-        # static: backward-taken / forward-not-taken
+        return self._static_target(block) == actual
+
+    @staticmethod
+    def _static_target(block) -> int:
+        """Backward-taken / forward-not-taken prediction for ``block``."""
+        successors = block.successor_bids
         backward_targets = [s for s in successors if s <= block.bid]
-        predicted = backward_targets[0] if backward_targets \
-            else successors[0]
-        return predicted == actual
+        return backward_targets[0] if backward_targets else successors[0]
 
     # -- issue ---------------------------------------------------------------
     def _issue(self, cycle: int) -> bool:
@@ -687,10 +711,14 @@ class CoreTile(Tile):
         must step again next cycle)."""
         budget = self._issue_width
         window_limit = self._window_base + self._rob_size
+        mask = self._mask
         ready = self._ready
         retry = self._retry
+        r_iid = self._r_iid
+        r_state = self._r_state
         fu_used = self._fu_used
-        fu_limits = self._fu_limit_by_iid
+        fu_limits = self._fu_limits
+        fu_by_iid = self._fu_by_iid
         checks_by_iid = self._issue_checks
         energy_by_iid = self._energy_by_iid
         tracer = self.tracer
@@ -699,146 +727,153 @@ class CoreTile(Tile):
         push = heapq.heappush
         dispatch_kind = self._dispatch_kind
         latency_by_iid = self._latency_by_iid
-        completions = self._completions
-        completion_seq = self._completion_seq
         while budget > 0 and ready:
-            seq, node = ready[0]
+            seq = ready[0]
             if seq >= window_limit:
                 break  # heap is seq-ordered: all others are younger
             pop(ready)
-            snode = node.snode
-            iid = snode.iid
-            fu_limit = fu_limits[iid]
-            if fu_limit is not None and \
-                    fu_used.get(snode.opclass, 0) >= fu_limit:
-                retry.append(node)
+            slot = seq & mask
+            iid = r_iid[slot]
+            fu = fu_by_iid[iid]
+            if fu >= 0 and fu_used[fu] >= fu_limits[fu]:
+                retry.append(seq)
                 continue
             checks = checks_by_iid[iid]
             if checks:
-                if checks & _C_MEMORY and not self._mao_permits(node):
+                if checks & _C_MEMORY and not self._mao_permits(seq):
                     stats.mao_stalls += 1
-                    retry.append(node)
+                    retry.append(seq)
                     continue
-                if checks & _C_DECOUPLED and \
-                        not self.services.fabric.queue_try_reserve(
-                            self.dae_queue_names["load"], self.wake):
+                if checks & _C_DECOUPLED and not self._reserve_load_slot():
                     # load queue full: back-pressure from the execute slice
-                    retry.append(node)
+                    retry.append(seq)
                     continue
                 if checks & _C_BARRIER and seq != self._window_base:
                     # barriers are full fences: all older work must
                     # retire first
-                    retry.append(node)
+                    retry.append(seq)
                     continue
                 if checks & _C_ACCEL and self._accel_inflight:
                     # accelerator invocations block through the device
                     # driver: a tile's calls serialize (their dataflow
                     # passes through memory, which the IR cannot order
                     # for us)
-                    retry.append(node)
+                    retry.append(seq)
                     continue
             # issue!
             budget -= 1
-            node.state = _ISSUED
+            r_state[slot] = _ISSUED
             if tracer is not None:
-                node.issued_at = cycle
-            if fu_limit is not None:
-                fu_used[snode.opclass] = \
-                    fu_used.get(snode.opclass, 0) + 1
+                self._r_issued_at[slot] = cycle
+            if fu >= 0:
+                fu_used[fu] += 1
             stats.energy_nj += energy_by_iid[iid]
-            if dispatch_kind[iid] == 0:
+            kind = dispatch_kind[iid]
+            if kind == 0:
                 # fixed-latency fast path (== _D_FIXED): the dominant
                 # case, inlined past _dispatch/_schedule_completion
-                push(completions,
-                     (cycle + latency_by_iid[iid], completion_seq, node))
-                completion_seq += 1
+                due = cycle + latency_by_iid[iid]
+                bucket = self._calendar.get(due)
+                if bucket is None:
+                    self._calendar[due] = [seq]
+                    push(self._calendar_cycles, due)
+                else:
+                    bucket.append(seq)
             else:
-                self._completion_seq = completion_seq
-                self._dispatch(node, cycle)
-                completion_seq = self._completion_seq
-        self._completion_seq = completion_seq
+                if kind <= _D_MEM_STOREBUF:
+                    stats.memory_accesses += 1
+                self._dispatch(seq, kind, cycle)
         saturated = (budget == 0 and bool(ready)
-                     and ready[0][0] < window_limit)
+                     and ready[0] < window_limit)
         if retry:
             # structurally blocked nodes rejoin the pool; they become
             # issuable again only after a completion, which wakes the tile
-            for node in retry:
-                push(ready, (node.seq, node))
+            for seq in retry:
+                push(ready, seq)
             self._retry = []
         return saturated
 
-    def _dispatch(self, node: DynNode, cycle: int) -> None:
-        snode = node.snode
-        iid = snode.iid
-        kind = self._dispatch_kind[iid]
+    def _reserve_load_slot(self) -> bool:
+        """Reserve a DAE load-queue slot for a decoupled load."""
+        return self.services.fabric.queue_try_reserve(
+            self.dae_queue_names["load"], self.wake)
+
+    def _dispatch(self, seq: int, kind: int, cycle: int) -> None:
+        """Send an issued instruction on its way; memory ops were already
+        counted by :meth:`_issue`."""
         if kind == _D_FIXED:
             self._schedule_completion(
-                node, cycle + self._latency_by_iid[iid])
+                seq, cycle + self._latency_by_iid[self._r_iid[seq & self._mask]])
             return
         if kind == _D_MEM:
-            self.stats.memory_accesses += 1
-            size, is_write, is_atomic, penalty = self._mem_args_by_iid[iid]
+            slot = seq & self._mask
+            size, is_write, is_atomic, penalty = \
+                self._mem_args_by_iid[self._r_iid[slot]]
             if penalty:
-                callback = _PenaltyComplete(self, node, penalty)
+                callback = _PenaltyComplete(self, seq, penalty)
             else:
-                callback = _ExternalComplete(self, node)
+                callback = _ExternalComplete(self, seq)
             request = self.services.mem_access(
-                self.mem_port, node.address, size,
+                self.mem_port, self._r_addr[slot], size,
                 is_write=is_write, is_atomic=is_atomic,
                 cycle=cycle, callback=callback)
             if self.attributor is not None:
-                node.mem_req = request
+                self._r_request[slot] = request
             return
-        if kind == _D_MEM_DECOUPLED:
-            # DeSC decoupled load: the response flows straight into the
-            # pair's load queue; the core retires the load immediately
-            self.stats.memory_accesses += 1
-            queue = self.dae_queue_names["load"]
-            latency = self._comm_latency
-            self.services.mem_access(
-                self.mem_port, node.address, snode.access_size or 8,
-                is_write=False, is_atomic=False, cycle=cycle,
-                callback=_QueueDeposit(self, queue, latency))
-            self._schedule_completion(node, cycle + self.period)
-            return
-        if kind == _D_MEM_DECOUPLED_STORE:
-            # DeSC store address/value buffers: retire now; the write
-            # fires once the execute slice's value token arrives
-            self.stats.memory_accesses += 1
-            queue = self.dae_queue_names["store"]
-            latency = self._comm_latency
-            fire_write = _FireWrite(self, node.address,
-                                    snode.access_size or 8)
-            if self.services.fabric.queue_try_consume(
-                    queue, cycle,
-                    _ScheduleAtFloor(self, cycle + latency, fire_write)):
-                self.services.schedule(cycle + latency, fire_write)
-            self._schedule_completion(node, cycle + self.period)
+        if kind == _D_MEM_DECOUPLED or kind == _D_MEM_DECOUPLED_STORE:
+            self._dispatch_desc(seq, kind, cycle)
+            self._schedule_completion(seq, cycle + self.period)
             return
         if kind == _D_MEM_STOREBUF:
             # store buffer: retire at issue, request drains async
-            self.stats.memory_accesses += 1
+            slot = seq & self._mask
             self.services.mem_access(
-                self.mem_port, node.address, snode.access_size or 8,
+                self.mem_port, self._r_addr[slot],
+                self._mem_args_by_iid[self._r_iid[slot]][0],
                 is_write=True, is_atomic=False, cycle=cycle,
                 callback=_noop)
-            self._schedule_completion(node, cycle + self.period)
+            self._schedule_completion(seq, cycle + self.period)
             return
         if kind == _D_CALL_FP:
-            self._schedule_completion(node, cycle + self._fp_long_latency)
+            self._schedule_completion(seq, cycle + self._fp_long_latency)
             return
         if kind == _D_CALL_ACCEL:
-            self._dispatch_accel(node, cycle)
+            self._dispatch_accel(seq, cycle)
             return
         if kind == _D_CALL_COMM:
-            self._dispatch_comm(node, cycle)
+            self._dispatch_comm(seq, cycle)
             return
         # free intrinsics (tile_id/num_tiles) and anything else: 1 cycle
-        self._schedule_completion(node, cycle + self._call_latency)
+        self._schedule_completion(seq, cycle + self._call_latency)
 
-    def _dispatch_accel(self, node: DynNode, cycle: int) -> None:
+    def _dispatch_desc(self, seq: int, kind: int, cycle: int) -> None:
+        """The memory side of a DeSC access; the core retires it one
+        cycle after issue whatever happens here."""
+        slot = seq & self._mask
+        address = self._r_addr[slot]
+        size = self._mem_args_by_iid[self._r_iid[slot]][0]
+        latency = self._comm_latency
+        if kind == _D_MEM_DECOUPLED:
+            # DeSC decoupled load: the response flows straight into the
+            # pair's load queue; the core retires the load immediately
+            self.services.mem_access(
+                self.mem_port, address, size,
+                is_write=False, is_atomic=False, cycle=cycle,
+                callback=_QueueDeposit(self, self.dae_queue_names["load"],
+                                       latency))
+            return
+        # DeSC store address/value buffers: retire now; the write fires
+        # once the execute slice's value token arrives
+        fire_write = _FireWrite(self, address, size)
+        if self.services.fabric.queue_try_consume(
+                self.dae_queue_names["store"], cycle,
+                _ScheduleAtFloor(self, cycle + latency, fire_write)):
+            self.services.schedule(cycle + latency, fire_write)
+
+    def _dispatch_accel(self, seq: int, cycle: int) -> None:
         invocation = self.trace.accel_calls[self._accel_cursor]
         self._accel_cursor += 1
+        stats = self.stats
         try:
             completion, energy, nbytes = self.services.accel_invoke(
                 invocation, cycle)
@@ -847,21 +882,22 @@ class CoreTile(Tile):
             # itself (functional results came from the interpreter, so
             # only timing/energy change); propagate if the farm has
             # fallback disabled
-            self.stats.accel_faults += 1
+            stats.accel_faults += 1
             fallback = self.services.accel_fallback(invocation, cycle)
             if fallback is None:
                 raise
-            self.stats.accel_fallbacks += 1
+            stats.accel_fallbacks += 1
             completion, energy, nbytes = fallback
-        self.stats.accel_invocations += 1
-        self.stats.accel_cycles += completion - cycle
-        self.stats.accel_bytes += nbytes
-        self.stats.energy_nj += energy
+        stats.accel_invocations += 1
+        stats.accel_cycles += completion - cycle
+        stats.accel_bytes += nbytes
+        stats.energy_nj += energy
         self._accel_inflight += 1
-        self.services.schedule(completion, _AccelFinish(self, node))
+        self.services.schedule(completion, _AccelFinish(self, seq))
 
-    def _dispatch_comm(self, node: DynNode, cycle: int) -> None:
-        name = node.snode.callee
+    def _dispatch_comm(self, seq: int, cycle: int) -> None:
+        iid = self._r_iid[seq & self._mask]
+        name = self.ddg.nodes[iid].callee
         fabric = self.services.fabric
         latency = self._comm_latency
         if name == "barrier":
@@ -870,111 +906,127 @@ class CoreTile(Tile):
             if fabric.barrier_arrive(
                     self.barrier_group, self.barrier_group_size, generation,
                     cycle + latency,
-                    _FloorComplete(self, node, cycle + latency)):
-                self._schedule_completion(node, cycle + latency)
+                    _FloorComplete(self, seq, cycle + latency)):
+                self._schedule_completion(seq, cycle + latency)
             return
         if name.startswith("send_"):
-            peer = self._next_peer(node)
+            peer = self._next_peer(iid)
             fabric.send(self.tile_id, peer, cycle + latency)
-            self._schedule_completion(node, cycle + latency)
+            self._schedule_completion(seq, cycle + latency)
             return
         if name.startswith("recv_"):
-            peer = self._next_peer(node)
+            peer = self._next_peer(iid)
             if fabric.try_recv(peer, self.tile_id, cycle,
-                               _FloorComplete(self, node, cycle + latency)):
-                self._schedule_completion(node, cycle + latency)
+                               _FloorComplete(self, seq, cycle + latency)):
+                self._schedule_completion(seq, cycle + latency)
             return
         if name.startswith("dae_produce") or \
                 name.startswith("dae_store_value"):
             queue = self.dae_queue_names[
                 "load" if name.startswith("dae_produce") else "store"]
-            self._try_produce(node, queue, cycle, latency)
+            self._try_produce(seq, queue, cycle, latency)
             return
         if name.startswith("dae_consume") or name.startswith("dae_store_take"):
             queue = self.dae_queue_names[
                 "load" if name.startswith("dae_consume") else "store"]
             if fabric.queue_try_consume(
                     queue, cycle,
-                    _FloorComplete(self, node, cycle + latency)):
-                self._schedule_completion(node, cycle + latency)
+                    _FloorComplete(self, seq, cycle + latency)):
+                self._schedule_completion(seq, cycle + latency)
             return
         raise ValueError(f"unknown comm intrinsic {name!r}")
 
-    def _try_produce(self, node: DynNode, queue: str, cycle: int,
+    def _try_produce(self, seq: int, queue: str, cycle: int,
                      latency: int) -> None:
         if self.services.fabric.queue_try_produce(
                 queue, cycle + latency,
-                _RetryProduce(self, node, queue, latency)):
-            self._complete_later(node, cycle + latency)
+                _RetryProduce(self, seq, queue, latency)):
+            self._complete_later(seq, cycle + latency)
 
-    def _next_peer(self, node: DynNode) -> int:
-        iid = node.snode.iid
+    def _next_peer(self, iid: int) -> int:
         cursor = self._comm_cursor[iid]
         self._comm_cursor[iid] = cursor + 1
         return self.trace.comm_trace[iid][cursor]
 
     # -- MAO (paper §II-A "Data Dependencies") -------------------------------
-    def _mao_permits(self, node: DynNode) -> bool:
+    def _mao_permits(self, seq: int) -> bool:
         """Loads: no incomplete older store with matching or unresolved
         address. Stores: same, against every older memory access. With
         perfect alias speculation (§III-C), only true same-address hazards
         block."""
         perfect = self._perfect_alias
-        is_store = node.is_store
-        node_seq = node.seq
-        line = node.address >> 3  # compare at 8-byte granularity
+        mask = self._mask
+        r_state = self._r_state
+        r_addr = self._r_addr
+        r_addr_producer = self._r_addr_producer
+        stores = self._store_by_iid
+        r_iid = self._r_iid
+        is_store = stores[r_iid[seq & mask]]
+        line = r_addr[seq & mask] >> 3  # compare at 8-byte granularity
+        base = self._window_base
         mao = self._mao
         # advance past the completed prefix once instead of re-skipping
         # it on every permit check (amortized O(1))
         start = self._mao_start
         end = len(mao)
-        while start < end and mao[start].state == _DONE:
+        while start < end and (mao[start] < base
+                               or r_state[mao[start] & mask] == _DONE):
             start += 1
         self._mao_start = start
         for index in range(start, end):
             other = mao[index]
-            if other.seq >= node_seq:
+            if other >= seq:
                 break
-            if other.state == _DONE:
+            slot = other & mask
+            if other < base or r_state[slot] == _DONE:
                 continue
-            if not is_store and not other.is_store:
+            if not is_store and not stores[r_iid[slot]]:
                 continue  # load vs older load: no hazard
             if perfect:
-                if (other.address >> 3) == line:
+                if (r_addr[slot] >> 3) == line:
                     return False
                 continue
-            producer = other.addr_producer
-            if producer is not None and producer.state != _DONE:
+            producer = r_addr_producer[slot]
+            if producer >= base and r_state[producer & mask] != _DONE:
                 return False  # unresolved older address
-            if (other.address >> 3) == line:
+            if (r_addr[slot] >> 3) == line:
                 return False
         return True
 
     def _mao_compact(self) -> None:
         if len(self._mao) > self._mao_compact_limit:
-            self._mao = [n for n in self._mao if n.state != _DONE]
+            base = self._window_base
+            mask = self._mask
+            r_state = self._r_state
+            self._mao = [seq for seq in self._mao
+                         if seq >= base and r_state[seq & mask] != _DONE]
             self._mao_start = 0
 
     # -- completion ---------------------------------------------------------
-    def _schedule_completion(self, node: DynNode, cycle: int) -> None:
-        heapq.heappush(self._completions,
-                       (cycle, self._completion_seq, node))
-        self._completion_seq += 1
+    def _schedule_completion(self, seq: int, cycle: int) -> None:
+        bucket = self._calendar.get(cycle)
+        if bucket is None:
+            self._calendar[cycle] = [seq]
+            heapq.heappush(self._calendar_cycles, cycle)
+        else:
+            bucket.append(seq)
 
-    def _external_complete(self, node: DynNode, cycle: int) -> None:
+    def _external_complete(self, seq: int, cycle: int) -> None:
         """Completion driven by an external event (memory, comm, accel)."""
-        self._complete(node, cycle)
+        self._complete(seq, cycle)
         self.wake(cycle)
 
-    def _complete_later(self, node: DynNode, cycle: int) -> None:
+    def _complete_later(self, seq: int, cycle: int) -> None:
         """Completion known now but effective at a future cycle: route it
         through the scheduler so effects apply in timestamp order."""
-        self.services.schedule(cycle, _ExternalComplete(self, node))
+        self.services.schedule(cycle, _ExternalComplete(self, seq))
 
-    def _complete(self, node: DynNode, cycle: int) -> None:
-        snode = node.snode
-        iid = snode.iid
-        node.state = _DONE
+    def _complete(self, seq: int, cycle: int) -> None:
+        mask = self._mask
+        slot = seq & mask
+        r_state = self._r_state
+        iid = self._r_iid[slot]
+        r_state[slot] = _DONE
         stats = self.stats
         if not self._free_by_iid[iid]:
             # phis and folded nodes are free and not counted (keeps
@@ -983,59 +1035,65 @@ class CoreTile(Tile):
             if self.tracer is not None:
                 # every counted node passed _issue, so issued_at is set
                 self.tracer.complete(
-                    "core", self._span_by_iid[iid], node.issued_at,
+                    "core", self._span_by_iid[iid], self._r_issued_at[slot],
                     cycle, self.trace_tid)
         if cycle > stats.cycles:
             stats.cycles = cycle
-        if self._fu_limit_by_iid[iid] is not None:
-            self._fu_used[snode.opclass] -= 1
-        if snode.is_memory:
+        fu = self._fu_by_iid[iid]
+        if fu >= 0:
+            self._fu_used[fu] -= 1
+        if self._memory_by_iid[iid]:
             self._mao_incomplete -= 1
             self._mao_compact()
-            if self.attributor is not None:
+            request = self._r_request[slot]
+            if request is not None:
                 # flush cycles banked against this in-flight access to its
                 # now-known memory.<level> bucket
-                self.attributor.resolve_memory(node)
-                node.mem_req = None
+                self.attributor.resolve_memory(request)
+                self._r_request[slot] = None
         # wake dependents (rule 2)
-        dependents = node.dependents
-        if dependents:
+        dependents = self._r_deps[slot]
+        if dependents is not None:
+            self._r_deps[slot] = None
             free_by_iid = self._free_by_iid
+            r_pending = self._r_pending
+            r_iid = self._r_iid
             ready = self._ready
             push = heapq.heappush
             for dependent in dependents:
-                dependent.pending -= 1
-                if dependent.pending == 0 and dependent.state == _WAITING:
-                    if free_by_iid[dependent.snode.iid]:
+                dslot = dependent & mask
+                left = r_pending[dslot] - 1
+                r_pending[dslot] = left
+                if left == 0 and r_state[dslot] == _WAITING:
+                    if free_by_iid[r_iid[dslot]]:
                         self._complete(dependent, cycle)
                     else:
-                        dependent.state = _READY
-                        push(ready, (dependent.seq, dependent))
-            node.dependents = []
+                        r_state[dslot] = _READY
+                        push(ready, dependent)
         # slide the instruction window (§III-A "ROB") — only a completion
         # of the current head can unblock the slide (older slides already
         # removed every done prefix), so non-head completions skip it
-        in_flight = self._in_flight
         base = self._window_base
-        if node.seq == base:
-            head = node
-            while head is not None and head.state == _DONE:
-                del in_flight[base]
+        if seq == base:
+            end = self._next_seq
+            while base < end and r_state[base & mask] == _DONE:
                 base += 1
-                head = in_flight.get(base)
             self._window_base = base
-        if node is self._last_terminator:
+        if seq == self._last_terminator:
             self._last_terminator_done_at = cycle
         # retire DBB bookkeeping
-        dbb = node.dbb
-        dbb.remaining -= 1
-        if dbb.remaining == 0:
-            self._live_dbbs[dbb.bid] -= 1
+        index = self._r_dbb[slot]
+        remaining = self._d_remaining[index & mask] - 1
+        self._d_remaining[index & mask] = remaining
+        if remaining == 0:
+            bid = self.trace.block_trace[index]
+            self._live_dbbs[bid] -= 1
             self._live_total -= 1
             if self.tracer is not None:
                 self.tracer.complete(
-                    "core", self._dbb_span_by_bid[dbb.bid],
-                    dbb.launched_at, cycle, self.trace_tid,
-                    {"index": dbb.index})
-        if not in_flight and self._next_dbb >= self._num_blocks:
+                    "core", self._dbb_span_by_bid[bid],
+                    self._d_launched_at[index & mask], cycle,
+                    self.trace_tid, {"index": index})
+        if (self._window_base == self._next_seq
+                and self._next_dbb >= self._num_blocks):
             self._finished = True

@@ -178,8 +178,13 @@ class Interleaver:
         services = self.services
         if profiler is not None:
             services.fabric = ProfiledFabric(fabric, profiler)
+            # time a twin's method: wrapping services' own bound method
+            # would make a reference cycle that keeps a finished run's
+            # memory system (and its observers) alive until a full GC
+            plain = TileServices(self.scheduler, memory, fabric,
+                                 self.accelerators)
             services.mem_access = timed(profiler, "memory",
-                                        services.mem_access)
+                                        plain.mem_access)
         for tile in self.tiles:
             tile.services = services
             if tracer is not None:
@@ -236,6 +241,8 @@ class Interleaver:
                  or emitter is not None or self._signals_armed)
         sched_next = scheduler.next_cycle
         sched_run_due = scheduler.run_due
+        for tile in self.tiles:
+            tile.begin_run()
         # the active set is maintained incrementally: tiles are pruned as
         # they finish, never re-derived from scratch, and the attention
         # minimum is taken over this (shrinking) set only
@@ -431,6 +438,8 @@ class Interleaver:
                 self.scheduler.fast_drains
             self.profiler.counters["scheduler_slow_drains"] = \
                 self.scheduler.slow_drains
+            self.profiler.backends = {tile.name: tile.backend
+                                      for tile in self.tiles}
             self.profiler.finish(cycle, stats.instructions)
         return stats
 

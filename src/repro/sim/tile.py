@@ -44,6 +44,14 @@ class Tile(abc.ABC):
     def step(self, cycle: int) -> int:
         """Advance the tile at ``cycle``; return next attention cycle."""
 
+    #: which implementation steps this tile (the compiled core says
+    #: "compiled")
+    backend = "python"
+
+    def begin_run(self) -> None:
+        """Called by the Interleaver when a run (fresh or resumed) starts,
+        after every observer is attached."""
+
     @property
     @abc.abstractmethod
     def done(self) -> bool:

@@ -33,8 +33,8 @@ Category taxonomy (``CATEGORIES`` lists the closed set of prefixes):
 Memory waits are special: when the window-head blocker is an in-flight
 memory access, the serving level (L1 hit, LLC, DRAM, ...) is unknown
 until the response returns. The interval is therefore *deferred* —
-banked against the dynamic node — and flushed into the right
-``memory.<level>`` bucket when the node completes, using the
+banked against the access's request — and flushed into the right
+``memory.<level>`` bucket when the access completes, using the
 ``service_level`` the hierarchy stamped on the request. Conservation is
 unaffected: deferred cycles are already counted against the cursor and
 only their label resolves late.
@@ -71,11 +71,12 @@ def is_memory_category(category: str) -> bool:
     return category.startswith(MEMORY_PREFIX)
 
 
-def memory_category(node) -> str:
-    """Resolve a completed memory node's category from the request the
+def memory_category(key) -> str:
+    """Resolve a completed memory access's category from the request the
     hierarchy serviced (stamped with ``service_level``/``coherence_delay``
-    on the way through)."""
-    request = getattr(node, "mem_req", None)
+    on the way through). ``key`` is the request itself, or an object
+    carrying it as ``mem_req``."""
+    request = getattr(key, "mem_req", key)
     if request is None:
         return MEMORY_PREFIX + "ideal"
     if request.coherence_delay:
@@ -91,10 +92,10 @@ def memory_category(node) -> str:
 class TileAttribution:
     """Cycle ledger for one tile.
 
-    ``pending`` is either a category string or a dynamic memory node
-    whose serving level is not yet known. :meth:`advance` books the
-    interval since the cursor to ``pending``; :meth:`resolve_memory`
-    flushes a node's banked cycles once its response classified it.
+    ``pending`` is either a category string or an in-flight memory
+    request whose serving level is not yet known. :meth:`advance` books
+    the interval since the cursor to ``pending``; :meth:`resolve_memory`
+    flushes a request's banked cycles once its response classified it.
     """
 
     __slots__ = ("name", "cycles", "cursor", "pending", "_deferred")
@@ -104,7 +105,7 @@ class TileAttribution:
         self.cycles: Dict[str, int] = {}
         self.cursor = 0
         self.pending = CAT_FRONTEND_IDLE
-        #: memory DynNode -> cycles awaiting level resolution
+        #: memory request -> cycles awaiting level resolution
         self._deferred: Dict[object, int] = {}
 
     # -- hot path (called from CoreTile.step) ----------------------------
@@ -120,25 +121,26 @@ class TileAttribution:
             self._deferred[pending] = self._deferred.get(pending, 0) + delta
         self.cursor = cycle
 
-    def resolve_memory(self, node) -> None:
-        """A memory node completed: flush its banked wait cycles into the
-        ``memory.<level>`` bucket its response identified."""
-        banked = self._deferred.pop(node, None)
-        pending_is_node = self.pending is node
-        if banked is None and not pending_is_node:
+    def resolve_memory(self, request) -> None:
+        """A memory access completed: flush the cycles banked against its
+        request into the ``memory.<level>`` bucket the response
+        identified."""
+        banked = self._deferred.pop(request, None)
+        pending_is_request = self.pending is request
+        if banked is None and not pending_is_request:
             return
-        category = memory_category(node)
+        category = memory_category(request)
         if banked is not None:
             self.cycles[category] = self.cycles.get(category, 0) + banked
-        if pending_is_node:
-            # future advances book directly; the node object is released
+        if pending_is_request:
+            # future advances book directly; the request is released
             self.pending = category
 
     # -- reading ---------------------------------------------------------
     def snapshot(self) -> dict:
         """Live view (used by stall diagnostics and deadlock reports):
         resolved buckets plus any cycles still banked against in-flight
-        memory nodes."""
+        memory requests."""
         categories = dict(self.cycles)
         unresolved = sum(self._deferred.values())
         if unresolved:
@@ -161,11 +163,11 @@ class TileAttribution:
         """
         self.advance(total_cycles)
         if type(self.pending) is not str:
-            # ended while a memory node was the blocker (it completed at
+            # ended while a memory access was the blocker (it completed at
             # the final cycle); resolve with what the response recorded
             self.pending = memory_category(self.pending)
-        for node, banked in list(self._deferred.items()):
-            category = memory_category(node)
+        for request, banked in list(self._deferred.items()):
+            category = memory_category(request)
             self.cycles[category] = self.cycles.get(category, 0) + banked
         self._deferred.clear()
         total = sum(self.cycles.values())
@@ -527,18 +529,25 @@ def diff_reports(before: dict, after: dict) -> dict:
     that moved.
 
     Both documents must pass :func:`validate_report`. Tiles are matched
-    by name; per-category deltas are ``after - before``, so a positive
-    delta is a regression (more cycles spent there). The aggregate view
-    sums matched tiles, which is what ``repro diff`` renders first.
+    by name; when the reports share no tile name but have as many tiles
+    (``OoO0`` against ``InO0`` after a core swap), they are matched by
+    position instead, and ``tiles_matched_by`` says so. Per-category
+    deltas are ``after - before``, so a positive delta is a regression
+    (more cycles spent there). The aggregate view sums matched tiles,
+    which is what ``repro diff`` renders first.
     """
     tiles_a = before["attribution"]["tiles"]
     tiles_b = after["attribution"]["tiles"]
-    shared = [name for name in tiles_a if name in tiles_b]
+    pairs = [(name, name) for name in tiles_a if name in tiles_b]
+    matched_by = "name"
+    if not pairs and tiles_a and len(tiles_a) == len(tiles_b):
+        pairs = list(zip(tiles_a, tiles_b))
+        matched_by = "position"
     per_tile: Dict[str, dict] = {}
     aggregate: Dict[str, dict] = {}
-    for name in shared:
-        cats_a = tiles_a[name]["categories"]
-        cats_b = tiles_b[name]["categories"]
+    for name_a, name_b in pairs:
+        cats_a = tiles_a[name_a]["categories"]
+        cats_b = tiles_b[name_b]["categories"]
         deltas = {}
         for category in sorted(set(cats_a) | set(cats_b)):
             a = cats_a.get(category, 0)
@@ -551,9 +560,9 @@ def diff_reports(before: dict, after: dict) -> dict:
             agg["before"] += a
             agg["after"] += b
             agg["delta"] += b - a
-        per_tile[name] = {
-            "total_before": tiles_a[name]["total_cycles"],
-            "total_after": tiles_b[name]["total_cycles"],
+        per_tile[name_a if name_a == name_b else f"{name_a}->{name_b}"] = {
+            "total_before": tiles_a[name_a]["total_cycles"],
+            "total_after": tiles_b[name_b]["total_cycles"],
             "categories": deltas,
         }
     cycles_a = before["attribution"]["total_cycles"]
@@ -570,8 +579,9 @@ def diff_reports(before: dict, after: dict) -> dict:
         "cycles_after": cycles_b,
         "cycles_delta": cycles_b - cycles_a,
         "speedup": cycles_a / cycles_b if cycles_b else 0.0,
-        "tiles_only_before": sorted(set(tiles_a) - set(tiles_b)),
-        "tiles_only_after": sorted(set(tiles_b) - set(tiles_a)),
+        "tiles_matched_by": matched_by,
+        "tiles_only_before": sorted(set(tiles_a) - {a for a, _ in pairs}),
+        "tiles_only_after": sorted(set(tiles_b) - {b for _, b in pairs}),
         "categories": aggregate,
         "tiles": per_tile,
         "memory_stall_delta": memory_delta,

@@ -46,6 +46,9 @@ class ProfileReport:
     #: fast-path hit counters (e.g. scheduler monomorphic drains) — see
     #: docs/performance.md for the meaning of each key
     counters: Dict[str, int] = field(default_factory=dict)
+    #: tile name -> the implementation that stepped it ("python" or
+    #: "compiled" for cores, see repro.sim.core.compiled)
+    backends: Dict[str, str] = field(default_factory=dict)
 
     @property
     def events_per_second(self) -> float:
@@ -89,6 +92,10 @@ class ProfileReport:
             seconds = self.phases.get(phase, 0.0)
             lines.append(f"  {phase:<10} {seconds:8.3f}s "
                          f"({100.0 * seconds / total:5.1f}%)")
+        if self.backends:
+            lines.append("  backends: " + ", ".join(
+                f"{tile} {backend}"
+                for tile, backend in self.backends.items()))
         return "\n".join(lines)
 
 
@@ -109,6 +116,7 @@ class SelfProfiler:
         #: fast-path hit counters filled in by the Interleaver at collect
         #: time (cheap: subsystems count unconditionally, ints only)
         self.counters: Dict[str, int] = {}
+        self.backends: Dict[str, str] = {}
         self._started_at: Optional[float] = None
         self.report: Optional[ProfileReport] = None
 
@@ -134,7 +142,8 @@ class SelfProfiler:
         self.report = ProfileReport(
             wall_seconds=wall, phases=buckets, cycles=cycles,
             events=self.events, tile_steps=self.tile_steps,
-            instructions=instructions, counters=dict(self.counters))
+            instructions=instructions, counters=dict(self.counters),
+            backends=dict(self.backends))
         return self.report
 
 

@@ -257,6 +257,35 @@ class TestDiffAttribution:
             -backward["memory_stall_delta"]
 
 
+class TestDiffAcrossCoreSwap:
+    """``analyze --core ooo`` and ``--core ino`` name their tile ``OoO0``
+    and ``InO0``: with no shared name, the diff pairs tiles by position
+    instead of reporting no deltas."""
+
+    def test_core_swap_pairs_tiles_by_position(self, tmp_path, capsys):
+        paths = {}
+        for core in ("ooo", "ino"):
+            paths[core] = str(tmp_path / f"{core}.json")
+            assert main(["analyze", "sgemm", "--core", core, "--size",
+                         "n=8", "--size", "m=8", "--size", "k=8",
+                         "--json", paths[core]]) == 0
+        before, after = (json.loads(open(paths[core]).read())
+                         for core in ("ooo", "ino"))
+        diff = diff_reports(before, after)
+        assert diff["tiles_matched_by"] == "position"
+        assert diff["tiles_only_before"] == diff["tiles_only_after"] == []
+        assert list(diff["tiles"]) == ["OoO0->InO0"]
+        assert diff["cycles_delta"] > 0
+        assert sum(entry["delta"] for entry in
+                   diff["categories"].values()) == diff["cycles_delta"]
+        capsys.readouterr()
+        assert main(["diff", paths["ooo"], paths["ino"]]) == 0
+        out = capsys.readouterr().out
+        assert "tiles matched by position (no shared names): OoO0->InO0" \
+            in out
+        assert "category deltas" in out and "only in" not in out
+
+
 class TestValidateReport:
     def _good(self):
         workload = build_parboil("sgemm", n=6, m=6, k=6)

@@ -285,17 +285,17 @@ class TestCheckpointFormat:
             load_checkpoint(str(bumped))
 
     def test_previous_schema_version_is_refused(self, snapshot, tmp_path):
-        # version 4: caches carry an MSHR wait list and the wake-up
-        # event changed shape, so a version-3 pickle cannot resume
-        assert CHECKPOINT_SCHEMA_VERSION == 4
+        # version 5: a core's dynamic instructions are seq-indexed rings
+        # (no DynNode objects), so a version-4 pickle cannot resume
+        assert CHECKPOINT_SCHEMA_VERSION == 5
         blob = open(snapshot, "rb").read()
         magic, _, digest, length = _HEADER.unpack_from(blob)
-        old = tmp_path / "v3.bin"
-        old.write_bytes(_HEADER.pack(magic, 3, digest, length)
+        old = tmp_path / "v4.bin"
+        old.write_bytes(_HEADER.pack(magic, 4, digest, length)
                         + blob[_HEADER.size:])
         with pytest.raises(CheckpointError,
-                           match="schema version 3, but this build reads "
-                                 "version 4"):
+                           match="schema version 4, but this build reads "
+                                 "version 5"):
             load_checkpoint(str(old))
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):

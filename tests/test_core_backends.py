@@ -1,0 +1,314 @@
+"""The two core backends: the Python reference core and the compiled C
+step (``repro.sim.core.compiled``) must produce identical reports.
+
+* the compiled core loads wherever ``gcc`` is on PATH (this test fails,
+  it does not skip, so CI cannot pass while checking only one backend);
+* every observer-free behaviour-baseline case runs on both backends
+  (the DAE, accelerator and mesh cases with their observers dropped);
+* random kernels from the differential fuzzer run through the timing
+  model on InO and OoO cores, 1 and 2 tiles, and beside a narrow core
+  that turns on every remaining limit, on both backends; the Python
+  core with an attributor keeps attribution conservation;
+* a checkpoint taken on one backend resumes on the other, and
+  heartbeats and interrupt partial stats agree across backends.
+"""
+
+import contextlib
+import dataclasses
+import shutil
+import signal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.checkpoint import CheckpointSink, resume_simulation
+from repro.harness import (
+    build_dae, build_system, dae_hierarchy, inorder_core, ooo_core,
+    prepare, prepare_dae_sliced, simulate_heterogeneous,
+)
+from repro.ir import F64, I64, OpClass
+from repro.sim import (
+    CycleBudgetExceeded, SimulationError, SimulationInterrupted,
+)
+from repro.sim.core import compiled
+from repro.telemetry import (
+    Attributor, HeartbeatEmitter, read_heartbeats, stats_to_dict,
+    validate_report,
+)
+from repro.telemetry.livestream import heartbeat_key
+from repro.trace import SimMemory
+from repro.workloads import build_parboil
+from repro.workloads.sinkhorn import build_ewsd
+
+from . import behaviour_baseline, kernels
+from .test_checkpoint import SMALL_SIZES
+from .test_fuzz_differential import random_kernel
+
+HAVE_GCC = shutil.which("gcc") is not None
+needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="no gcc on PATH")
+
+
+@contextlib.contextmanager
+def python_core():
+    """Run every tile on the Python reference core."""
+    saved = compiled._library
+    compiled._library = False
+    try:
+        yield
+    finally:
+        compiled._library = saved
+
+
+@contextlib.contextmanager
+def counting_compiled_tiles():
+    """Count the tiles that switch to the compiled step."""
+    attach = compiled.CompiledCoreTile._c_attach
+    count = [0]
+
+    def counting(tile, lib):
+        count[0] += 1
+        attach(tile, lib)
+
+    compiled.CompiledCoreTile._c_attach = counting
+    try:
+        yield count
+    finally:
+        compiled.CompiledCoreTile._c_attach = attach
+
+
+def test_compiled_core_loads_where_gcc_is():
+    assert (compiled.load() is not None) == HAVE_GCC
+
+
+@needs_gcc
+def test_broken_source_raises(tmp_path, monkeypatch):
+    broken = tmp_path / "step.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(compiled, "SOURCE", broken)
+    monkeypatch.setattr(compiled, "_library", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(SimulationError, match="failed to build"):
+        compiled.load()
+    assert not list((tmp_path / "cache").glob("repro/*.so"))
+
+
+def test_backend_choice():
+    mem = SimMemory()
+    n = 16
+    A = mem.alloc(n, F64, "A", init=np.ones(n))
+    B = mem.alloc(n, F64, "B", init=np.ones(n))
+    args = [A, B, n, 2.0]
+    plain = build_system(kernels.saxpy, args, core=ooo_core(), memory=mem)
+    plain.run()
+    assert plain.tiles[0].backend == ("compiled" if HAVE_GCC else "python")
+    observed = build_system(kernels.saxpy, args, core=ooo_core(),
+                            memory=mem, attribution=Attributor())
+    observed.run()
+    assert observed.tiles[0].backend == "python"
+    twobit = build_system(
+        kernels.saxpy, args, memory=mem,
+        core=dataclasses.replace(ooo_core(), branch_predictor="twobit"))
+    twobit.run()
+    assert twobit.tiles[0].backend == "python"
+
+
+def test_profile_names_each_tile_backend(capsys):
+    from repro.cli import main
+    assert main(["simulate", "sgemm", "--size", "n=8", "--size", "m=8",
+                 "--size", "k=8", "--tiles", "2", "--profile"]) == 0
+    backend = "compiled" if HAVE_GCC else "python"
+    assert f"  backends: OoO0 {backend}, OoO1 {backend}" \
+        in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_address_trace_overrun_raises(backend):
+    mem = SimMemory()
+    n = 16
+    A = mem.alloc(n, F64, "A", init=np.ones(n))
+    B = mem.alloc(n, F64, "B", init=np.ones(n))
+    system = build_system(kernels.saxpy, [A, B, n, 2.0], core=ooo_core(),
+                          memory=mem)
+    trace = system.tiles[0].trace
+    iid = next(iter(trace.addr_trace))
+    del trace.addr_trace[iid][n // 2:]
+    with _on(backend), pytest.raises(
+            SimulationError, match="OoO0: the address trace ran out while "
+                                   "launching DBB 26"):
+        system.run()
+
+
+# -- the behaviour baseline on both backends ----------------------------------
+#: observer-free cases, checked against their committed reports
+PLAIN_CASES = sorted(name for name in behaviour_baseline.CASES
+                     if name.startswith(("parboil-", "faults-")))
+#: cases run with their observers dropped, compared across backends
+DROPPED_CASES = ["mesh-coherence-spmv-ooo-4t", "dae-graphproj-2pairs",
+                 "accel-sinkhorn-ooo-4t"]
+BASELINE = behaviour_baseline.load_baseline()
+
+
+@pytest.mark.parametrize("name", PLAIN_CASES)
+def test_python_core_matches_baseline(name):
+    # the compiled core is checked against the same reports by
+    # test_behaviour_baseline.py wherever it loads
+    with python_core(), counting_compiled_tiles() as count:
+        live = behaviour_baseline.run_case(name)
+    assert count[0] == 0
+    assert behaviour_baseline.diff(BASELINE[name], live) == []
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", DROPPED_CASES)
+def test_backends_agree_without_observers(name, monkeypatch):
+    monkeypatch.setattr(behaviour_baseline, "_observers", dict)
+    with python_core():
+        reference = behaviour_baseline.run_case(name)
+    with counting_compiled_tiles() as count:
+        live = behaviour_baseline.run_case(name)
+    assert count[0] > 0
+    assert behaviour_baseline.diff(reference, live) == []
+
+
+# -- random kernels through the timing model -----------------------------------
+def _narrow_core():
+    """Every limit the stock cores leave open: FU counts, a small window
+    and LSQ, the live-DBB limit, static prediction, no alias
+    speculation, and half the clock (period 2 beside a 2 GHz core)."""
+    return dataclasses.replace(
+        ooo_core("Narrow"), issue_width=2, rob_size=24, lsq_size=6,
+        fu_counts={OpClass.IALU: 1, OpClass.LOAD: 1}, live_dbb_limit=2,
+        branch_predictor="static", perfect_alias=False, store_buffer=False,
+        frequency_ghz=1.0)
+
+
+def _exact_alias_core():
+    """A full OoO window that waits on unresolved store addresses."""
+    return dataclasses.replace(ooo_core(), perfect_alias=False,
+                               store_buffer=False)
+
+
+#: core lists, one tile each
+SYSTEMS = [[inorder_core()], [inorder_core()] * 2, [ooo_core()],
+           [ooo_core()] * 2, [ooo_core(), _narrow_core()]]
+
+
+@needs_gcc
+@given(pair=random_kernel(),
+       data=st.lists(st.integers(-100, 100), min_size=4, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_kernels_agree_across_backends(pair, data):
+    source = pair[0]
+    n = len(data)
+    for cores in SYSTEMS:
+        mem = SimMemory()
+        A = mem.alloc(n, I64, "A", init=np.array(data, dtype=np.int64))
+        B = mem.alloc(n, I64, "B")
+        args = [A, B, n]
+        prepared = prepare(source, args, num_tiles=len(cores), memory=mem)
+        options = dict(prepared=prepared, cores=cores, memory=mem,
+                       hierarchy=dae_hierarchy())
+        with python_core():
+            reference = stats_to_dict(
+                simulate_heterogeneous(source, args, **options))
+            attributed = stats_to_dict(simulate_heterogeneous(
+                source, args, attribution=Attributor(), **options))
+        with counting_compiled_tiles() as count:
+            live = stats_to_dict(
+                simulate_heterogeneous(source, args, **options))
+        assert count[0] == len(cores)
+        assert live == reference, source
+        assert validate_report(attributed) >= 1
+        assert attributed["cycles"] == reference["cycles"]
+
+
+@needs_gcc
+@pytest.mark.parametrize("kernel", ["bfs", "histo", "tpacf"])
+def test_limited_cores_agree_across_backends(kernel):
+    """Small Parboil kernels on the limits the baseline's cores leave
+    open: MAO waits on unresolved addresses, static-prediction
+    redirects, FU and live-DBB limits and a period-2 clock."""
+    def run():
+        w = build_parboil(kernel, **SMALL_SIZES[kernel])
+        return stats_to_dict(simulate_heterogeneous(
+            w.kernel, w.args, cores=[_exact_alias_core(), _narrow_core()],
+            memory=w.memory, hierarchy=dae_hierarchy()))
+
+    with python_core():
+        reference = run()
+    with counting_compiled_tiles() as count:
+        live = run()
+    assert count[0] == 2
+    assert behaviour_baseline.diff(reference, live) == []
+    tiles = reference["tiles"]
+    assert sum(tile["mao_stalls"] for tile in tiles) > 0
+    assert tiles[1]["mispredictions"] > 0
+
+
+# -- checkpoints, heartbeats and partial stats across backends -----------------
+def _saxpy(checkpoint=None, max_cycles=10 ** 9, emitter=None):
+    rng = np.random.default_rng(5)
+    n = 256
+    mem = SimMemory()
+    A = mem.alloc(n, F64, "A", init=rng.uniform(-1, 1, n))
+    B = mem.alloc(n, F64, "B", init=rng.uniform(-1, 1, n))
+    return build_system(kernels.saxpy, [A, B, n, 2.0], core=ooo_core(),
+                        num_tiles=2, hierarchy=dae_hierarchy(), memory=mem,
+                        checkpoint=checkpoint, max_cycles=max_cycles,
+                        emitter=emitter)
+
+
+def _dae_pair(checkpoint=None, max_cycles=10 ** 9):
+    w = build_ewsd(nnz=128, dense_len=256)
+    specs = prepare_dae_sliced(w.kernel, w.args, pairs=1)
+    return build_dae(specs, access_core=inorder_core(),
+                     execute_core=inorder_core(), hierarchy=dae_hierarchy(),
+                     checkpoint=checkpoint, max_cycles=max_cycles)
+
+
+def _on(backend):
+    return python_core() if backend == "python" else contextlib.nullcontext()
+
+
+@needs_gcc
+@pytest.mark.parametrize("make", [_saxpy, _dae_pair],
+                         ids=["saxpy-ooo-2t", "dae-pair"])
+@pytest.mark.parametrize("saved_on,resumed_on", [("compiled", "python"),
+                                                 ("python", "compiled")])
+def test_checkpoint_resumes_on_the_other_backend(make, saved_on, resumed_on,
+                                                 tmp_path):
+    with python_core():
+        baseline = make().run()
+    want = stats_to_dict(baseline)
+    path = str(tmp_path / "run.ckpt")
+    with _on(saved_on):
+        system = make(CheckpointSink(path, 10 ** 9), baseline.cycles // 2)
+        with pytest.raises(CycleBudgetExceeded):
+            system.run()
+    assert {tile.backend for tile in system.tiles} == {saved_on}
+    with _on(resumed_on), counting_compiled_tiles() as count:
+        resumed = resume_simulation(path, max_cycles=10 ** 9)
+    assert (count[0] > 0) == (resumed_on == "compiled")
+    assert stats_to_dict(resumed) == want
+
+
+@needs_gcc
+def test_heartbeats_and_partial_stats_agree_across_backends(tmp_path):
+    beats, partials = {}, {}
+    for backend in ("python", "compiled"):
+        path = tmp_path / f"{backend}.jsonl"
+        with _on(backend):
+            _saxpy(emitter=HeartbeatEmitter(str(path),
+                                            every_cycles=300)).run()
+            system = _saxpy()
+            system.arm_interrupts()
+            system.request_interrupt(signal.SIGTERM)
+            with pytest.raises(SimulationInterrupted) as err:
+                system.run()
+        beats[backend] = [heartbeat_key(beat)
+                          for beat in read_heartbeats(str(path))]
+        partials[backend] = stats_to_dict(err.value.partial_stats)
+    assert len(beats["python"]) >= 3
+    assert beats["compiled"] == beats["python"]
+    assert partials["compiled"] == partials["python"]
