@@ -80,7 +80,11 @@ def test_fig11_dae_latency_tolerance(benchmark):
     assert speedups["8 InO"] > speedups["2 InO"] > 1.3   # parallel scaling
     assert speedups["4 DAE pairs"] > speedups["8 InO"]   # heterogeneity wins
     assert speedups["4 DAE pairs"] > speedups["1 OoO"]
-    assert speedups["4 DAE pairs"] / speedups["8 InO"] > 1.2
+    # equal area (4 DAE pairs = 8 InO cores, 8 InO ~ 1 OoO): the
+    # committed table reads 12.506 / 5.579 = 2.24, the ~2x headline of
+    # EXPERIMENTS.md; the band catches a drift either way (the paper's
+    # own ratio, 6.6 / 3.5 = 1.9, sits just under it: known gap 1)
+    assert 2.0 < speedups["4 DAE pairs"] / speedups["8 InO"] < 2.5
 
 
 def _memory_share(entry: dict) -> float:

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 5
+CHECKPOINT_SCHEMA_VERSION = 6
 
 _MAGIC = b"MSIMCKPT"
 _HEADER = struct.Struct("<8sI32sQ")
@@ -89,12 +89,6 @@ def save_checkpoint(interleaver, path: str, *, cycle: int,
     Interleaver's autosave/raise hooks guarantee that; tests use
     ``max_cycles`` to stop at one. Returns ``path``.
     """
-    if getattr(interleaver, "profiler", None) is not None:
-        raise CheckpointError(
-            "cannot checkpoint a run with a SelfProfiler attached: "
-            "wall-clock self-profiles are meaningless across a "
-            "crash/restore boundary (and the timing wrappers are not "
-            "picklable); run without --profile to checkpoint")
     document = {"cycle": cycle, "interleaver": interleaver}
     if run_id is not None:
         document["run_id"] = run_id
@@ -154,7 +148,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     cycle = document["cycle"]
     interleaver = document["interleaver"]
     # arm the run loop to continue from the snapshot cycle
-    interleaver._resume_cycle = cycle
+    interleaver.cycle = cycle
     # .get(): pre-registry checkpoints carry no run_id and stay loadable
     return Checkpoint(version, cycle, interleaver,
                       run_id=document.get("run_id"))

@@ -173,7 +173,8 @@ def _resume_run(args, run_id=None):
     run_id = run_id or restored.run_id
     interleaver = restored.interleaver
     # observers that record the run itself cannot join it mid-flight;
-    # only the checkpoint sink and heartbeat emitter attach on resume
+    # the checkpoint sink, heartbeat emitter and profiler attach on
+    # resume, and the profiler samples the resumed part only
     for flag, name in (("trace", "tracer"), ("metrics", "metrics"),
                        ("memstat", "memstat")):
         if getattr(args, flag, None) and getattr(interleaver, name) is None:
@@ -189,6 +190,7 @@ def _resume_run(args, run_id=None):
     for name in ("checkpoint", "emitter"):
         if name in observers:
             setattr(interleaver, name, observers[name])
+    interleaver.profiler = observers.get("profiler")
     STATUS.info(f"resuming {args.resume} from cycle {restored.cycle}")
     with graceful_interrupts(interleaver):
         stats = interleaver.run()
@@ -394,8 +396,8 @@ def cmd_simulate(args) -> int:
                                  wall_clock_limit=args.timeout)
         return 0 if any(p.ok for p in result.points) else 2
     if args.resume:
-        if args.retries or args.profile:
-            print("--resume is incompatible with --retries/--profile",
+        if args.retries:
+            print("--resume is incompatible with --retries",
                   file=sys.stderr)
             return 2
         # the workload already ran functionally before the original
@@ -415,6 +417,8 @@ def cmd_simulate(args) -> int:
         if args.stats_json:
             write_stats_json(stats, args.stats_json, run_id=run_id)
             STATUS.info(f"stats: -> {args.stats_json}")
+        if args.profile:
+            print(interleaver.profiler.report.summary())
         _record_manifest(
             args, run_id, workload=args.workload, status="ok",
             stats=stats, wall_seconds=wall,
@@ -1144,8 +1148,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "schema-v3 memory block (miss classification, "
                           "reuse distance, bank/link locality)")
     sim.add_argument("--profile", action="store_true",
-                     help="print the simulator self-profile (wall-clock "
-                          "per phase, events/sec)")
+                     help="print the simulator self-profile (sampled "
+                          "wall-clock per phase, events/sec; uses SIGALRM)")
     sim.add_argument("--heartbeat", metavar="FILE",
                      help="stream live run heartbeats (cycle, IPC, "
                           "in-flight memory, attribution deltas) to a "

@@ -521,19 +521,10 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
                     time.sleep(backoff_seconds * (2 ** (attempts - 1)))
                 continue
             break
-    partial = getattr(last_exc, "partial_stats", None)
-    profile = None
-    if profiler is not None:
-        # deadlock/budget failures propagate before the Interleaver
-        # finalizes the profile; the phase buckets still tell where the
-        # failed run's wall-clock went, so finalize them here
-        profile = profiler.report
-        if profile is None:
-            profile = profiler.finish(
-                partial.cycles if partial is not None else 0,
-                partial.instructions if partial is not None else 0)
+    # a failed run's profile was finished as its run() raised
     return RunOutcome(
         classify_failure(last_exc), error=str(last_exc), attempts=attempts,
-        stats=partial, fault_log=fault_log,
-        wall_seconds=time.monotonic() - start, profile=profile,
+        stats=getattr(last_exc, "partial_stats", None), fault_log=fault_log,
+        wall_seconds=time.monotonic() - start,
+        profile=profiler.report if profiler is not None else None,
         checkpoint_path=getattr(last_exc, "checkpoint_path", None))

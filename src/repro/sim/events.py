@@ -54,6 +54,8 @@ class Scheduler:
         #: slow path (SelfProfiler surfaces these as fast-path counters)
         self.fast_drains = 0
         self.slow_drains = 0
+        #: callbacks run over every drain (a profile reports them)
+        self.events = 0
 
     def at(self, cycle: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback(cycle)`` to run at ``cycle``."""
@@ -108,6 +110,7 @@ class Scheduler:
                     # it is already due it needs the checking loop below
                     break
             else:
+                self.events += count
                 return count
         else:
             self.slow_drains += 1
@@ -119,6 +122,7 @@ class Scheduler:
                     continue
             entry[2](entry[0])
             count += 1
+        self.events += count
         return count
 
     @property

@@ -29,8 +29,9 @@ hook site when absent:
   spans from tiles, fabric, memory, accelerators and fault injection;
 * ``metrics`` (:class:`~repro.telemetry.MetricsRegistry`) collects
   runtime histograms and a whole-run snapshot into ``SystemStats.metrics``;
-* ``profiler`` (:class:`~repro.telemetry.SelfProfiler`) accounts
-  wall-clock time per simulator phase;
+* ``profiler`` (:class:`~repro.telemetry.SelfProfiler`) samples the
+  call stack about once per wall-clock millisecond of ``run()`` and
+  charges each sample to a simulator phase; it hooks no code path;
 * ``attribution`` (:class:`~repro.telemetry.Attributor`) charges every
   tile cycle to a CPI-stack category;
 * ``memstat`` (:class:`~repro.telemetry.MemStat`) classifies misses and
@@ -46,7 +47,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..telemetry.profiler import ProfiledFabric, timed
+from ..telemetry.profiler import sampling
 from ..trace.tracefile import AccelInvocation
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import with
@@ -124,11 +125,6 @@ class Interleaver:
                  memstat=None):
         if not tiles:
             raise ValueError("Interleaver needs at least one tile")
-        if checkpoint is not None and profiler is not None:
-            raise CheckpointError(
-                "cannot combine checkpointing with a SelfProfiler: "
-                "wall-clock self-profiles are meaningless across a "
-                "crash/restore boundary; drop one of the two")
         self.tiles = tiles
         if scheduler is not None:
             self.scheduler = scheduler
@@ -152,8 +148,11 @@ class Interleaver:
         self.checkpoint = checkpoint
         #: optional HeartbeatEmitter polled on the same stride
         self.emitter = emitter
-        #: cycle run() starts from; load_checkpoint sets it on restore
-        self._resume_cycle = 0
+        #: the clock: run() starts from it and leaves the cycle it
+        #: stopped at, on return or raise; load_checkpoint sets it
+        self.cycle = 0
+        #: tile steps taken over every run() (a profile reports them)
+        self.tile_steps = 0
         #: signal number noted by request_interrupt(), polled by run()
         self._interrupt_signum: Optional[int] = None
         #: whether run() should poll _interrupt_signum at all
@@ -172,19 +171,10 @@ class Interleaver:
         faults) is fixed so the same configuration always produces the
         same tids — part of the determinism contract.
         """
-        tracer, profiler = self.tracer, self.profiler
+        tracer = self.tracer
         attribution, memstat = self.attribution, self.memstat
         fabric, memory = self.fabric, self.memory
         services = self.services
-        if profiler is not None:
-            services.fabric = ProfiledFabric(fabric, profiler)
-            # time a twin's method: wrapping services' own bound method
-            # would make a reference cycle that keeps a finished run's
-            # memory system (and its observers) alive until a full GC
-            plain = TileServices(self.scheduler, memory, fabric,
-                                 self.accelerators)
-            services.mem_access = timed(profiler, "memory",
-                                        plain.mem_access)
         for tile in self.tiles:
             tile.services = services
             if tracer is not None:
@@ -221,13 +211,13 @@ class Interleaver:
 
     # ------------------------------------------------------------------
     def run(self) -> SystemStats:
+        with sampling(self):
+            return self._run()
+
+    def _run(self) -> SystemStats:
         scheduler = self.scheduler
-        profiler = self.profiler
-        perf = time.perf_counter
         monotonic = time.monotonic
-        if profiler is not None:
-            profiler.start()
-        cycle = self._resume_cycle
+        cycle = self.cycle
         deadline = None
         if self.wall_clock_limit is not None:
             deadline = monotonic() + self.wall_clock_limit
@@ -247,98 +237,95 @@ class Interleaver:
         # they finish, never re-derived from scratch, and the attention
         # minimum is taken over this (shrinking) set only
         active = [t for t in self.tiles if not t.done]
-        while active:
-            if watch:
-                # the top of the outer loop is the snapshot consistency
-                # point: every event due at `cycle` has fired and every
-                # due tile has stepped to a fixed point, so this is the
-                # only place autosaves and graceful interrupts act
-                iterations += 1
-                if (iterations & 63) == 0:
-                    if deadline is not None and monotonic() > deadline:
-                        exc = WatchdogTimeout(
-                            f"wall-clock watchdog fired after "
-                            f"{self.wall_clock_limit}s at cycle {cycle}")
+        steps = 0
+        try:
+            while active:
+                if watch:
+                    # the top of the outer loop is the snapshot consistency
+                    # point: every event due at `cycle` has fired and every
+                    # due tile has stepped to a fixed point, so this is the
+                    # only place autosaves and graceful interrupts act
+                    iterations += 1
+                    if (iterations & 63) == 0:
+                        if deadline is not None and monotonic() > deadline:
+                            exc = WatchdogTimeout(
+                                f"wall-clock watchdog fired after "
+                                f"{self.wall_clock_limit}s at cycle {cycle}")
+                            exc.checkpoint_path = self._flush_checkpoint(cycle)
+                            raise exc
+                        if self._interrupt_signum is not None:
+                            self._raise_interrupted(cycle)
+                        if checkpoint is not None and checkpoint.due(cycle):
+                            checkpoint.save(self, cycle)
+                        if emitter is not None and emitter.due(cycle):
+                            emitter.emit(self, cycle)
+                next_cycle = NEVER
+                event_cycle = sched_next()
+                if event_cycle is not None:
+                    next_cycle = event_cycle
+                for tile in active:
+                    attention = tile.next_attention
+                    if attention < next_cycle:
+                        next_cycle = attention
+                if next_cycle >= NEVER:
+                    self._raise_deadlock(cycle)
+                if next_cycle > cycle:
+                    cycle = next_cycle
+                    if cycle > max_cycles:
+                        # nothing due at `cycle` has been drained yet, so a
+                        # snapshot here resumes exactly where an uninterrupted
+                        # run (with a larger budget) would have continued
+                        exc = CycleBudgetExceeded(
+                            f"simulation exceeded {max_cycles} cycles")
                         exc.checkpoint_path = self._flush_checkpoint(cycle)
                         raise exc
-                    if self._interrupt_signum is not None:
-                        self._raise_interrupted(cycle)
-                    if checkpoint is not None and checkpoint.due(cycle):
-                        checkpoint.save(self, cycle)
-                    if emitter is not None and emitter.due(cycle):
-                        emitter.emit(self, cycle)
-            next_cycle = NEVER
-            event_cycle = sched_next()
-            if event_cycle is not None:
-                next_cycle = event_cycle
-            for tile in active:
-                attention = tile.next_attention
-                if attention < next_cycle:
-                    next_cycle = attention
-            if next_cycle >= NEVER:
-                self._raise_deadlock(cycle)
-            if next_cycle > cycle:
-                cycle = next_cycle
-                if cycle > max_cycles:
-                    # nothing due at `cycle` has been drained yet, so a
-                    # snapshot here resumes exactly where an uninterrupted
-                    # run (with a larger budget) would have continued
-                    exc = CycleBudgetExceeded(
-                        f"simulation exceeded {max_cycles} cycles")
-                    exc.checkpoint_path = self._flush_checkpoint(cycle)
-                    raise exc
 
-            # events first (memory responses, message deliveries), which
-            # may wake tiles at this very cycle
-            if profiler is None:
+                # events first (memory responses, message deliveries),
+                # which may wake tiles at this very cycle
                 sched_run_due(cycle)
-            else:
-                t0 = perf()
-                profiler.events += sched_run_due(cycle)
-                profiler.add("event_loop", perf() - t0)
-                t0 = perf()
-            # then step every tile due at this cycle; stepping can wake
-            # peers at the same cycle (e.g. a consume frees queue space),
-            # so iterate to a fixed point
-            finished = False
-            steps = 0
-            for _ in range(64):
-                # the watchdog is polled inside the fixed-point loop too
-                # (same & 63 stride), so a pathological same-cycle
-                # ping-pong cannot blow far past wall_clock_limit
-                if deadline is not None:
-                    iterations += 1
-                    if (iterations & 63) == 0 and monotonic() > deadline:
-                        raise WatchdogTimeout(
-                            f"wall-clock watchdog fired after "
-                            f"{self.wall_clock_limit}s at cycle {cycle}")
-                progressed = False
-                for tile in active:
-                    if tile.next_attention <= cycle:
-                        if tile.done:
-                            # finished by an event callback (not its own
-                            # step): clear the stale wakeup so the min
-                            # scan never sees it again, and prune below
-                            tile.next_attention = NEVER
-                            finished = True
-                            continue
-                        returned = tile.step(cycle)
-                        if returned < tile.next_attention:
-                            tile.next_attention = returned
-                        progressed = True
-                        steps += 1
-                        if tile.done:
-                            finished = True
-                if not progressed:
-                    break
-            else:  # pragma: no cover - indicates a livelock bug
-                raise SimulationError(
-                    f"tiles did not reach a fixed point at cycle {cycle}")
-            if profiler is not None:
-                profiler.tile_steps += steps
-                profiler.add("tile_step", perf() - t0)
-            if finished:
-                active = [t for t in active if not t.done]
+                # then step every tile due at this cycle; stepping can wake
+                # peers at the same cycle (e.g. a consume frees queue space),
+                # so iterate to a fixed point
+                finished = False
+                for _ in range(64):
+                    # the watchdog is polled inside the fixed-point loop too
+                    # (same & 63 stride), so a pathological same-cycle
+                    # ping-pong cannot blow far past wall_clock_limit
+                    if deadline is not None:
+                        iterations += 1
+                        if (iterations & 63) == 0 and monotonic() > deadline:
+                            raise WatchdogTimeout(
+                                f"wall-clock watchdog fired after "
+                                f"{self.wall_clock_limit}s at cycle {cycle}")
+                    progressed = False
+                    for tile in active:
+                        if tile.next_attention <= cycle:
+                            if tile.done:
+                                # finished by an event callback (not its own
+                                # step): clear the stale wakeup so the min
+                                # scan never sees it again, and prune below
+                                tile.next_attention = NEVER
+                                finished = True
+                                continue
+                            returned = tile.step(cycle)
+                            if returned < tile.next_attention:
+                                tile.next_attention = returned
+                            progressed = True
+                            steps += 1
+                            if tile.done:
+                                finished = True
+                    if not progressed:
+                        break
+                else:  # pragma: no cover - indicates a livelock bug
+                    raise SimulationError(
+                        f"tiles did not reach a fixed point at cycle {cycle}")
+                if finished:
+                    active = [t for t in active if not t.done]
+        finally:
+            # on return or raise: where the clock stopped and the steps
+            # taken, which a resume and a profile read
+            self.cycle = cycle
+            self.tile_steps += steps
         return self._collect(cycle)
 
     # ------------------------------------------------------------------
@@ -431,16 +418,6 @@ class Interleaver:
                                       self.memory)
         if self.memstat is not None:
             stats.memstat = self.memstat.memory_block()
-        if self.profiler is not None:
-            # fast-path counters: how often the scheduler drained through
-            # its monomorphic (no-cancellable-entries) loop
-            self.profiler.counters["scheduler_fast_drains"] = \
-                self.scheduler.fast_drains
-            self.profiler.counters["scheduler_slow_drains"] = \
-                self.scheduler.slow_drains
-            self.profiler.backends = {tile.name: tile.backend
-                                      for tile in self.tiles}
-            self.profiler.finish(cycle, stats.instructions)
         return stats
 
     def _snapshot_metrics(self, stats: SystemStats) -> None:

@@ -7,9 +7,9 @@ Three cooperating pieces, all opt-in and zero-cost when disabled:
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms that serialize alongside :class:`~repro.sim.statistics.
   SystemStats`;
-* :class:`SelfProfiler` — wall-clock accounting of where simulation
-  time goes (event loop vs tile stepping vs memory vs fabric) plus
-  events/sec throughput;
+* :class:`SelfProfiler` — a wall-clock stack sampler that tells where
+  simulation time goes (event loop vs tile stepping vs memory vs
+  fabric) plus events/sec throughput;
 * :class:`Attributor` — per-tile cycle-accounting ledgers (CPI stacks
   summing exactly to total cycles), roofline capture, and the report
   validation/diffing behind ``repro analyze`` / ``repro diff``;
@@ -45,9 +45,7 @@ from .metrics import (
     SUPPORTED_REPORT_VERSIONS, stats_to_dict, wilson_interval,
     write_stats_json,
 )
-from .profiler import (
-    PHASES, ProfiledFabric, ProfileReport, SelfProfiler, timed,
-)
+from .profiler import PHASES, ProfileReport, SelfProfiler
 from .tracer import (
     TRACE_SCHEMA_VERSION, TraceEvent, Tracer, subsystem_categories,
     validate_chrome_trace,
@@ -58,13 +56,13 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS", "DRAMMemStat", "Gauge",
     "HEARTBEAT_SCHEMA_VERSION", "HeartbeatEmitter", "Histogram",
     "LinkLedger", "MEMORY_PREFIX", "METRICS_SCHEMA_VERSION", "MemStat",
-    "MetricsRegistry", "PHASES", "ProfiledFabric", "ProfileReport",
+    "MetricsRegistry", "PHASES", "ProfileReport",
     "QUEUE_DEPTH_BUCKETS", "REUSE_DISTANCE_BUCKETS", "ReuseTracker",
     "SUPPORTED_REPORT_VERSIONS", "SelfProfiler", "TRACE_SCHEMA_VERSION",
     "TileAttribution", "TraceEvent", "Tracer", "capture_roofline",
     "diff_memory_blocks", "diff_reports", "heartbeat_digest",
     "heartbeat_key", "is_memory_category", "read_heartbeats",
-    "stats_to_dict", "subsystem_categories", "timed",
+    "stats_to_dict", "subsystem_categories",
     "validate_chrome_trace", "validate_heartbeat",
     "validate_memory_block", "validate_report", "wilson_interval",
     "write_stats_json",

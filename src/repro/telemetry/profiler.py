@@ -1,35 +1,68 @@
 """Simulator self-profiling: where does *wall-clock* simulation time go?
 
-The ROADMAP asks for hot paths to be made "measurably faster" — which
-first requires measuring them. :class:`SelfProfiler` accounts the
-Interleaver's wall-clock time into coarse phases:
+:class:`SelfProfiler` is a stack sampler. While a profiled
+``Interleaver.run`` is in flight, an ``ITIMER_REAL`` timer raises
+``SIGALRM`` about every wall-clock millisecond, and each sample charges
+one phase by call site, walking outward from the interrupted frame:
 
-* ``event_loop`` — scheduler callbacks (memory responses, message
-  deliveries, deferred completions);
-* ``tile_step`` — tile stepping (reported exclusive of the nested
-  memory/fabric dispatch below);
-* ``memory`` — memory-request dispatch issued from inside tile steps;
-* ``fabric`` — fabric calls (messages, DAE queues, barriers) issued
-  from inside tile steps;
+* ``event_loop`` — any ``Scheduler.run_due`` frame: scheduler callbacks
+  (memory responses, message deliveries, deferred completions);
+* else the innermost subsystem frame: ``memory`` (``repro.memory``),
+  ``fabric`` (``repro.sim.comm``) or ``tile_step`` (the core model,
+  the accelerator tiles, ``repro.sim.tile``);
 * ``other`` — everything else (cycle selection, bookkeeping).
 
-plus throughput figures: simulated cycles, scheduler events and
-simulated instructions per wall-clock second (the §VI-B MIPS number).
-Profiling costs two ``perf_counter`` calls around each accounted
-region, so it is opt-in; a run without a profiler pays nothing but a
-``profiler is None`` branch per Interleaver iteration.
+A phase's seconds are its share of the samples times the wall clock:
+statistical, but always a partition of it. Events, tile steps, cycles
+and instructions are exact, read from counters the scheduler and the
+Interleaver keep anyway, and give the §VI-B MIPS figure. Every count
+covers the profiled ``run()`` only, so a resumed run profiles its own
+part; the sampler holds no simulator state and pickles with a snapshot.
+A profiled run owns ``SIGALRM`` and ``ITIMER_REAL`` on the main thread
+and restores both when it returns or raises.
 """
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Iterator, Optional
 
 _perf = time.perf_counter
 
 #: phase keys reported even when unused, so consumers see a stable shape
 PHASES = ("event_loop", "tile_step", "memory", "fabric", "other")
+
+#: wall-clock seconds between samples
+INTERVAL = 0.001
+
+#: module-name prefix -> phase, for the innermost-subsystem rule
+_MODULE_PHASES = (
+    ("repro.memory.", "memory"),
+    ("repro.sim.comm.", "fabric"),
+    ("repro.sim.core.", "tile_step"),
+    ("repro.sim.accelerator.", "tile_step"),
+    ("repro.sim.tile", "tile_step"),
+)
+
+#: code object -> its phase, or None outside the subsystems; a sample
+#: walks the whole stack, so a frame costs one lookup once seen. A pure
+#: function of the code, kept off the profiler so that a snapshot of a
+#: profiled run never pickles code objects
+_phase_of_code: Dict[object, Optional[str]] = {}
+
+
+def _classify(frame) -> Optional[str]:
+    module = frame.f_globals.get("__name__", "")
+    if frame.f_code.co_name == "run_due" and module == "repro.sim.events":
+        phase = "event_loop"
+    else:
+        phase = next((phase for prefix, phase in _MODULE_PHASES
+                      if module.startswith(prefix)), None)
+    _phase_of_code[frame.f_code] = phase
+    return phase
 
 
 @dataclass
@@ -37,7 +70,7 @@ class ProfileReport:
     """One run's self-profile (see ``ProfileReport.summary()``)."""
 
     wall_seconds: float = 0.0
-    #: exclusive wall-clock seconds per phase
+    #: wall-clock seconds per phase (sampled share x wall clock)
     phases: Dict[str, float] = field(default_factory=dict)
     cycles: int = 0
     events: int = 0
@@ -99,90 +132,83 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-class SelfProfiler:
-    """Accumulates per-phase wall-clock time for one simulation run.
+def _counts(interleaver) -> tuple:
+    """cycles, events, tile steps, instructions, fast and slow drains
+    so far: a profile reports their growth over one run()."""
+    scheduler = interleaver.scheduler
+    return (interleaver.cycle, scheduler.events, interleaver.tile_steps,
+            sum(tile.stats.instructions for tile in interleaver.tiles),
+            scheduler.fast_drains, scheduler.slow_drains)
 
-    The Interleaver calls :meth:`start` / :meth:`finish` around the run
-    and :meth:`add` from its instrumented regions; ``memory`` and
-    ``fabric`` time is captured by wrapping the TileServices entry
-    points (see :func:`timed` and :class:`ProfiledFabric`) and is
-    subtracted from the enclosing ``tile_step`` bucket at report time.
-    """
+
+class SelfProfiler:
+    """Samples one simulation run's stack into per-phase counts;
+    ``report`` is set when the run returns or raises."""
 
     def __init__(self):
-        self._buckets: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        self.events = 0
-        self.tile_steps = 0
-        #: fast-path hit counters filled in by the Interleaver at collect
-        #: time (cheap: subsystems count unconditionally, ints only)
-        self.counters: Dict[str, int] = {}
-        self.backends: Dict[str, str] = {}
-        self._started_at: Optional[float] = None
+        self.samples: Dict[str, int] = dict.fromkeys(PHASES, 0)
         self.report: Optional[ProfileReport] = None
+        self._started_at = 0.0
+        self._base: tuple = ()
 
-    # -- accumulation (hot, keep minimal) --------------------------------
-    def add(self, phase: str, seconds: float) -> None:
-        self._buckets[phase] += seconds
+    def _sample(self, signum, frame) -> None:
+        """``SIGALRM`` handler: charge one sample by call site."""
+        phase = "other"
+        while frame is not None:
+            code = frame.f_code
+            found = (_phase_of_code[code] if code in _phase_of_code
+                     else _classify(frame))
+            if found == "event_loop":
+                phase = found
+                break
+            if phase == "other" and found is not None:
+                phase = found
+            frame = frame.f_back
+        self.samples[phase] += 1
 
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> None:
+    def start(self, interleaver) -> None:
+        self.samples = dict.fromkeys(PHASES, 0)
+        self.report = None
+        self._base = _counts(interleaver)
         self._started_at = _perf()
 
-    def finish(self, cycles: int, instructions: int) -> ProfileReport:
-        wall = (_perf() - self._started_at
-                if self._started_at is not None else 0.0)
-        buckets = dict(self._buckets)
-        # memory/fabric dispatch happens *inside* tile steps: report
-        # tile_step exclusive of the nested time so the phases partition
-        # the wall clock
-        nested = buckets["memory"] + buckets["fabric"]
-        buckets["tile_step"] = max(0.0, buckets["tile_step"] - nested)
-        accounted = sum(buckets[p] for p in PHASES if p != "other")
-        buckets["other"] = max(0.0, wall - accounted)
+    def finish(self, interleaver) -> ProfileReport:
+        wall = _perf() - self._started_at
+        cycles, events, steps, instructions, fast, slow = (
+            now - base for now, base in zip(_counts(interleaver), self._base))
+        taken = sum(self.samples.values())
+        # a run shorter than one interval takes no sample: all "other"
+        shares = ({phase: count / taken
+                   for phase, count in self.samples.items()} if taken
+                  else {**dict.fromkeys(PHASES, 0.0), "other": 1.0})
         self.report = ProfileReport(
-            wall_seconds=wall, phases=buckets, cycles=cycles,
-            events=self.events, tile_steps=self.tile_steps,
-            instructions=instructions, counters=dict(self.counters),
-            backends=dict(self.backends))
+            wall_seconds=wall,
+            phases={phase: share * wall for phase, share in shares.items()},
+            cycles=cycles, events=events, tile_steps=steps,
+            instructions=instructions,
+            counters={"scheduler_fast_drains": fast,
+                      "scheduler_slow_drains": slow},
+            backends={tile.name: tile.backend for tile in interleaver.tiles})
         return self.report
 
 
-def timed(profiler: SelfProfiler, phase: str,
-          fn: Callable) -> Callable:
-    """Wrap ``fn`` so its wall-clock time lands in ``phase``."""
-
-    def wrapper(*args, **kwargs):
-        t0 = _perf()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            profiler.add(phase, _perf() - t0)
-
-    return wrapper
-
-
-class ProfiledFabric:
-    """Timing proxy over a :class:`~repro.sim.comm.fabric.CommFabric`.
-
-    Wraps the methods tiles call on the hot path; everything else
-    delegates to the real fabric (diagnostics, stats fields). Installed
-    by the Interleaver only when profiling, so unprofiled runs never see
-    the indirection.
-    """
-
-    _TIMED_METHODS = (
-        "send", "try_recv", "queue_try_produce", "queue_try_consume",
-        "queue_try_reserve", "queue_deposit_reserved", "barrier_arrive",
-    )
-
-    def __init__(self, fabric, profiler: SelfProfiler):
-        object.__setattr__(self, "_fabric", fabric)
-        for name in self._TIMED_METHODS:
-            object.__setattr__(
-                self, name, timed(profiler, "fabric", getattr(fabric, name)))
-
-    def __getattr__(self, name):
-        return getattr(self._fabric, name)
-
-    def __setattr__(self, name, value):
-        setattr(self._fabric, name, value)
+@contextlib.contextmanager
+def sampling(interleaver) -> Iterator[None]:
+    """Sample ``interleaver``'s run into its ``profiler``, if any; the
+    previous ``SIGALRM`` handler and ``ITIMER_REAL`` setting come back
+    on every exit."""
+    profiler = interleaver.profiler
+    if profiler is None:
+        yield
+        return
+    profiler.start(interleaver)
+    previous = signal.signal(signal.SIGALRM, profiler._sample)
+    timer = signal.setitimer(signal.ITIMER_REAL, INTERVAL, INTERVAL)
+    try:
+        yield
+    finally:
+        # disarm first: signal.signal runs a still-pending sample
+        # through the sampler before it swaps the handler back
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, previous)
+        profiler.finish(interleaver)

@@ -23,6 +23,7 @@ from repro.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION, CheckpointSink, _HEADER, _MAGIC,
     find_injector, load_checkpoint, resume_simulation, save_checkpoint,
 )
+from repro.cli import main as cli_main
 from repro.harness import (
     DEFAULT_MAX_CYCLES, build_dae, build_system, dae_hierarchy,
     graceful_interrupts, inorder_core, ooo_core, prepare,
@@ -36,7 +37,7 @@ from repro.sim import (
     CheckpointError, CoreConfig, CycleBudgetExceeded, SimulationInterrupted,
 )
 from repro.telemetry import (
-    Attributor, SelfProfiler, Tracer, stats_to_dict, validate_report,
+    Attributor, Tracer, stats_to_dict, validate_report,
 )
 from repro.trace import SimMemory
 from repro.workloads import PAPER_ORDER, build_parboil
@@ -66,17 +67,15 @@ NO_AUTOSAVE = 10 ** 9
 
 
 def _saxpy_system(checkpoint=None, max_cycles=DEFAULT_MAX_CYCLES, *,
-                  n=256, seed=0, injector=None, profiler=None,
-                  tracer=None):
+                  n=256, seed=0, injector=None, tracer=None):
     rng = np.random.default_rng(seed)
     mem = SimMemory()
     A = mem.alloc(n, F64, "A", init=rng.uniform(-1, 1, n))
     B = mem.alloc(n, F64, "B", init=rng.uniform(-1, 1, n))
     return build_system(kernels.saxpy, [A, B, n, 2.0], core=ooo_core(),
                         hierarchy=dae_hierarchy(), memory=mem,
-                        injector=injector, profiler=profiler,
-                        tracer=tracer, checkpoint=checkpoint,
-                        max_cycles=max_cycles)
+                        injector=injector, tracer=tracer,
+                        checkpoint=checkpoint, max_cycles=max_cycles)
 
 
 def _assert_resume_identity(make, tmp_path, seed):
@@ -285,17 +284,18 @@ class TestCheckpointFormat:
             load_checkpoint(str(bumped))
 
     def test_previous_schema_version_is_refused(self, snapshot, tmp_path):
-        # version 5: a core's dynamic instructions are seq-indexed rings
-        # (no DynNode objects), so a version-4 pickle cannot resume
-        assert CHECKPOINT_SCHEMA_VERSION == 5
+        # version 6: the Interleaver keeps its clock in `cycle` and counts
+        # tile steps, the scheduler counts events, so a version-5 pickle
+        # cannot resume
+        assert CHECKPOINT_SCHEMA_VERSION == 6
         blob = open(snapshot, "rb").read()
         magic, _, digest, length = _HEADER.unpack_from(blob)
-        old = tmp_path / "v4.bin"
-        old.write_bytes(_HEADER.pack(magic, 4, digest, length)
+        old = tmp_path / "v5.bin"
+        old.write_bytes(_HEADER.pack(magic, 5, digest, length)
                         + blob[_HEADER.size:])
         with pytest.raises(CheckpointError,
-                           match="schema version 4, but this build reads "
-                                 "version 5"):
+                           match="schema version 5, but this build reads "
+                                 "version 6"):
             load_checkpoint(str(old))
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):
@@ -336,13 +336,26 @@ class TestCheckpointFormat:
         assert version == CHECKPOINT_SCHEMA_VERSION
         assert length == len(blob) - _HEADER.size
 
-    def test_profiled_run_refuses_to_checkpoint(self, tmp_path):
-        with pytest.raises(CheckpointError, match="SelfProfiler"):
-            _saxpy_system(CheckpointSink(str(tmp_path / "x.bin"), 100),
-                          profiler=SelfProfiler())
-        with pytest.raises(CheckpointError, match="SelfProfiler"):
-            save_checkpoint(_saxpy_system(profiler=SelfProfiler()),
-                            str(tmp_path / "x.bin"), cycle=0)
+    def test_profiled_run_checkpoints_and_resumes(self, tmp_path, capsys):
+        # the sampler holds no simulator state: a profiled run snapshots,
+        # and a profiled resume samples only the part it runs
+        histo = ["simulate", "histo", "--core", "ooo", "--hierarchy", "dae"]
+        snapshot = tmp_path / "histo.ckpt"
+        baseline = tmp_path / "baseline.json"
+        resumed = tmp_path / "resumed.json"
+        assert cli_main(histo + ["--stats-json", str(baseline)]) == 0
+        assert cli_main(histo + ["--checkpoint", str(snapshot),
+                                 "--checkpoint-every", "5000",
+                                 "--max-cycles", "12000", "--profile"]) == 2
+        stopped_at = load_checkpoint(str(snapshot)).cycle
+        capsys.readouterr()
+        assert cli_main(histo + ["--resume", str(snapshot), "--profile",
+                                 "--stats-json", str(resumed)]) == 0
+        document = json.loads(resumed.read_text())
+        assert document == json.loads(baseline.read_text())
+        header = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("simulator self-profile:"))
+        assert f" {document['cycles'] - stopped_at} cycles " in header
 
 
 class TestCheckpointSink:

@@ -9,6 +9,8 @@ step (``repro.sim.core.compiled``) must produce identical reports.
   model on InO and OoO cores, 1 and 2 tiles, and beside a narrow core
   that turns on every remaining limit, on both backends; the Python
   core with an attributor keeps attribution conservation;
+* random kernels stopped at a cycle budget resume from their snapshot
+  to the uninterrupted report on both backends;
 * a checkpoint taken on one backend resumes on the other, and
   heartbeats and interrupt partial stats agree across backends.
 """
@@ -24,8 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint import CheckpointSink, resume_simulation
 from repro.harness import (
-    build_dae, build_system, dae_hierarchy, inorder_core, ooo_core,
-    prepare, prepare_dae_sliced, simulate_heterogeneous,
+    build_dae, build_heterogeneous, build_system, dae_hierarchy,
+    inorder_core, ooo_core, prepare, prepare_dae_sliced,
+    simulate_heterogeneous,
 )
 from repro.ir import F64, I64, OpClass
 from repro.sim import (
@@ -221,6 +224,43 @@ def test_fuzzed_kernels_agree_across_backends(pair, data):
         assert live == reference, source
         assert validate_report(attributed) >= 1
         assert attributed["cycles"] == reference["cycles"]
+
+
+@needs_gcc
+@given(pair=random_kernel(),
+       data=st.lists(st.integers(-100, 100), min_size=4, max_size=12),
+       cut=st.floats(0.05, 0.95))
+@settings(max_examples=20, deadline=None)
+def test_fuzzed_kernels_resume_from_a_checkpoint(pair, data, cut,
+                                                 tmp_path_factory):
+    """A random kernel stopped at a cycle budget, saved and resumed
+    reports exactly what its uninterrupted run does, on both backends."""
+    source = pair[0]
+    n = len(data)
+    path = str(tmp_path_factory.mktemp("fuzz") / "run.ckpt")
+    for cores in ([inorder_core()] * 2, [ooo_core(), _narrow_core()]):
+        mem = SimMemory()
+        A = mem.alloc(n, I64, "A", init=np.array(data, dtype=np.int64))
+        B = mem.alloc(n, I64, "B")
+        args = [A, B, n]
+        prepared = prepare(source, args, num_tiles=len(cores), memory=mem)
+
+        def system(**options):
+            return build_heterogeneous(
+                source, args, prepared=prepared, cores=cores, memory=mem,
+                hierarchy=dae_hierarchy(), **options)
+
+        with python_core():
+            baseline = system().run()
+        want = stats_to_dict(baseline)
+        for backend in ("python", "compiled"):
+            with _on(backend):
+                stopped = system(checkpoint=CheckpointSink(path, 10 ** 9),
+                                 max_cycles=int(cut * baseline.cycles))
+                with pytest.raises(CycleBudgetExceeded):
+                    stopped.run()
+                resumed = resume_simulation(path, max_cycles=10 ** 9)
+            assert stats_to_dict(resumed) == want, (source, backend)
 
 
 @needs_gcc

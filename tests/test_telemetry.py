@@ -9,6 +9,8 @@ The load-bearing properties:
 """
 
 import json
+import signal
+import sys
 from collections import deque
 
 import numpy as np
@@ -17,13 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.harness import (
-    dae_hierarchy, ooo_core, render_timeline, simulate,
+    DEFAULT_MAX_CYCLES, build_system, dae_hierarchy, ooo_core,
+    render_timeline, simulate,
 )
 from repro.ir import F64
+from repro.resilience import FaultInjector, FaultPlan
+from repro.sim import (
+    CycleBudgetExceeded, DeadlockError, Scheduler, SimulationInterrupted,
+)
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry, SelfProfiler,
     TRACE_SCHEMA_VERSION, Tracer, stats_to_dict, subsystem_categories,
-    timed, validate_chrome_trace,
+    validate_chrome_trace,
 )
 from repro.trace import SimMemory
 
@@ -463,11 +470,62 @@ class TestProfiler:
         assert "self-profile" in report.summary()
         json.dumps(report.as_dict())
 
-    def test_timed_wrapper_accumulates(self):
+    @pytest.mark.parametrize("exit", [None, DeadlockError,
+                                      CycleBudgetExceeded,
+                                      SimulationInterrupted])
+    def test_timer_and_handler_restored_on_every_exit(self, exit):
+        def sentinel(signum, frame):  # pragma: no cover - never armed
+            raise AssertionError("SIGALRM outside a profiled run")
+
         profiler = SelfProfiler()
-        wrapped = timed(profiler, "memory", lambda x: x * 2)
-        assert wrapped(21) == 42
-        assert profiler._buckets["memory"] >= 0
+        if exit is DeadlockError:
+            injector = FaultInjector(FaultPlan(seed=0,
+                                               message_drop_rate=1.0))
+            interleaver = build_system(
+                kernels.ping_pong, [4], core=ooo_core(), num_tiles=2,
+                injector=injector, profiler=profiler)
+        else:
+            mem = SimMemory()
+            n = 64
+            A = mem.alloc(n, F64, "A", init=np.ones(n))
+            B = mem.alloc(n, F64, "B", init=np.ones(n))
+            interleaver = build_system(
+                kernels.saxpy, [A, B, n, 2.0], core=ooo_core(),
+                hierarchy=dae_hierarchy(), memory=mem, profiler=profiler,
+                max_cycles=10 if exit is CycleBudgetExceeded
+                else DEFAULT_MAX_CYCLES)
+        if exit is SimulationInterrupted:
+            interleaver.arm_interrupts()
+            interleaver.request_interrupt(signal.SIGINT)
+        previous = signal.signal(signal.SIGALRM, sentinel)
+        try:
+            if exit is None:
+                interleaver.run()
+            else:
+                with pytest.raises(exit):
+                    interleaver.run()
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is sentinel
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        # every exit leaves a finished report
+        assert profiler.report.wall_seconds > 0
+        assert profiler.report.cycles == interleaver.cycle
+
+    def test_samples_charge_the_scheduler_call_site(self):
+        profiler = SelfProfiler()
+
+        def sample(cycle):
+            profiler._sample(signal.SIGALRM, sys._getframe())
+
+        scheduler = Scheduler()
+        scheduler.at(0, sample)
+        # a callback run by the scheduler counts as event_loop, though
+        # its own frame belongs to no simulator subsystem
+        scheduler.run_due(0)
+        sample(0)
+        assert profiler.samples == {"event_loop": 1, "tile_step": 0,
+                                    "memory": 0, "fabric": 0, "other": 1}
 
 
 # -- timeline rendering + CLI ---------------------------------------------------
