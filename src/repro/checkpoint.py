@@ -2,13 +2,13 @@
 
 A checkpoint is a pickled snapshot of the *entire* simulation object
 graph, taken at a consistency point of the Interleaver's outer loop:
-the Scheduler heap (cancellable events included), the Interleaver's
-active set and cycle cursor, per-tile CoreTile dynamic state (the
-seq-indexed instruction rings, MAO, completion calendar, branch state;
-a compiled tile saves the same Python layout, so a snapshot resumes
-under either core backend), cache/MSHR/coherence/DRAM/NoC in-flight
-requests, CommFabric message buffers and DAE queues, accelerator farm
-state, FaultInjector RNG streams, and the telemetry ledgers
+the Scheduler heap, the Interleaver's active set and cycle cursor,
+per-tile CoreTile dynamic state (the seq-indexed instruction rings,
+MAO, completion calendar, branch state; a compiled tile saves the same
+Python layout, so a snapshot resumes under either core backend),
+cache/MSHR/coherence/DRAM/NoC in-flight requests, CommFabric message
+buffers and DAE queues, accelerator farm state, FaultInjector RNG
+streams, and the telemetry ledgers
 (attribution cursors, metrics registry, tracer ring). Every callback
 that can sit in the scheduler heap or a fabric waiter queue is a
 module-level callable class or a bound method — never a closure — which

@@ -43,56 +43,51 @@ writes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from dataclasses import replace
+import time
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from .frontend import compile_kernel
 from .harness import (
-    DEFAULT_MAX_CYCLES, NORMAL, QUIET, STATUS, VERBOSE, build_system,
-    dae_hierarchy, graceful_interrupts, inorder_core, ooo_core, prepare,
-    prepare_dae_sliced, render_table, run_supervised, set_status_level,
-    simulate, simulate_dae, watch_loop, xeon_core, xeon_hierarchy,
+    DEFAULT_MAX_CYCLES, NORMAL, QUIET, STATUS, VERBOSE, build_dae,
+    build_system, classify_failure, dae_hierarchy, graceful_interrupts,
+    inorder_core, ooo_core, prepare, prepare_dae_sliced, render_table,
+    run_supervised, set_status_level, simulate, simulate_dae, watch_loop,
+    xeon_core, xeon_hierarchy,
 )
 from .ir import format_function
 from .resilience import FaultPlan
 from .sim.config import ConfigError
 from .sim.errors import DeadlockError, SimulationError, SimulationInterrupted
 from .trace import save_traces
-from .workloads import PARBOIL, build_parboil
+from .workloads import PARBOIL
 from .workloads.graphproj import build as _build_graphproj
 from .workloads.sinkhorn import build_combined as _build_combined
 from .workloads.sinkhorn import build_ewsd as _build_ewsd
 
 CORES = {"ino": inorder_core, "ooo": ooo_core, "xeon": xeon_core}
-HIERARCHIES = {"dae": dae_hierarchy, "xeon": xeon_hierarchy, "none": None}
+HIERARCHIES = {"dae": dae_hierarchy, "xeon": xeon_hierarchy,
+               "none": lambda: None}
 
-
-def _build_combined_accel(**kwargs):
-    return _build_combined(accelerated=True, **kwargs)
-
-
-_EXTRA_WORKLOADS = {
+WORKLOADS = {
+    **PARBOIL,
     "graph-projection": _build_graphproj,
     "ewsd": _build_ewsd,
     "sinkhorn-combined": _build_combined,
     # SGEMM offloaded to an accelerator tile + an SPMD barrier: exercises
     # core, cache/DRAM, fabric and accelerator subsystems in one trace
-    "sinkhorn-accel": _build_combined_accel,
+    "sinkhorn-accel": partial(_build_combined, accelerated=True),
 }
 
 
-def _workloads() -> Dict[str, object]:
-    table = dict(PARBOIL)
-    table.update(_EXTRA_WORKLOADS)
-    return table
-
-
 def _build(name: str, size_args: Sequence[str]):
-    table = _workloads()
-    if name not in table:
+    if name not in WORKLOADS:
         raise SystemExit(f"unknown workload {name!r}; try: "
-                         f"{', '.join(sorted(table))}")
+                         f"{', '.join(sorted(WORKLOADS))}")
     kwargs = {}
     for item in size_args or ():
         key, _, value = item.partition("=")
@@ -100,27 +95,40 @@ def _build(name: str, size_args: Sequence[str]):
             raise SystemExit(f"--size arguments look like key=value, "
                              f"got {item!r}")
         kwargs[key] = int(value)
-    return table[name](**kwargs)
+    return WORKLOADS[name](**kwargs)
 
 
-def _core(name: str):
-    try:
-        return CORES[name]()
-    except KeyError:
-        raise SystemExit(f"unknown core {name!r}; options: "
-                         f"{sorted(CORES)}") from None
+def _fail(message: str, checkpoint_path: Optional[str] = None) -> int:
+    """Report a usage error or a failed run on stderr, with the snapshot
+    to resume from when there is one; returns exit code 2."""
+    print(message, file=sys.stderr)
+    if checkpoint_path:
+        print(f"resume with --resume {checkpoint_path}", file=sys.stderr)
+    return 2
 
 
-def _hierarchy(name: str):
-    try:
-        factory = HIERARCHIES[name]
-    except KeyError:
-        raise SystemExit(f"unknown hierarchy {name!r}; options: "
-                         f"{sorted(HIERARCHIES)}") from None
-    return factory() if factory is not None else None
+# -- the run path (simulate/inject/analyze/memstat, fresh or --resume) --------
+
+def _system(args):
+    """The core and memory hierarchy the flags pick: a JSON config file
+    (``--core-config``/``--hierarchy-config``, on the commands that take
+    them) or a preset (argparse ``choices`` guard the preset names)."""
+    from .sim.configfile import load_core_config, load_hierarchy_config
+    core_config = getattr(args, "core_config", None)
+    hierarchy_config = getattr(args, "hierarchy_config", None)
+    return ((load_core_config(core_config) if core_config
+             else CORES[args.core]()),
+            (load_hierarchy_config(hierarchy_config) if hierarchy_config
+             else HIERARCHIES[args.hierarchy]()))
 
 
-# -- observers and the checkpoint/resume path (--resume) ---------------------
+def _run_config(args, **extra) -> dict:
+    """The system flags a ``--registry`` manifest records."""
+    return {"workload": args.workload, "size": args.size or [],
+            "core": args.core, "tiles": args.tiles,
+            "hierarchy": getattr(args, "hierarchy_config", None)
+            or args.hierarchy, **extra}
+
 
 def _observers(args, run_id=None, source=None) -> dict:
     """The :class:`Interleaver` observers the flags ask for, keyed by
@@ -154,27 +162,13 @@ def _observers(args, run_id=None, source=None) -> dict:
     return observers
 
 
-def _write_trace(tracer, path, stats, run_id):
-    """Export ``tracer`` to ``path`` and report what was written."""
-    count = tracer.write(path, frequency_ghz=stats.frequency_ghz,
-                         run_id=run_id)
-    dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
-    STATUS.info(f"trace: {count} event(s){dropped} -> {path}")
-
-
-def _resume_run(args, run_id=None):
-    """Shared ``--resume`` path: restore the snapshot, apply budget and
-    sink overrides, and run it to completion (gracefully interruptible
-    again). Returns (stats, interleaver, run_id) — the id the snapshot
-    was stamped with, so the crash/resume lineage stays joinable (the
-    explicit ``run_id`` argument wins when given)."""
+def _restore(args):
+    """Load the ``--resume`` snapshot and apply the budget overrides.
+    Observers that record the run itself cannot join it mid-flight, so
+    their flags are refused here, before anything is recorded."""
     from .checkpoint import load_checkpoint
     restored = load_checkpoint(args.resume)
-    run_id = run_id or restored.run_id
     interleaver = restored.interleaver
-    # observers that record the run itself cannot join it mid-flight;
-    # the checkpoint sink, heartbeat emitter and profiler attach on
-    # resume, and the profiler samples the resumed part only
     for flag, name in (("trace", "tracer"), ("metrics", "metrics"),
                        ("memstat", "memstat")):
         if getattr(args, flag, None) and getattr(interleaver, name) is None:
@@ -185,40 +179,167 @@ def _resume_run(args, run_id=None):
     interleaver.max_cycles = args.max_cycles
     if getattr(args, "timeout", None) is not None:
         interleaver.wall_clock_limit = args.timeout
-    observers = _observers(args, run_id=run_id,
-                           source={"resumed": args.resume})
-    for name in ("checkpoint", "emitter"):
-        if name in observers:
-            setattr(interleaver, name, observers[name])
-    interleaver.profiler = observers.get("profiler")
-    STATUS.info(f"resuming {args.resume} from cycle {restored.cycle}")
-    with graceful_interrupts(interleaver):
-        stats = interleaver.run()
-    return stats, interleaver, run_id
+    return restored
 
 
-# -- run registry path (simulate/inject --registry/--run-id) ------------------
-
-def _registry_run_id(args):
-    """Resolve the provenance id for this run: ``--run-id`` wins;
-    ``--registry`` without one mints a fresh id. None (the default)
-    means no stamping at all, so unregistered artifacts stay
-    byte-identical to pre-registry builds."""
-    if getattr(args, "run_id", None):
-        return args.run_id
-    if getattr(args, "registry", None):
+def _registry_run_id(args, inherited=None):
+    """Resolve the provenance id for this run: ``--run-id`` wins, then
+    the id a resumed snapshot was stamped with (so the crash/resume
+    lineage stays joinable); ``--registry`` without either mints a fresh
+    id. None (the default) means no stamping at all, so unregistered
+    artifacts stay byte-identical to pre-registry builds."""
+    run_id = getattr(args, "run_id", None) or inherited
+    if run_id is None and getattr(args, "registry", None):
         from .registry import new_run_id
-        return new_run_id()
-    return None
+        run_id = new_run_id()
+    return run_id
+
+
+@dataclass
+class _Run:
+    """One workload run of the CLI: what the run path produced and the
+    output tail writes, prints and records."""
+
+    args: argparse.Namespace
+    workload: str
+    #: config/seed keywords for the --registry manifest
+    manifest: dict
+    run_id: Optional[str] = None
+    observers: dict = field(default_factory=dict)
+    #: the Interleaver that ran: built here, or restored by --resume
+    system: object = None
+    stats: object = None
+    status: str = "ok"
+    checkpoint_path: Optional[str] = None
+    #: the supervisor's record, for runs under run_supervised
+    outcome: object = None
+
+
+@contextlib.contextmanager
+def _running(args, workload: str, **manifest):
+    """Open one run of ``workload``: restore ``--resume``, resolve the
+    run id and attach the flags' observers. Every exit, success or
+    failure, then goes through :func:`_output_tail`."""
+    run = _Run(args, workload, manifest)
+    restored = _restore(args) if getattr(args, "resume", None) else None
+    run.run_id = _registry_run_id(args, restored and restored.run_id)
+    run.observers = _observers(
+        args, run_id=run.run_id,
+        source={"resumed": args.resume} if restored else
+        {"workload": workload})
+    if restored is not None:
+        # the checkpoint sink and heartbeat emitter attach on resume,
+        # the profiler samples the resumed part only, and --trace
+        # writes the tracer the snapshot carried
+        run.system = restored.interleaver
+        for name in ("checkpoint", "emitter"):
+            if name in run.observers:
+                setattr(run.system, name, run.observers[name])
+        run.system.profiler = run.observers.get("profiler")
+        run.observers["tracer"] = run.system.tracer
+        STATUS.info(f"resuming {args.resume} from cycle {restored.cycle}")
+    began = time.perf_counter()
+    try:
+        yield run
+    except BaseException as exc:
+        run.status = classify_failure(exc)
+        run.checkpoint_path = getattr(exc, "checkpoint_path", None)
+        raise
+    finally:
+        _output_tail(run, time.perf_counter() - began)
+
+
+def _run(run: _Run, workload=None, core=None, hierarchy=None, *,
+         plan=None, fresh=None):
+    """The one run path. Runs the restored ``--resume`` snapshot, or
+    builds ``workload`` on ``core``/``hierarchy`` (:func:`build_dae`
+    under ``--dae``, else :func:`build_system`), armed for graceful
+    SIGINT/SIGTERM. ``--retries`` or a fault ``plan`` run under
+    :func:`run_supervised`, which arms the signals itself; ``fresh``
+    rebuilds the workload for its retries. Returns the stats, None when
+    a supervised run failed (``run.status`` says how)."""
+    args, system = run.args, run.system
+    options = dict(hierarchy=hierarchy, max_cycles=args.max_cycles,
+                   wall_clock_limit=getattr(args, "timeout", None),
+                   **run.observers)
+    retries = getattr(args, "retries", 0)
+    if system is None and getattr(args, "dae", False):
+        specs = prepare_dae_sliced(workload.kernel, workload.args,
+                                   pairs=args.pairs)
+        system = build_dae(specs, access_core=inorder_core(),
+                           execute_core=inorder_core(), **options)
+    elif system is None:
+        options.update(core=core, num_tiles=args.tiles)
+        if plan is None:  # a fault injector needs its own functional run
+            options["prepared"], options["accelerators"] = \
+                _prepare(args, workload)
+        if retries or plan is not None:
+            run.outcome = run_supervised(
+                workload.kernel, workload.args, plan=plan, retries=retries,
+                fresh=fresh, **options)
+            run.status = run.outcome.status
+            run.checkpoint_path = run.outcome.checkpoint_path
+            run.stats = run.outcome.stats if run.outcome.ok else None
+            return run.stats
+        system = build_system(workload.kernel, workload.args, **options)
+    run.system = system
+    with graceful_interrupts(system):
+        run.stats = system.run()
+    return run.stats
+
+
+def _output_tail(run: _Run, wall_seconds: float) -> None:
+    """The end of every run, success or failure: write the report files
+    of a successful run, then print the heartbeat status line and the
+    profile, and record the ``--registry`` manifest."""
+    from .telemetry import write_stats_json
+    args, stats = run.args, run.stats
+    written = {}
+    if run.status == "ok" and stats is not None:
+        if getattr(args, "trace", None):
+            tracer = run.observers["tracer"]
+            count = tracer.write(args.trace,
+                                 frequency_ghz=stats.frequency_ghz,
+                                 run_id=run.run_id)
+            dropped = f" ({tracer.dropped} dropped)" if tracer.dropped \
+                else ""
+            STATUS.info(f"trace: {count} event(s){dropped} -> {args.trace}")
+            written["trace"] = args.trace
+        for flag, kind in (("metrics", "metrics"), ("stats_json", "stats"),
+                           ("json", "report")):
+            path = getattr(args, flag, None)
+            if path:
+                write_stats_json(stats, path, run_id=run.run_id)
+                STATUS.info(f"{kind}: -> {path}")
+                written[kind] = path
+    emitter = run.observers.get("emitter")
+    if emitter is not None:
+        if emitter.errors:
+            STATUS.warn(f"heartbeat: {emitter.errors} write error(s) on "
+                        f"{args.heartbeat}")
+        else:
+            STATUS.info(f"heartbeat: {emitter.seq} snapshot(s) "
+                        f"-> {args.heartbeat}")
+    profiler = run.observers.get("profiler")
+    if profiler is not None and profiler.report is not None:
+        print(profiler.report.summary())
+    _record_manifest(
+        args, run.run_id, workload=run.workload, status=run.status,
+        stats=stats if run.status == "ok" else None,
+        wall_seconds=wall_seconds, **run.manifest,
+        artifacts=dict(written, heartbeat=getattr(args, "heartbeat", None),
+                       checkpoint=run.checkpoint_path
+                       or getattr(args, "checkpoint", None),
+                       resumed_from=getattr(args, "resume", None)))
 
 
 def _record_manifest(args, run_id, *, workload, status, stats=None,
                      wall_seconds=0.0, seed=None, config=None,
                      artifacts=None, extra=None):
     """Record a provenance manifest under ``--registry`` (no-op
-    without). Returns the manifest path or None."""
+    without)."""
     if not getattr(args, "registry", None) or run_id is None:
-        return None
+        return
     from .checkpoint import CHECKPOINT_SCHEMA_VERSION
     from .registry import RunManifest, RunRegistry
     from .telemetry import (
@@ -242,7 +363,6 @@ def _record_manifest(args, run_id, *, workload, status, stats=None,
         extra=extra)
     path = RunRegistry(args.registry).record(manifest)
     STATUS.info(f"run {run_id}: manifest -> {path}")
-    return path
 
 
 # -- sweep path (simulate/inject/analyze --sweep) -----------------------------
@@ -270,8 +390,7 @@ def _sweep_grid(items: Sequence[str]) -> Dict[str, list]:
     return grid
 
 
-def _run_core_sweep(args, core, hierarchy, plan=None,
-                    wall_clock_limit=None):
+def _run_core_sweep(args, core, hierarchy, plan=None):
     """Shared ``--sweep`` path: run the cross product of the grid as a
     design-space sweep (on a worker pool when ``--jobs > 1``) and render
     the point table. ``plan`` (inject) runs every point under the fault
@@ -298,7 +417,7 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
         result = sweep_core(
             prepared, core, grid, hierarchy=hierarchy,
             num_tiles=args.tiles, max_cycles=args.max_cycles,
-            wall_clock_limit=wall_clock_limit, jobs=args.jobs,
+            wall_clock_limit=getattr(args, "timeout", None), jobs=args.jobs,
             journal_path=args.journal, resume=args.resume_sweep,
             heartbeat_every=heartbeat_every)
     except TypeError as exc:
@@ -326,7 +445,7 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
 
 def cmd_list(args) -> int:
     print("workloads:")
-    for name in sorted(_workloads()):
+    for name in sorted(WORKLOADS):
         print(f"  {name}")
     print("cores:", ", ".join(sorted(CORES)))
     print("hierarchies:", ", ".join(sorted(HIERARCHIES)))
@@ -369,137 +488,40 @@ def _prepare(args, workload):
 
 
 def cmd_simulate(args) -> int:
-    import time as _time
-    from .sim.configfile import load_core_config, load_hierarchy_config
-    from .telemetry import write_stats_json
-    core = (load_core_config(args.core_config)
-            if getattr(args, "core_config", None) else _core(args.core))
-    hierarchy = (load_hierarchy_config(args.hierarchy_config)
-                 if getattr(args, "hierarchy_config", None)
-                 else _hierarchy(args.hierarchy))
+    core, hierarchy = _system(args)
     if args.sweep:
-        if args.trace or args.metrics or args.stats_json or args.profile \
-                or args.retries or args.resume or args.checkpoint \
-                or args.heartbeat or args.registry or args.run_id \
-                or args.memstat:
-            print("--sweep is incompatible with --trace/--metrics/"
-                  "--stats-json/--profile/--retries/--checkpoint/--resume/"
-                  "--heartbeat/--registry/--run-id/--memstat",
-                  file=sys.stderr)
-            return 2
+        single = ("trace", "metrics", "stats_json", "profile", "retries",
+                  "checkpoint", "resume", "heartbeat", "registry", "run_id",
+                  "memstat")
+        if any(getattr(args, name) for name in single):
+            return _fail("--sweep is incompatible with " + "/".join(
+                "--" + name.replace("_", "-") for name in single))
         if args.heartbeat_every is not None and not args.journal:
-            print("--heartbeat-every with --sweep needs --journal FILE "
-                  "(sweep heartbeats stream beside the journal)",
-                  file=sys.stderr)
-            return 2
-        result = _run_core_sweep(args, core, hierarchy,
-                                 wall_clock_limit=args.timeout)
+            return _fail("--heartbeat-every with --sweep needs --journal FILE "
+                         "(sweep heartbeats stream beside the journal)")
+        result = _run_core_sweep(args, core, hierarchy)
         return 0 if any(p.ok for p in result.points) else 2
-    if args.resume:
-        if args.retries:
-            print("--resume is incompatible with --retries",
-                  file=sys.stderr)
-            return 2
-        # the workload already ran functionally before the original
-        # run's snapshot, so verify() is deliberately skipped here
-        began = _time.perf_counter()
-        stats, interleaver, run_id = _resume_run(args, run_id=args.run_id)
-        if run_id is None:
-            run_id = _registry_run_id(args)
-        wall = _time.perf_counter() - began
-        print(f"workload: {args.workload} (resumed)")
-        print(stats.summary())
-        if args.trace:
-            _write_trace(interleaver.tracer, args.trace, stats, run_id)
-        if args.metrics:
-            write_stats_json(stats, args.metrics, run_id=run_id)
-            STATUS.info(f"metrics: -> {args.metrics}")
-        if args.stats_json:
-            write_stats_json(stats, args.stats_json, run_id=run_id)
-            STATUS.info(f"stats: -> {args.stats_json}")
-        if args.profile:
-            print(interleaver.profiler.report.summary())
-        _record_manifest(
-            args, run_id, workload=args.workload, status="ok",
-            stats=stats, wall_seconds=wall,
-            artifacts={"trace": args.trace, "metrics": args.metrics,
-                       "stats": args.stats_json,
-                       "heartbeat": args.heartbeat,
-                       "checkpoint": args.checkpoint,
-                       "resumed_from": args.resume})
-        return 0
-    workload = _build(args.workload, args.size)
-    run_id = _registry_run_id(args)
-    began = _time.perf_counter()
-    prepared, accelerators = _prepare(args, workload)
-    observers = _observers(args, run_id=run_id,
-                           source={"workload": args.workload})
-    config = {"workload": args.workload, "size": args.size or [],
-              "core": core, "tiles": args.tiles,
-              "hierarchy": args.hierarchy_config or args.hierarchy,
-              "max_cycles": args.max_cycles}
-    if args.retries > 0:
-        outcome = run_supervised(
-            workload.kernel, workload.args, core=core,
-            num_tiles=args.tiles, hierarchy=hierarchy,
-            accelerators=accelerators,
-            max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
-            retries=args.retries, prepared=prepared, **observers)
-        if not outcome.ok:
-            print(f"run failed: {outcome.status} after {outcome.attempts} "
-                  f"attempt(s): {outcome.error}", file=sys.stderr)
-            if outcome.checkpoint_path:
-                print(f"resume with --resume {outcome.checkpoint_path}",
-                      file=sys.stderr)
-            # failed runs are registry-worthy too: the manifest records
-            # the failure and the checkpoint to resume from
-            _record_manifest(
-                args, run_id, workload=args.workload,
-                status=outcome.status, wall_seconds=outcome.wall_seconds,
-                config=config,
-                artifacts={"checkpoint": outcome.checkpoint_path,
-                           "heartbeat": args.heartbeat})
-            return 2
-        stats = outcome.stats
-        profile = outcome.profile
-    else:
-        interleaver = build_system(
-            workload.kernel, workload.args, core=core,
-            num_tiles=args.tiles, hierarchy=hierarchy,
-            accelerators=accelerators, max_cycles=args.max_cycles,
-            wall_clock_limit=args.timeout, prepared=prepared, **observers)
-        with graceful_interrupts(interleaver):
-            stats = interleaver.run()
-        profile = observers["profiler"].report if args.profile else None
-    wall = _time.perf_counter() - began
-    workload.verify()
-    print(f"workload: {workload.name}  system: {args.tiles}x {core.name} "
-          f"/ {args.hierarchy_config or args.hierarchy}")
-    print(stats.summary())
-    if args.trace:
-        _write_trace(observers["tracer"], args.trace, stats, run_id)
-    if args.metrics:
-        write_stats_json(stats, args.metrics, run_id=run_id)
-        STATUS.info(f"metrics: -> {args.metrics}")
-    if args.stats_json:
-        write_stats_json(stats, args.stats_json, run_id=run_id)
-        STATUS.info(f"stats: -> {args.stats_json}")
-    emitter = observers.get("emitter")
-    if emitter is not None:
-        if emitter.errors:
-            STATUS.warn(f"heartbeat: {emitter.errors} write error(s) on "
-                        f"{args.heartbeat}")
+    if args.resume and args.retries:
+        return _fail("--resume is incompatible with --retries")
+    # a resumed workload already ran functionally before the original
+    # run's snapshot, so it is neither rebuilt nor verified
+    workload = None if args.resume else _build(args.workload, args.size)
+    with _running(args, workload.name if workload else args.workload,
+                  config=None if args.resume else _run_config(
+                      args, core=core, max_cycles=args.max_cycles)) as run:
+        stats = _run(run, workload, core, hierarchy)
+        if stats is None:
+            outcome = run.outcome
+            return _fail(f"run failed: {outcome.status} after "
+                         f"{outcome.attempts} attempt(s): {outcome.error}",
+                         outcome.checkpoint_path)
+        if workload is None:
+            print(f"workload: {args.workload} (resumed)")
         else:
-            STATUS.info(f"heartbeat: {emitter.seq} snapshot(s) "
-                        f"-> {args.heartbeat}")
-    if profile is not None:
-        print(profile.summary())
-    _record_manifest(
-        args, run_id, workload=workload.name, status="ok", stats=stats,
-        wall_seconds=wall, config=config,
-        artifacts={"trace": args.trace, "metrics": args.metrics,
-                   "stats": args.stats_json, "heartbeat": args.heartbeat,
-                   "checkpoint": args.checkpoint})
+            workload.verify()
+            print(f"workload: {workload.name}  system: {args.tiles}x "
+                  f"{core.name} / {args.hierarchy_config or args.hierarchy}")
+        print(stats.summary())
     return 0
 
 
@@ -535,87 +557,96 @@ def _filter_trace_events(document: dict, tile: Optional[str],
 def cmd_timeline(args) -> int:
     """Render a saved Chrome trace as a terminal timeline. Exit codes:
     0 rendered, 2 unreadable/invalid input."""
-    import json
     from .harness import render_timeline
     from .telemetry import validate_chrome_trace
-    try:
-        with open(args.trace) as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"not a JSON trace: {exc}", file=sys.stderr)
-        return 2
-    try:
-        count = validate_chrome_trace(document)
-    except ValueError as exc:
-        print(f"invalid trace: {exc}", file=sys.stderr)
-        return 2
-    title = f"{args.trace}: {count} event(s)"
+    document, error = _load_json(args.trace, "trace", validate_chrome_trace)
+    if error:
+        return _fail(error)
+
+    def events(document):
+        return sum(1 for e in document["traceEvents"] if e.get("ph") != "M")
+
+    title = f"{args.trace}: {events(document)} event(s)"
     if args.tile or args.name_prefix or args.limit is not None:
         document = _filter_trace_events(
             document, args.tile, args.name_prefix, args.limit)
-        shown = sum(1 for e in document["traceEvents"]
-                    if e.get("ph") != "M")
-        title += f", {shown} after filters"
+        title += f", {events(document)} after filters"
     print(render_timeline(document, width=args.width, title=title))
     return 0
+
+
+def _load_json(path: str, kind: str, validate):
+    """Load a saved ``kind`` JSON (a report or a trace) and check it with
+    ``validate``; returns (document, error)."""
+    import json
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+        validate(document)
+    except OSError as exc:
+        return None, f"cannot read {kind}: {exc}"
+    except json.JSONDecodeError as exc:
+        return None, f"not a JSON {kind}: {exc}"
+    except ValueError as exc:
+        return None, f"invalid {kind}: {exc}"
+    return document, None
 
 
 def _load_report(path: str, attribution: bool = True):
     """Load + validate a saved report JSON; returns (document, error).
     ``attribution=False`` also accepts a plain ``--stats-json`` report."""
-    import json
     from .telemetry import validate_report
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        return None, f"cannot read report: {exc}"
-    except json.JSONDecodeError as exc:
-        return None, f"not a JSON report: {exc}"
-    try:
-        validate_report(document, attribution=attribution)
-    except ValueError as exc:
-        return None, f"invalid report: {exc}"
-    return document, None
+    return _load_json(path, "report",
+                      partial(validate_report, attribution=attribution))
 
 
-def _attributed_report(args, core, hierarchy, memstat=None) -> dict:
-    """The workload path of analyze and memstat: run ``--workload``
-    (DAE-sliced under ``--dae``) with cycle attribution, ``memstat`` and
-    the flags' observers, self-check the report and write ``--json``.
+def _saved_report(args, command: str, attribution: bool = True):
+    """analyze and memstat run a workload (or finish a ``--resume``
+    snapshot) or read a saved ``--report``: returns ``(document,
+    error)``, both None when a run is due."""
+    resume = getattr(args, "resume", None)
+    if args.report and resume:
+        return None, f"{command} takes --resume or --report, not both"
+    if args.report and args.workload:
+        return None, f"{command} takes a workload or --report FILE, not both"
+    if args.report:
+        return _load_report(args.report, attribution)
+    if not (args.workload or resume):
+        return None, f"{command} needs a workload or --report FILE"
+    return None, None
+
+
+def _attributed_report(args, core=None, hierarchy=None, memstat=None):
+    """The run path of analyze and memstat: run ``--workload`` (DAE-
+    sliced under ``--dae``) with cycle attribution, ``memstat`` and the
+    flags' observers, or finish a ``--resume`` snapshot, and self-check
+    the report. Returns the report dict, or None when a resumed run has
+    no analyzable report.
 
     Attribution always rides along so the report passes full
     :func:`validate_report` (which requires the attribution block) and
-    stays diff-able across the two commands. Returns the report dict."""
-    from .telemetry import (
-        Attributor, stats_to_dict, validate_report, write_stats_json,
-    )
-    observers = _observers(args)
-    observers["attribution"] = Attributor()
-    if memstat is not None:
-        observers["memstat"] = memstat
-    workload = _build(args.workload, args.size)
-    if args.dae:
-        specs = prepare_dae_sliced(workload.kernel, workload.args,
-                                   pairs=args.pairs)
-        stats = simulate_dae(specs, access_core=inorder_core(),
-                             execute_core=inorder_core(),
-                             hierarchy=hierarchy,
-                             max_cycles=args.max_cycles, **observers)
-    else:
-        prepared, accelerators = _prepare(args, workload)
-        stats = simulate(
-            workload.kernel, workload.args, core=core, num_tiles=args.tiles,
-            hierarchy=hierarchy, accelerators=accelerators,
-            prepared=prepared, max_cycles=args.max_cycles, **observers)
-    document = stats_to_dict(stats)
-    validate_report(document)  # self-check incl. memory conservation
-    if args.json:
-        write_stats_json(stats, args.json)
-        STATUS.info(f"report: -> {args.json}")
+    stays diff-able across the two commands."""
+    from .telemetry import Attributor, stats_to_dict, validate_report
+    resume = getattr(args, "resume", None)
+    workload = None if resume else _build(args.workload, args.size)
+    with _running(args, args.workload) as run:
+        if workload is not None:
+            run.observers["attribution"] = Attributor()
+            if memstat is not None:
+                run.observers["memstat"] = memstat
+        document = stats_to_dict(_run(run, workload, core, hierarchy))
+        try:
+            validate_report(document)  # self-check incl. memory conservation
+        except ValueError as exc:
+            if workload is not None:
+                raise
+            # attribution must have been attached to the original
+            # (checkpointed) run; the restored ledgers finish seamlessly
+            print(f"resumed run has no analyzable report ({exc}); "
+                  f"checkpoint a run started with attribution (e.g. "
+                  f"analyze <workload> --checkpoint ...)", file=sys.stderr)
+            run.status = "error"
+            return None
     return document
 
 
@@ -624,61 +655,27 @@ def cmd_analyze(args) -> int:
     report (``--report``) or runs the workload with cycle attribution
     enabled. Exit codes: 0 rendered, 2 invalid input."""
     from .harness import render_attribution_report, render_memstat_report
-    from .telemetry import (
-        MemStat, stats_to_dict, validate_report, write_stats_json,
-    )
-    if args.resume:
-        if args.report:
-            print("analyze takes --resume or --report, not both",
-                  file=sys.stderr)
+    from .telemetry import MemStat
+    document, error = _saved_report(args, "analyze")
+    if error:
+        return _fail(error)
+    core, hierarchy = _system(args)
+    if document is None and args.sweep and not args.resume:
+        if args.dae:
+            return _fail("analyze --sweep does not combine with --dae")
+        result = _run_core_sweep(args, core, hierarchy)
+        if not any(p.ok for p in result.points):
+            return _fail("no successful sweep point to analyze")
+        best = result.best("cycles")
+        core = replace(core, **best.parameters)
+        STATUS.info(f"analyzing best point: {best.parameters}")
+    if document is None:
+        document = _attributed_report(args, core, hierarchy,
+                                      MemStat() if args.memory else None)
+        if document is None:
             return 2
-        # attribution must have been attached to the original
-        # (checkpointed) run; the restored ledgers finish seamlessly
-        stats, _, _ = _resume_run(args)
-        document = stats_to_dict(stats)
-        try:
-            validate_report(document)
-        except ValueError as exc:
-            print(f"resumed run has no analyzable report ({exc}); "
-                  f"checkpoint a run started with attribution (e.g. "
-                  f"analyze <workload> --checkpoint ...)", file=sys.stderr)
-            return 2
-        if args.json:
-            write_stats_json(stats, args.json)
-            STATUS.info(f"report: -> {args.json}")
-        source = f"{args.resume} (resumed)"
-    elif args.report:
-        if args.workload:
-            print("analyze takes a workload or --report FILE, not both",
-                  file=sys.stderr)
-            return 2
-        document, error = _load_report(args.report)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-        source = args.report
-    elif args.workload:
-        if args.sweep and args.dae:
-            print("analyze --sweep does not combine with --dae",
-                  file=sys.stderr)
-            return 2
-        core = _core(args.core)
-        if args.sweep:
-            result = _run_core_sweep(args, core, _hierarchy(args.hierarchy))
-            if not any(p.ok for p in result.points):
-                print("no successful sweep point to analyze",
-                      file=sys.stderr)
-                return 2
-            best = result.best("cycles")
-            core = replace(core, **best.parameters)
-            STATUS.info(f"analyzing best point: {best.parameters}")
-        document = _attributed_report(
-            args, core, _hierarchy(args.hierarchy),
-            MemStat() if args.memory else None)
-        source = args.workload
-    else:
-        print("analyze needs a workload or --report FILE", file=sys.stderr)
-        return 2
+    source = (f"{args.resume} (resumed)" if args.resume
+              else args.report or args.workload)
     print(f"analyze {source}:")
     print(render_attribution_report(document, top=args.top))
     if args.memory:
@@ -698,12 +695,10 @@ def cmd_diff(args) -> int:
     from .telemetry import diff_memory_blocks, diff_reports
     before, error = _load_report(args.before, attribution=False)
     if error:
-        print(f"{args.before}: {error}", file=sys.stderr)
-        return 2
+        return _fail(f"{args.before}: {error}")
     after, error = _load_report(args.after, attribution=False)
     if error:
-        print(f"{args.after}: {error}", file=sys.stderr)
-        return 2
+        return _fail(f"{args.after}: {error}")
     print(f"diff {args.before} -> {args.after}:")
     if "attribution" in before and "attribution" in after:
         result = diff_reports(before, after)
@@ -723,66 +718,50 @@ def cmd_memstat(args) -> int:
     """Render the data-movement observatory (miss classification,
     reuse distance, DRAM bank locality, link utilization) from a run or
     a saved schema-v3 report. Exit codes: 0 rendered, 2 invalid input."""
-    import json
     from .harness import render_memstat_report
-    from .telemetry import (
-        MemStat, SUPPORTED_REPORT_VERSIONS, validate_memory_block,
-    )
-    if args.report:
-        if args.workload:
-            print("memstat takes a workload or --report FILE, not both",
-                  file=sys.stderr)
-            return 2
-        # lenient on purpose: the observatory view needs the memory
-        # block, not the attribution block, so reports from
-        # `simulate --memstat --stats-json` render too
-        try:
-            with open(args.report) as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read report: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"not a JSON report: {exc}", file=sys.stderr)
-            return 2
-        version = document.get("schema_version") \
-            if isinstance(document, dict) else None
-        if version not in SUPPORTED_REPORT_VERSIONS:
-            print(f"invalid report: schema version {version!r} "
-                  f"unsupported (supported: "
-                  f"{', '.join(map(str, SUPPORTED_REPORT_VERSIONS))})",
-                  file=sys.stderr)
-            return 2
-        try:
-            validate_memory_block(document)
-        except ValueError as exc:
-            print(f"invalid report: {exc}", file=sys.stderr)
-            return 2
-        if not document.get("memory"):
-            print(f"{args.report} carries no memory block (schema v3); "
-                  f"produce one with `repro memstat <workload> --json "
-                  f"FILE` or `simulate --memstat --stats-json FILE`",
-                  file=sys.stderr)
-            return 2
-        source = args.report
-    elif args.workload:
-        from .sim.configfile import load_core_config, load_hierarchy_config
-        core = (load_core_config(args.core_config)
-                if args.core_config else _core(args.core))
-        hierarchy = (load_hierarchy_config(args.hierarchy_config)
-                     if args.hierarchy_config
-                     else _hierarchy(args.hierarchy))
+    from .telemetry import MemStat
+    # lenient on purpose: the observatory view needs the memory block,
+    # not the attribution block, so reports from `simulate --memstat
+    # --stats-json` render too
+    document, error = _saved_report(args, "memstat", attribution=False)
+    if error:
+        return _fail(error)
+    if document is None:
         document = _attributed_report(
-            args, core, hierarchy,
+            args, *_system(args),
             MemStat(sample_every=args.sample_every,
                     epoch_cycles=args.epoch_cycles))
-        source = args.workload
-    else:
-        print("memstat needs a workload or --report FILE", file=sys.stderr)
-        return 2
-    print(f"memstat {source}:")
+    elif not document.get("memory"):
+        return _fail(f"{args.report} carries no memory block (schema v3); "
+                     f"produce one with `repro memstat <workload> --json "
+                     f"FILE` or `simulate --memstat --stats-json FILE`")
+    print(f"memstat {args.report or args.workload}:")
     print(render_memstat_report(document, width=args.width))
     return 0
+
+
+#: the fault-rate flags of inject and campaign: flag, FaultPlan field,
+#: the campaign site it faults, and what it is the probability of
+FAULT_RATES = (
+    ("--bitflip-rate", "bitflip_load_rate", "mem",
+     "a functional load is bit-flipped"),
+    ("--drop-rate", "message_drop_rate", "msg",
+     "a fabric message is dropped"),
+    ("--delay-rate", "message_delay_rate", "msg",
+     "a fabric message is delayed"),
+    ("--dram-stall-rate", "dram_stall_rate", "dram",
+     "a DRAM response stalls"),
+    ("--accel-fault-rate", "accel_fault_rate", "accel",
+     "an accelerator invocation faults"),
+)
+
+
+def _fault_plan(args) -> FaultPlan:
+    """The FaultPlan of inject's and campaign's ``--seed`` and rate
+    flags (not yet validated)."""
+    return FaultPlan(seed=args.seed, **{
+        field_name: getattr(args, flag[2:].replace("-", "_"))
+        for flag, field_name, _, _ in FAULT_RATES})
 
 
 def cmd_inject(args) -> int:
@@ -793,26 +772,18 @@ def cmd_inject(args) -> int:
         # the restored graph carries the fault injector (and its RNG
         # streams) mid-campaign; plan flags on the command line are
         # ignored on resume
-        stats, interleaver, _ = _resume_run(args, run_id=args.run_id)
-        injector = find_injector(interleaver)
-        faults = len(injector.log) if injector is not None else 0
-        print(f"workload: {args.workload} (resumed)  "
-              f"faults injected: {faults}")
-        print(stats.summary())
+        with _running(args, args.workload) as run:
+            stats = _run(run)
+            injector = find_injector(run.system)
+            faults = len(injector.log) if injector is not None else 0
+            print(f"workload: {args.workload} (resumed)  "
+                  f"faults injected: {faults}")
+            print(stats.summary())
         return 0
-    plan = FaultPlan(
-        seed=args.seed,
-        bitflip_load_rate=args.bitflip_rate,
-        message_drop_rate=args.drop_rate,
-        message_delay_rate=args.delay_rate,
-        dram_stall_rate=args.dram_stall_rate,
-        accel_fault_rate=args.accel_fault_rate,
-    )
+    plan = _fault_plan(args)
     plan.validate()
     if args.sweep:
-        result = _run_core_sweep(args, _core(args.core),
-                                 _hierarchy(args.hierarchy), plan=plan,
-                                 wall_clock_limit=args.timeout)
+        result = _run_core_sweep(args, *_system(args), plan=plan)
         return 0 if any(p.ok for p in result.points) else 2
 
     def fresh():
@@ -820,45 +791,25 @@ def cmd_inject(args) -> int:
         return w.kernel, w.args, w.memory
 
     workload = _build(args.workload, args.size)
-    run_id = _registry_run_id(args)
-    outcome = run_supervised(
-        workload.kernel, workload.args, plan=plan,
-        core=_core(args.core), num_tiles=args.tiles,
-        hierarchy=_hierarchy(args.hierarchy),
-        max_cycles=args.max_cycles, wall_clock_limit=args.timeout,
-        retries=args.retries, fresh=fresh,
-        **_observers(args, run_id=run_id))
-    print(f"workload: {workload.name}  plan: seed={plan.seed} "
-          f"bitflip={plan.bitflip_load_rate} drop={plan.message_drop_rate} "
-          f"delay={plan.message_delay_rate} "
-          f"dram-stall={plan.dram_stall_rate} "
-          f"accel-fault={plan.accel_fault_rate}")
-    print(f"outcome: {outcome.status}  attempts: {outcome.attempts}  "
-          f"wall: {outcome.wall_seconds:.2f}s  "
-          f"faults injected: {len(outcome.fault_log)}")
-    if outcome.fault_log:
-        by_kind = {}
-        for record in outcome.fault_log:
-            key = f"{record.site}.{record.kind}"
-            by_kind[key] = by_kind.get(key, 0) + 1
+    with _running(args, workload.name, seed=plan.seed,
+                  config=_run_config(args, plan=plan)) as run:
+        _run(run, workload, *_system(args), plan=plan, fresh=fresh)
+        outcome = run.outcome
+        print(f"workload: {workload.name}  plan: seed={plan.seed} "
+              + " ".join(f"{flag[2:].removesuffix('-rate')}="
+                         f"{getattr(plan, name)}"
+                         for flag, name, _, _ in FAULT_RATES))
+        print(f"outcome: {outcome.status}  attempts: {outcome.attempts}  "
+              f"wall: {outcome.wall_seconds:.2f}s  "
+              f"faults injected: {len(outcome.fault_log)}")
+        by_kind = Counter(f"{record.site}.{record.kind}"
+                          for record in outcome.fault_log)
         for key in sorted(by_kind):
             print(f"  {key}: {by_kind[key]}")
-    _record_manifest(
-        args, run_id, workload=workload.name, status=outcome.status,
-        stats=outcome.stats if outcome.ok else None,
-        wall_seconds=outcome.wall_seconds, seed=plan.seed,
-        config={"workload": args.workload, "size": args.size or [],
-                "core": args.core, "tiles": args.tiles,
-                "hierarchy": args.hierarchy, "plan": plan},
-        artifacts={"checkpoint": outcome.checkpoint_path})
-    if outcome.ok:
-        print(outcome.stats.summary())
-        return 0
-    print(f"error: {outcome.error}", file=sys.stderr)
-    if outcome.checkpoint_path:
-        print(f"resume with --resume {outcome.checkpoint_path}",
-              file=sys.stderr)
-    return 2
+        if outcome.ok:
+            print(outcome.stats.summary())
+            return 0
+        return _fail(f"error: {outcome.error}", outcome.checkpoint_path)
 
 
 def _replay_command(args, plan, site: str, seed: int) -> str:
@@ -869,13 +820,9 @@ def _replay_command(args, plan, site: str, seed: int) -> str:
         parts.append(f"--size {item}")
     parts.append(f"--core {args.core} --tiles {args.tiles} "
                  f"--hierarchy {args.hierarchy} --seed {seed}")
-    flags = {"mem": [("--bitflip-rate", plan.bitflip_load_rate)],
-             "msg": [("--drop-rate", plan.message_drop_rate),
-                     ("--delay-rate", plan.message_delay_rate)],
-             "dram": [("--dram-stall-rate", plan.dram_stall_rate)],
-             "accel": [("--accel-fault-rate", plan.accel_fault_rate)]}
-    for flag, rate in flags.get(site, ()):
-        if rate > 0.0:
+    for flag, field_name, flag_site, _ in FAULT_RATES:
+        rate = getattr(plan, field_name)
+        if flag_site == site and rate > 0.0:
             parts.append(f"{flag} {rate}")
     return " ".join(parts)
 
@@ -883,25 +830,16 @@ def _replay_command(args, plan, site: str, seed: int) -> str:
 def cmd_campaign(args) -> int:
     """SDC characterization: N stratified fault trials classified
     against a golden-output oracle (masked/sdc/detected/hang)."""
-    import time as _time
     from .harness import render_campaign_report
     from .resilience import (
         CampaignError, run_campaign, validate_campaign_report,
     )
     from .resilience.campaign import site_rate
-    plan = FaultPlan(
-        seed=args.seed,
-        bitflip_load_rate=args.bitflip_rate,
-        message_drop_rate=args.drop_rate,
-        message_delay_rate=args.delay_rate,
-        dram_stall_rate=args.dram_stall_rate,
-        accel_fault_rate=args.accel_fault_rate,
-    )
+    plan = _fault_plan(args)
     try:
         plan.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}")
     workload = _build(args.workload, args.size)
     func = compile_kernel(workload.kernel)
     kinds = _accel_kinds(func)
@@ -917,13 +855,14 @@ def cmd_campaign(args) -> int:
             sites.append("accel")
         sites = [s for s in sites if site_rate(plan, s) > 0.0]
     run_id = _registry_run_id(args)
-    began = _time.perf_counter()
+    core, hierarchy = _system(args)
+    began = time.perf_counter()
     try:
         result = run_campaign(
             func, workload.args, plan=plan,
             trials=args.trials, memory=workload.memory,
-            sites=sites or None, core=_core(args.core),
-            num_tiles=args.tiles, hierarchy=_hierarchy(args.hierarchy),
+            sites=sites or None, core=core, num_tiles=args.tiles,
+            hierarchy=hierarchy,
             accel_kinds=kinds, max_cycles=args.max_cycles,
             wall_clock_limit=args.timeout, jobs=args.jobs,
             journal_path=args.journal,
@@ -931,9 +870,8 @@ def cmd_campaign(args) -> int:
             sdc_ci_target=args.ci_target,
             workload_name=workload.name)
     except (CampaignError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    wall = _time.perf_counter() - began
+        return _fail(f"error: {exc}")
+    wall = time.perf_counter() - began
     report = result.report()
     validate_campaign_report(report)
     print(render_campaign_report(report))
@@ -944,29 +882,25 @@ def cmd_campaign(args) -> int:
         from .ioutil import atomic_write_json
         atomic_write_json(args.json, report, indent=2)
         STATUS.info(f"campaign report: -> {args.json}")
-    sdc_rate = report["sdc"]["rate"]
     sdc_upper = report["sdc"]["ci"][1]
     _record_manifest(
         args, run_id, workload=workload.name, status="ok",
         wall_seconds=wall, seed=plan.seed,
-        config={"workload": args.workload, "size": args.size or [],
-                "core": args.core, "tiles": args.tiles,
-                "hierarchy": args.hierarchy, "plan": plan,
-                "sites": report["sites"], "trials": args.trials},
+        config=_run_config(args, plan=plan, sites=report["sites"],
+                           trials=args.trials),
         artifacts={"report": args.json, "journal": args.journal},
         extra={"campaign": {
             "schema_version": report["schema_version"],
             "trials": report["trials"],
             "outcomes": report["outcomes"],
-            "sdc_rate": sdc_rate,
+            "sdc_rate": report["sdc"]["rate"],
             "sdc_ci": report["sdc"]["ci"],
             "golden_digest": report["golden"]["digest"],
             "early_stopped": report["early_stopped"],
         }})
     if args.sdc_threshold is not None and sdc_upper > args.sdc_threshold:
-        print(f"SDC gate: upper bound {sdc_upper:.3f} exceeds "
-              f"threshold {args.sdc_threshold}", file=sys.stderr)
-        return 2
+        return _fail(f"SDC gate: upper bound {sdc_upper:.3f} exceeds "
+                     f"threshold {args.sdc_threshold}")
     return 0
 
 
@@ -974,8 +908,9 @@ def cmd_dump_config(args) -> int:
     from .sim.configfile import save_core_config, save_hierarchy_config
     core_path = f"{args.prefix}.core.json"
     mem_path = f"{args.prefix}.mem.json"
-    save_core_config(_core(args.core), core_path)
-    save_hierarchy_config(_hierarchy(args.hierarchy), mem_path)
+    core, hierarchy = _system(args)
+    save_core_config(core, core_path)
+    save_hierarchy_config(hierarchy, mem_path)
     print(f"wrote {core_path} and {mem_path}")
     return 0
 
@@ -1051,11 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser("list", help="list workloads and system presets") \
         .set_defaults(func=cmd_list)
 
-    def with_workload(sub, sizes=True):
-        sub.add_argument("workload")
-        if sizes:
-            sub.add_argument("--size", action="append", metavar="KEY=VAL",
-                             help="dataset size override (repeatable)")
+    def with_workload(sub, **workload):
+        sub.add_argument("workload", **workload)
+        sub.add_argument("--size", action="append", metavar="KEY=VAL",
+                         help="dataset size override (repeatable)")
         return sub
 
     ir_cmd = with_workload(commands.add_parser(
@@ -1119,20 +1053,34 @@ def build_parser() -> argparse.ArgumentParser:
                               "starting fresh")
         return sub
 
-    sim = with_registry(with_checkpoint(with_sweep(
+    def with_system(sub, configs=False):
+        sub.add_argument("--core", default="ooo", choices=sorted(CORES))
+        sub.add_argument("--tiles", type=int, default=1)
+        sub.add_argument("--hierarchy", default="dae",
+                         choices=sorted(HIERARCHIES))
+        if configs:
+            sub.add_argument("--core-config", metavar="FILE",
+                             help="load the core from a JSON config file "
+                                  "(overrides --core)")
+            sub.add_argument("--hierarchy-config", metavar="FILE",
+                             help="load the memory hierarchy from a JSON "
+                                  "config file (overrides --hierarchy) — "
+                                  "e.g. a shrunk L1 for a conflict study")
+        return sub
+
+    def with_fault_plan(sub, defaults):
+        sub.add_argument("--seed", type=int, default=0,
+                         help="fault-plan seed (same seed = same faults)")
+        for (flag, _, site, what), default in zip(FAULT_RATES, defaults):
+            sub.add_argument(flag, type=float, default=default,
+                             help=f"{site} site: probability {what} "
+                                  f"(default {default})")
+        return sub
+
+    sim = with_system(with_registry(with_checkpoint(with_sweep(
         with_supervision(with_workload(commands.add_parser(
             "simulate", help="simulate a workload on a system "
-                             "preset"))))))
-    sim.add_argument("--core", default="ooo", choices=sorted(CORES))
-    sim.add_argument("--tiles", type=int, default=1)
-    sim.add_argument("--hierarchy", default="dae",
-                     choices=sorted(HIERARCHIES))
-    sim.add_argument("--core-config", metavar="FILE",
-                     help="load the core from a JSON config file "
-                          "(overrides --core)")
-    sim.add_argument("--hierarchy-config", metavar="FILE",
-                     help="load the memory hierarchy from a JSON config "
-                          "file (overrides --hierarchy)")
+                             "preset")))))), configs=True)
     sim.add_argument("--trace", metavar="FILE",
                      help="record a cycle-level trace and write Chrome "
                           "trace_event JSON (open in Perfetto, or render "
@@ -1162,59 +1110,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "stride)")
     sim.set_defaults(func=cmd_simulate)
 
-    inject = with_registry(with_checkpoint(with_sweep(
-        with_supervision(with_workload(commands.add_parser(
+    inject = with_fault_plan(with_system(with_registry(with_checkpoint(
+        with_sweep(with_supervision(with_workload(commands.add_parser(
             "inject",
-            help="run a deterministic fault-injection campaign"))))))
-    inject.add_argument("--core", default="ooo", choices=sorted(CORES))
-    inject.add_argument("--tiles", type=int, default=1)
-    inject.add_argument("--hierarchy", default="dae",
-                        choices=sorted(HIERARCHIES))
-    inject.add_argument("--seed", type=int, default=0,
-                        help="fault-plan seed (same seed = same faults)")
-    inject.add_argument("--bitflip-rate", type=float, default=0.0,
-                        help="probability a functional load is bit-flipped")
-    inject.add_argument("--drop-rate", type=float, default=0.0,
-                        help="probability a fabric message is dropped")
-    inject.add_argument("--delay-rate", type=float, default=0.0,
-                        help="probability a fabric message is delayed")
-    inject.add_argument("--dram-stall-rate", type=float, default=0.0,
-                        help="probability a DRAM response stalls")
-    inject.add_argument("--accel-fault-rate", type=float, default=0.0,
-                        help="probability an accelerator invocation faults")
+            help="run a deterministic fault-injection campaign"))))))),
+        (0.0,) * len(FAULT_RATES))
     inject.set_defaults(func=cmd_inject)
 
-    campaign = with_registry(with_workload(
+    campaign = with_fault_plan(with_system(with_registry(with_workload(
         commands.add_parser(
             "campaign",
             help="SDC characterization: stratified fault trials "
-                 "classified against a golden-output oracle")))
-    campaign.add_argument("--core", default="ooo", choices=sorted(CORES))
-    campaign.add_argument("--tiles", type=int, default=1)
-    campaign.add_argument("--hierarchy", default="dae",
-                          choices=sorted(HIERARCHIES))
+                 "classified against a golden-output oracle")))),
+        (0.01, 0.01, 0.05, 0.05, 0.05))
     campaign.add_argument("--trials", type=int, default=24, metavar="N",
                           help="faulted trials to run (default 24); "
                                "trial i targets site sites[i %% len] "
                                "with its own deterministic seed")
-    campaign.add_argument("--seed", type=int, default=0,
-                          help="campaign base seed (same seed = same "
-                               "per-trial plans = same outcomes)")
     campaign.add_argument("--sites", metavar="S1,S2",
                           help="fault sites to stratify over (subset of "
                                "mem,msg,dram,accel; default: the sites "
                                "this workload can exercise)")
-    campaign.add_argument("--bitflip-rate", type=float, default=0.01,
-                          help="mem site: probability a functional load "
-                               "is bit-flipped (default 0.01)")
-    campaign.add_argument("--drop-rate", type=float, default=0.01,
-                          help="msg site: message drop probability")
-    campaign.add_argument("--delay-rate", type=float, default=0.05,
-                          help="msg site: message delay probability")
-    campaign.add_argument("--dram-stall-rate", type=float, default=0.05,
-                          help="dram site: response stall probability")
-    campaign.add_argument("--accel-fault-rate", type=float, default=0.05,
-                          help="accel site: invocation fault probability")
     campaign.add_argument("--max-cycles", type=int, default=None,
                           help="per-trial cycle budget (default: 64x "
                                "the golden run, so live-locked trials "
@@ -1288,31 +1204,29 @@ def build_parser() -> argparse.ArgumentParser:
                           help="render at most the first N matching events")
     timeline.set_defaults(func=cmd_timeline)
 
-    analyze = commands.add_parser(
-        "analyze", help="render per-tile CPI stacks and bottleneck "
-                        "diagnosis from a run or a saved report")
-    analyze.add_argument("workload", nargs="?",
-                         help="workload to run with cycle attribution "
-                              "(omit when using --report)")
-    analyze.add_argument("--size", action="append", metavar="KEY=VAL",
-                         help="dataset size override (repeatable)")
-    analyze.add_argument("--report", metavar="FILE",
-                         help="analyze a saved report JSON (schema v2, "
-                              "from simulate/analyze --json) instead of "
-                              "running")
-    analyze.add_argument("--core", default="ooo", choices=sorted(CORES))
-    analyze.add_argument("--tiles", type=int, default=1)
-    analyze.add_argument("--hierarchy", default="dae",
-                         choices=sorted(HIERARCHIES))
-    analyze.add_argument("--dae", action="store_true",
-                         help="DAE-slice the workload and attribute the "
-                              "access/execute pair cycles")
-    analyze.add_argument("--pairs", type=int, default=1,
+    def with_report(sub, runs_with, saved, configs=False):
+        """The workload-or---report block of analyze and memstat."""
+        with_workload(sub, nargs="?", help=f"workload to run with "
+                      f"{runs_with} (omit when using --report)")
+        sub.add_argument("--report", metavar="FILE",
+                         help=f"render a saved report JSON ({saved}) "
+                              f"instead of running")
+        sub.add_argument("--dae", action="store_true",
+                         help="DAE-slice the workload and observe the "
+                              "access/execute pair")
+        sub.add_argument("--pairs", type=int, default=1,
                          help="DAE pairs when --dae is given")
-    analyze.add_argument("--max-cycles", type=int,
+        sub.add_argument("--max-cycles", type=int,
                          default=DEFAULT_MAX_CYCLES)
-    analyze.add_argument("--json", metavar="FILE",
-                         help="also write the report JSON (diff-able)")
+        sub.add_argument("--json", metavar="FILE",
+                         help="also write the report JSON (diff-able, "
+                              "carries the attribution block)")
+        return with_system(sub, configs)
+
+    analyze = with_checkpoint(with_sweep(with_report(commands.add_parser(
+        "analyze", help="render per-tile CPI stacks and bottleneck "
+                        "diagnosis from a run or a saved report"),
+        "cycle attribution", "schema v2, from simulate/analyze --json")))
     analyze.add_argument("--top", type=int, default=3,
                          help="bottleneck categories to rank")
     analyze.add_argument("--memory", action="store_true",
@@ -1320,8 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(attaches a MemStat when running a "
                               "workload; saved reports need a schema-v3 "
                               "memory block)")
-    with_sweep(analyze)
-    with_checkpoint(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     diff = commands.add_parser(
@@ -1337,38 +1249,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "blocks)")
     diff.set_defaults(func=cmd_diff)
 
-    memstat = commands.add_parser(
+    memstat = with_report(commands.add_parser(
         "memstat", help="render the data-movement observatory (miss "
                         "classes, reuse distance, bank/link locality) "
-                        "from a run or a saved report")
-    memstat.add_argument("workload", nargs="?",
-                         help="workload to run with the observatory "
-                              "attached (omit when using --report)")
-    memstat.add_argument("--size", action="append", metavar="KEY=VAL",
-                         help="dataset size override (repeatable)")
-    memstat.add_argument("--report", metavar="FILE",
-                         help="render a saved report JSON carrying a "
-                              "schema-v3 memory block instead of running")
-    memstat.add_argument("--core", default="ooo", choices=sorted(CORES))
-    memstat.add_argument("--tiles", type=int, default=1)
-    memstat.add_argument("--hierarchy", default="dae",
-                         choices=sorted(HIERARCHIES))
-    memstat.add_argument("--core-config", metavar="FILE",
-                         dest="core_config",
-                         help="load the core from a JSON config file "
-                              "(overrides --core)")
-    memstat.add_argument("--hierarchy-config", metavar="FILE",
-                         dest="hierarchy_config",
-                         help="load the memory hierarchy from a JSON "
-                              "config file (overrides --hierarchy) — "
-                              "e.g. a shrunk L1 for a conflict study")
-    memstat.add_argument("--dae", action="store_true",
-                         help="DAE-slice the workload and observe the "
-                              "access/execute pair's data movement")
-    memstat.add_argument("--pairs", type=int, default=1,
-                         help="DAE pairs when --dae is given")
-    memstat.add_argument("--max-cycles", type=int,
-                         default=DEFAULT_MAX_CYCLES)
+                        "from a run or a saved report"),
+        "the observatory attached", "carrying a schema-v3 memory block",
+        configs=True)
     memstat.add_argument("--sample-every", type=int, default=8,
                          metavar="N", dest="sample_every",
                          help="reuse-distance sampling stride (every Nth "
@@ -1379,9 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1024)")
     memstat.add_argument("--width", type=int, default=48,
                          help="heatmap/sparkline width in characters")
-    memstat.add_argument("--json", metavar="FILE",
-                         help="also write the report JSON (diff-able, "
-                              "carries attribution + memory blocks)")
     memstat.set_defaults(func=cmd_memstat)
 
     watch = commands.add_parser(
@@ -1415,28 +1298,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_status_level(NORMAL)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except SimulationInterrupted as exc:
         # graceful SIGINT/SIGTERM: a final checkpoint was flushed (when a
         # sink was armed) and the message carries the resume hint
         print(f"interrupted: {exc}", file=sys.stderr)
         return 128 + exc.signum
     except DeadlockError as exc:
-        print(f"deadlock: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"deadlock: {exc}")
     except SimulationError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        if getattr(exc, "checkpoint_path", None):
-            print(f"resume with --resume {exc.checkpoint_path}",
-                  file=sys.stderr)
-        return 2
+        return _fail(f"simulation error: {exc}",
+                     getattr(exc, "checkpoint_path", None))
     except (ConfigError, ConfigFileError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"configuration error: {exc}")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}")
     except Exception as exc:  # surface tool errors cleanly, not as
         raise SystemExit(f"error: {exc}")  # tracebacks
 

@@ -479,6 +479,10 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
     budget or watchdog failure propagates, so ``RunOutcome.
     checkpoint_path`` points at a resumable snapshot of the work already
     done instead of throwing those cycles away.
+
+    Every attempt runs under :func:`graceful_interrupts`: SIGINT/SIGTERM
+    raise :class:`SimulationInterrupted` (after that final snapshot)
+    instead of being retried or classified.
     """
     profiler = observers.get("profiler")
     attempts = 0
@@ -502,17 +506,20 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
             attempt_prepared = None
         attempts += 1
         try:
-            stats = simulate(k, a, core=core, num_tiles=num_tiles,
-                             hierarchy=hierarchy, accelerators=accelerators,
-                             memory=m, max_cycles=max_cycles,
-                             wall_clock_limit=wall_clock_limit,
-                             prepared=attempt_prepared,
-                             injector=injector, **observers)
+            system = build_system(
+                k, a, core=core, num_tiles=num_tiles, hierarchy=hierarchy,
+                accelerators=accelerators, memory=m, max_cycles=max_cycles,
+                wall_clock_limit=wall_clock_limit, prepared=attempt_prepared,
+                injector=injector, **observers)
+            with graceful_interrupts(system):
+                stats = system.run()
             return RunOutcome(
                 "ok", stats=stats, attempts=attempts,
                 fault_log=tuple(injector.log) if injector else (),
                 wall_seconds=time.monotonic() - start,
                 profile=profiler.report if profiler is not None else None)
+        except SimulationInterrupted:
+            raise  # the user stopped the run: no retry, no outcome
         except (SimulationError, ConfigError) as exc:
             last_exc = exc
             fault_log = tuple(injector.log) if injector else ()

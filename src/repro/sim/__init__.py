@@ -13,7 +13,7 @@ from .errors import (
     AcceleratorFaultError, CheckpointError, CycleBudgetExceeded,
     DeadlockError, SimulationError, SimulationInterrupted, WatchdogTimeout,
 )
-from .events import Event, Scheduler
+from .events import Scheduler
 from .interleaver import Interleaver, TileServices
 from .statistics import CacheStats, DRAMStats, SystemStats, TileStats
 from .tile import NEVER, Tile
@@ -21,7 +21,7 @@ from .tile import NEVER, Tile
 __all__ = [
     "CacheConfig", "ConfigError", "CoreConfig", "DRAMSim2Config",
     "MemoryHierarchyConfig", "PrefetcherConfig", "SimpleDRAMConfig",
-    "CoreTile", "Event", "Scheduler",
+    "CoreTile", "Scheduler",
     "AcceleratorFaultError", "CheckpointError", "CycleBudgetExceeded",
     "DeadlockError", "SimulationError", "SimulationInterrupted",
     "WatchdogTimeout",

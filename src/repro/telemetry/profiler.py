@@ -76,7 +76,7 @@ class ProfileReport:
     events: int = 0
     tile_steps: int = 0
     instructions: int = 0
-    #: fast-path hit counters (e.g. scheduler monomorphic drains) — see
+    #: loop counters (``scheduler_fast_drains``: scheduler drains) — see
     #: docs/performance.md for the meaning of each key
     counters: Dict[str, int] = field(default_factory=dict)
     #: tile name -> the implementation that stepped it ("python" or
@@ -133,12 +133,12 @@ class ProfileReport:
 
 
 def _counts(interleaver) -> tuple:
-    """cycles, events, tile steps, instructions, fast and slow drains
-    so far: a profile reports their growth over one run()."""
+    """cycles, events, tile steps, instructions and scheduler drains so
+    far: a profile reports their growth over one run()."""
     scheduler = interleaver.scheduler
     return (interleaver.cycle, scheduler.events, interleaver.tile_steps,
             sum(tile.stats.instructions for tile in interleaver.tiles),
-            scheduler.fast_drains, scheduler.slow_drains)
+            scheduler.fast_drains)
 
 
 class SelfProfiler:
@@ -174,7 +174,7 @@ class SelfProfiler:
 
     def finish(self, interleaver) -> ProfileReport:
         wall = _perf() - self._started_at
-        cycles, events, steps, instructions, fast, slow = (
+        cycles, events, steps, instructions, drains = (
             now - base for now, base in zip(_counts(interleaver), self._base))
         taken = sum(self.samples.values())
         # a run shorter than one interval takes no sample: all "other"
@@ -186,8 +186,7 @@ class SelfProfiler:
             phases={phase: share * wall for phase, share in shares.items()},
             cycles=cycles, events=events, tile_steps=steps,
             instructions=instructions,
-            counters={"scheduler_fast_drains": fast,
-                      "scheduler_slow_drains": slow},
+            counters={"scheduler_fast_drains": drains},
             backends={tile.name: tile.backend for tile in interleaver.tiles})
         return self.report
 

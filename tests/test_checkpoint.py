@@ -39,6 +39,7 @@ from repro.sim import (
 from repro.telemetry import (
     Attributor, Tracer, stats_to_dict, validate_report,
 )
+from repro.telemetry.profiler import PHASES
 from repro.trace import SimMemory
 from repro.workloads import PAPER_ORDER, build_parboil
 from repro.workloads.graphproj import build as build_graphproj
@@ -274,6 +275,21 @@ class TestCheckpointFormat:
         want = stats_to_dict(_saxpy_system().run())
         assert stats_to_dict(resume_simulation(snapshot)) == want
 
+    def test_snapshot_with_the_older_scheduler_state_resumes(self,
+                                                            tmp_path):
+        # schema-6 snapshots taken before the scheduler dropped its
+        # cancellable events carry two attributes it no longer reads
+        want = stats_to_dict(_saxpy_system().run())
+        path = str(tmp_path / "older.bin")
+        system = _saxpy_system(CheckpointSink(path, NO_AUTOSAVE), 500)
+        system.scheduler._cancellable = 0
+        system.scheduler.slow_drains = 0
+        with pytest.raises(CycleBudgetExceeded):
+            system.run()
+        assert load_checkpoint(path).interleaver.scheduler.pending > 0
+        resumed = resume_simulation(path, max_cycles=DEFAULT_MAX_CYCLES)
+        assert stats_to_dict(resumed) == want
+
     def test_schema_version_bump_is_structured(self, snapshot, tmp_path):
         blob = open(snapshot, "rb").read()
         magic, version, digest, length = _HEADER.unpack_from(blob)
@@ -416,6 +432,80 @@ class TestGracefulInterrupt:
             assert system._interrupt_signum == signal.SIGTERM
         assert signal.getsignal(signal.SIGINT) is before_int
         assert signal.getsignal(signal.SIGTERM) is before_term
+
+
+HISTO = ["histo", "--core", "ooo", "--hierarchy", "dae"]
+
+
+@pytest.fixture
+def sigterm_on_first_save(monkeypatch):
+    """Deliver SIGTERM to this process right after a run's first
+    autosave, the way a scheduler would stop a job mid-run. A run that
+    is not armed for it finishes (and fails its test) instead of
+    killing the test process: the fallback handler ignores the signal."""
+    save = CheckpointSink.save
+    sent = []
+
+    def save_then_terminate(self, interleaver, cycle):
+        path = save(self, interleaver, cycle)
+        if not sent:
+            sent.append(cycle)
+            os.kill(os.getpid(), signal.SIGTERM)
+        return path
+
+    monkeypatch.setattr(CheckpointSink, "save", save_then_terminate)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    yield sent
+    signal.signal(signal.SIGTERM, previous)
+
+
+class TestCLIRunPath:
+    """Every CLI run goes through one run path: it is armed for SIGTERM
+    (supervised runs too) and prints its profile on every exit."""
+
+    @pytest.mark.parametrize("extra", [[], ["--retries", "1"]])
+    def test_failed_run_prints_its_profile(self, capsys, extra):
+        assert cli_main(["simulate", "histo", "--max-cycles", "12000",
+                         "--profile"] + extra) == 2
+        out = capsys.readouterr().out
+        assert "simulator self-profile:" in out
+        for phase in PHASES:
+            assert f"\n  {phase} " in out, phase
+
+    def test_supervised_simulate_stops_on_sigterm_and_resumes(
+            self, tmp_path, capsys, sigterm_on_first_save):
+        snapshot = tmp_path / "run.ckpt"
+        baseline = tmp_path / "baseline.json"
+        resumed = tmp_path / "resumed.json"
+        assert cli_main(["simulate"] + HISTO + [
+            "--retries", "1", "--checkpoint", str(snapshot),
+            "--checkpoint-every", "5000"]) == 128 + signal.SIGTERM
+        assert f"resume with --resume {snapshot}" in capsys.readouterr().err
+        assert load_checkpoint(str(snapshot)).cycle \
+            >= sigterm_on_first_save[0]
+        assert cli_main(["simulate"] + HISTO
+                        + ["--stats-json", str(baseline)]) == 0
+        assert cli_main(["simulate"] + HISTO + [
+            "--resume", str(snapshot), "--stats-json", str(resumed)]) == 0
+        assert json.loads(resumed.read_text()) \
+            == json.loads(baseline.read_text())
+
+    def test_inject_stops_on_sigterm_and_resumes(
+            self, tmp_path, capsys, sigterm_on_first_save):
+        plan = ["--seed", "3", "--dram-stall-rate", "0.2"]
+        snapshot = tmp_path / "run.ckpt"
+        assert cli_main(["inject", "histo"] + plan + [
+            "--checkpoint", str(snapshot),
+            "--checkpoint-every", "5000"]) == 128 + signal.SIGTERM
+        assert f"resume with --resume {snapshot}" in capsys.readouterr().err
+        assert cli_main(["inject", "histo"] + plan) == 0
+        uninterrupted = capsys.readouterr().out
+        assert cli_main(["inject", "histo", "--resume", str(snapshot)]) == 0
+        header, summary = capsys.readouterr().out.split("\n", 1)
+        faults = header.rsplit("faults injected: ", 1)[1]
+        assert f"faults injected: {faults}\n" in uninterrupted
+        assert int(faults) > 0
+        assert uninterrupted.endswith(summary)
 
 
 @pytest.fixture(scope="module")

@@ -440,29 +440,6 @@ class TestFaultWindow:
             > windowed
 
 
-class TestCancellableEvents:
-    def test_cancelled_event_never_fires(self):
-        scheduler = Scheduler()
-        fired = []
-        handle = scheduler.at_cancellable(5, fired.append)
-        scheduler.at(5, lambda c: fired.append(-c))
-        handle.cancel()
-        scheduler.run_due(10)
-        # the surviving callback receives its *stamped* cycle (5), not
-        # the cycle the drain ran at (10)
-        assert fired == [-5]
-
-    def test_pending_and_next_cycle_skip_cancelled(self):
-        scheduler = Scheduler()
-        first = scheduler.at_cancellable(3, lambda c: None)
-        scheduler.at_cancellable(7, lambda c: None)
-        assert scheduler.pending == 2
-        assert scheduler.next_cycle() == 3
-        first.cancel()
-        assert scheduler.pending == 1
-        assert scheduler.next_cycle() == 7
-
-
 class TestStampedCycle:
     """Regression tests for the cycle-stamp skew bug: ``run_due`` used to
     invoke every past-due callback with the *drain* cycle, silently
@@ -476,15 +453,6 @@ class TestStampedCycle:
         scheduler.at(7, fired.append)
         scheduler.run_due(10)
         assert fired == [3, 7], "callbacks must see their stamped cycle"
-
-    def test_slow_path_stamps_too(self):
-        # a live cancellable forces the len-4-tuple (slow) drain path
-        scheduler = Scheduler()
-        fired = []
-        scheduler.at_cancellable(2, lambda c: fired.append(("c", c)))
-        scheduler.at(5, lambda c: fired.append(("p", c)))
-        scheduler.run_due(9)
-        assert fired == [("c", 2), ("p", 5)]
 
     def test_callback_scheduling_in_the_past_lands_next_drain(self):
         scheduler = Scheduler()

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness import (
     dae_hierarchy, prepare, sweep_core, sweep_hierarchy, xeon_hierarchy,
 )
-from repro.ir import F64
+from repro.ir import F64, I64
 from repro.resilience import FaultPlan
 from repro.sim.config import CoreConfig
 from repro.telemetry import stats_to_dict
 from repro.trace import SimMemory
 
 from . import kernels
+from .test_fuzz_differential import random_kernel
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +128,25 @@ class TestSweepHierarchy:
         assert SweepResult().table(title="nothing") == "nothing"
         with pytest.raises(ValueError):
             SweepResult().best()
+
+
+@given(pair=random_kernel(),
+       data=st.lists(st.integers(-100, 100), min_size=4, max_size=12))
+@settings(max_examples=5, deadline=None)
+def test_fuzzed_kernel_sweeps_serial_equals_parallel(pair, data):
+    """A random kernel, prepared once and swept over a 2-point core grid,
+    reports the same per-point stats on one worker and on two."""
+    n = len(data)
+    mem = SimMemory()
+    A = mem.alloc(n, I64, "A", init=np.array(data, dtype=np.int64))
+    B = mem.alloc(n, I64, "B")
+    prepared = prepare(pair[0], [A, B, n], memory=mem)
+
+    def run(jobs):
+        return sweep_core(prepared, BASE, {"issue_width": [1, 4]},
+                          hierarchy_factory=dae_hierarchy, jobs=jobs)
+
+    serial, parallel = run(1), run(2)
+    assert [p.outcome for p in serial.points] == ["ok", "ok"]
+    assert ([point_fingerprint(p) for p in serial.points]
+            == [point_fingerprint(p) for p in parallel.points]), pair[0]
