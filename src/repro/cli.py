@@ -270,9 +270,12 @@ def _run(run: _Run, workload=None, core=None, hierarchy=None, *,
                            execute_core=inorder_core(), **options)
     elif system is None:
         options.update(core=core, num_tiles=args.tiles)
-        if plan is None:  # a fault injector needs its own functional run
+        if plan is None:
             options["prepared"], options["accelerators"] = \
                 _prepare(args, workload)
+        else:  # a fault injector needs its own functional run
+            options["accelerators"] = _detect_accelerators(
+                compile_kernel(workload.kernel))
         if retries or plan is not None:
             run.outcome = run_supervised(
                 workload.kernel, workload.args, plan=plan, retries=retries,

@@ -17,20 +17,39 @@ Crossing protocol (a ``ctypes`` call costs several Python calls):
   flushes the queue, runs the Python core's own code for it, and
   re-enters with ``core_resume``.
 
-:func:`bind` picks the backend when a run starts, with no knob: C when
-the library loads, the tile has no tracer or attributor, and the branch
-predictor is ``none``, ``perfect`` or ``static``; otherwise the Python
-core, which stays the reference model. The library is built with
-``gcc -O2 -shared -fPIC`` into the user cache directory, named by the
-hash of the source, on the first compiled tile. With no ``gcc`` on
-``PATH`` the Python core runs; a source that fails to build raises.
+Observers and predictors run in C as well:
+
+* a tracer's ring columns are handed to C at full capacity
+  (:meth:`~repro.telemetry.Tracer.columns`), with span kinds interned
+  per instruction and per block up front; C writes the core's spans
+  and mispredict instants in place, numbered by the push counter both
+  sides share, so a wrapped ring drops the same events as the Python
+  core's;
+* an attributor's ledger lives in C arrays: each step books the interval
+  since the last to the pending wait category (a per-instruction table
+  from ``CoreTile._head_waits``), and a memory wait is banked in the
+  head's ring slot until ``core_complete`` names its ``memory.<level>``
+  category, which Python reads off the request it keeps per slot. The
+  :class:`~repro.telemetry.TileAttribution` copies the C state in
+  whenever it is read (``_sync_ledger``);
+* twobit and gshare keep their 2-bit counters (and gshare its history)
+  in C.
+
+:func:`bind` picks the backend when a run starts, with no knob: C
+whenever the library loads, the Python core (which stays the reference
+model) otherwise. The library is built with ``gcc -O2 -shared -fPIC``
+into the user cache directory, named by the hash of the source, on the
+first compiled tile. With no ``gcc`` on ``PATH`` the Python core runs;
+a source that fails to build raises.
 
 A compiled tile pickles in the Python layout (as a plain
-:class:`CoreTile`), so a checkpoint resumes under either backend.
+:class:`CoreTile`, its predictor and attribution ledger included), so a
+checkpoint resumes under either backend.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import dataclasses
 import hashlib
@@ -45,6 +64,9 @@ from typing import Optional
 from ..errors import SimulationError
 from ..tile import NEVER
 from ...ir.instructions import Opcode
+from ...telemetry.attribution import CATEGORIES, MEMORY_PREFIX, \
+    memory_category
+from .branch import GSharePredictor
 from .model import (
     _D_CALL_ACCEL, _D_CALL_COMM, _D_MEM, CoreTile, _ExternalComplete, _noop,
     _PenaltyComplete)
@@ -64,10 +86,15 @@ _HEADER = (
     "mask", "rob", "lsq", "width", "live_limit", "perfect_alias",
     "period", "mispredict_delay", "spec_perfect", "speculates",
     "fp_long_latency", "call_latency", "buf_cap",
+    "tracing", "trace_tid", "trace_cap", "mispredict_kind",
+    "attr", "cursor", "pending", "cat_order", "no_memory", "resolve",
+    "pred_kind", "pred_mask", "pred_history",
 )
 _H = {name: index for index, name in enumerate(_HEADER)}
 H_FINISHED, H_ACCEL_INFLIGHT, H_EXIT_SEQ, H_NBUF = (
     _H["finished"], _H["accel_inflight"], _H["exit_seq"], _H["nbuf"])
+H_PENDING, H_RESOLVE, H_PRED_HISTORY = (
+    _H["pending"], _H["resolve"], _H["pred_history"])
 #: TileStats fields the C step counts
 _STATS = ("cycles", "instructions", "memory_accesses", "mispredictions",
           "mao_stalls", "dbbs_launched", "max_live_dbbs")
@@ -81,12 +108,19 @@ _ARRAYS = (
     "addr_off", "addr_cursor", "r_iid", "r_state", "r_pending", "r_addr",
     "r_addr_producer", "r_dbb", "dep_head", "dep_tail", "d_remaining",
     "e_seq", "e_next", "ready", "retry", "cq", "mao", "buf",
+    "blk_succ0", "pred", "span_kind", "dbb_kind", "issued_at",
+    "launched_at", "t_cycle", "t_dur", "t_iarg", "t_tid", "t_kind",
+    "t_count", "wait", "cat_cycles", "cat_order", "banked",
 )
 _FLAG_FREE, _FLAG_MEM, _FLAG_STORE, _FLAG_PHI = 1, 2, 4, 8
 _EXIT_RESERVE, _EXIT_DISPATCH, _ERR_TRACE = -1, -2, -3
+_PRED_STATIC, _PRED_TWOBIT, _PRED_GSHARE = 0, 1, 2
 
-#: branch predictors the C step implements
-COMPILED_PREDICTORS = ("none", "perfect", "static")
+#: attribution category ids the C step knows by number (``step.c``'s
+#: CAT_* values); memory levels are interned after them as they resolve
+_CATEGORIES = CATEGORIES + (MEMORY_PREFIX + "ideal",)
+#: ledger slots per tile, memory levels included
+_CAT_CAP = 64
 
 
 class _Core(ctypes.Structure):
@@ -156,10 +190,8 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 def bind(tile: CoreTile) -> None:
-    """Run ``tile`` on the compiled step when that applies."""
-    if (type(tile) is not CoreTile or tile.tracer is not None
-            or tile.attributor is not None or tile._finished
-            or tile.config.branch_predictor not in COMPILED_PREDICTORS):
+    """Run ``tile`` on the compiled step when the library loads."""
+    if type(tile) is not CoreTile or tile._finished:
         return
     lib = load()
     if lib is None:
@@ -200,7 +232,7 @@ class CompiledCoreTile(CoreTile):
         "_calendar_cycles", "_mao", "_mao_start", "_fu_used", "_live_dbbs",
         "_last_seq", "_addr_cursor", "_r_state", "_r_pending",
         "_r_deps", "_r_addr_producer", "_r_dbb", "_r_issued_at",
-        "_r_request", "_d_remaining", "_d_launched_at")
+        "_d_remaining", "_d_launched_at", "_dyn_predictor")
 
     backend = "compiled"
 
@@ -314,6 +346,7 @@ class CompiledCoreTile(CoreTile):
             speculates=int(self._speculates),
             fp_long_latency=self._fp_long_latency,
             call_latency=self._call_latency, buf_cap=self._issue_width,
+            **self._c_attach_extras(arrays),
             **{name: getattr(stats, name) for name in _STATS})
         self._c_h = _q(header.get(name, 0) for name in _HEADER)
         self._c_energy = array("d", [stats.energy_nj])
@@ -331,6 +364,77 @@ class CompiledCoreTile(CoreTile):
         # the Python dispatch code reads these two rings: hand it C's
         self._r_iid = arrays["r_iid"]
         self._r_addr = arrays["r_addr"]
+
+    def _c_attach_extras(self, arrays: dict) -> dict:
+        """Fill the predictor, tracer and attribution arrays; returns
+        their header fields."""
+        nodes, blocks = self.ddg.nodes, self.ddg.blocks
+        mask = self._mask
+        predictor = self._c_predictor = self._dyn_predictor
+        arrays["blk_succ0"] = _q(b.successor_bids[0] if b.successor_bids
+                                 else -1 for b in blocks)
+        arrays["pred"] = _q(predictor._counters if predictor else [0])
+        header = dict(
+            pred_kind=_PRED_STATIC if predictor is None
+            else _PRED_GSHARE if isinstance(predictor, GSharePredictor)
+            else _PRED_TWOBIT,
+            pred_mask=predictor._mask if predictor else 0,
+            pred_history=getattr(predictor, "_history", 0),
+            no_memory=int(self.services.memory is None), resolve=-1)
+
+        tracer = self.tracer
+        arrays["issued_at"] = _q(self._r_issued_at)
+        arrays["launched_at"] = _q(self._d_launched_at)
+        for name in ("span_kind", "dbb_kind", "t_cycle", "t_dur", "t_iarg",
+                     "t_count"):
+            arrays[name] = _q([0])
+        arrays["t_tid"], arrays["t_kind"] = array("i", [0]), array("i", [0])
+        if tracer is not None:
+            kind = tracer.column_kind
+            arrays["span_kind"] = _q(kind("core", name, "X")
+                                     for name in self._span_by_iid)
+            arrays["dbb_kind"] = _q(kind("core", name, "X", "index")
+                                    for name in self._dbb_span_by_bid)
+            (arrays["t_cycle"], arrays["t_dur"], arrays["t_iarg"],
+             arrays["t_tid"], arrays["t_kind"],
+             arrays["t_count"]) = tracer.columns()
+            header.update(tracing=1, trace_tid=self.trace_tid,
+                          trace_cap=tracer.capacity,
+                          mispredict_kind=kind("core", "mispredict", "i"))
+
+        ledger = self.attributor
+        self._c_attributed = ledger is not None
+        self._c_cat_ids = {name: index
+                           for index, name in enumerate(_CATEGORIES)}
+        category = self._c_category
+        cat_cycles, cat_order = [0] * _CAT_CAP, [0] * _CAT_CAP
+        banked = [0] * (mask + 1)
+        arrays["wait"] = _q([0])
+        if ledger is not None:
+            arrays["wait"] = _q(
+                -1 if wait is None else category(wait) for node in nodes
+                for wait in self._head_waits(node, self.config))
+            for stamp, (name, cycles) in enumerate(ledger.cycles.items(), 1):
+                cat_cycles[category(name)] = cycles
+                cat_order[category(name)] = stamp
+            # memory waits are keyed by request in the Python layout and
+            # by the seq that issued the request in C
+            requests = self._r_request
+            seq_of = {id(requests[seq & mask]): seq
+                      for seq in range(self._window_base, self._next_seq)
+                      if requests[seq & mask] is not None}
+            for request, cycles in ledger._deferred.items():
+                banked[seq_of[id(request)] & mask] = cycles
+            pending = ledger.pending
+            header.update(
+                attr=1, cursor=ledger.cursor, cat_order=len(ledger.cycles),
+                pending=category(pending) if type(pending) is str
+                else -1 - seq_of[id(pending)])
+            ledger.source = self
+        arrays["cat_cycles"], arrays["cat_order"] = (
+            _q(cat_cycles), _q(cat_order))
+        arrays["banked"] = _q(banked)
+        return header
 
     def _python_state(self) -> dict:
         """This tile's state in the Python core's layout."""
@@ -382,12 +486,59 @@ class CompiledCoreTile(CoreTile):
             _live_dbbs=arrays["live_dbbs"].tolist(),
             _last_seq=arrays["last_seq"].tolist(),
             _addr_cursor=arrays["addr_cursor"].tolist(),
-            _r_deps=deps, _r_issued_at=[0] * ring,
-            _r_request=[None] * ring, _d_launched_at=[0] * ring)
+            _r_deps=deps, _r_issued_at=arrays["issued_at"].tolist(),
+            _d_launched_at=arrays["launched_at"].tolist(),
+            _dyn_predictor=self._python_predictor())
         for name in ("r_iid", "r_state", "r_pending", "r_addr",
                      "r_addr_producer", "r_dbb", "d_remaining"):
             state["_" + name] = arrays[name].tolist()
         return state
+
+    def _python_predictor(self):
+        """The dynamic predictor with C's counters (and history)."""
+        predictor = self._c_predictor
+        if predictor is None:
+            return None
+        predictor = copy.copy(predictor)
+        predictor._counters = self._c_arrays["pred"].tolist()
+        if isinstance(predictor, GSharePredictor):
+            predictor._history = self._c_h[H_PRED_HISTORY]
+        return predictor
+
+    def _c_category(self, name: str) -> int:
+        """The ledger slot of attribution category ``name``."""
+        ids = self._c_cat_ids
+        category = ids.get(name)
+        if category is None:
+            if len(ids) == _CAT_CAP:
+                raise SimulationError(
+                    f"{self.name}: more than {_CAT_CAP} attribution "
+                    f"categories")
+            category = ids[name] = len(ids)
+        return category
+
+    def _sync_ledger(self, ledger) -> None:
+        """Copy the C ledger into ``ledger`` (this tile's attributor) in
+        the Python layout: categories in the order they were first
+        booked, and pending or banked memory waits keyed by request."""
+        arrays = self._c_arrays
+        h = self._c_h
+        names = list(self._c_cat_ids)
+        order, cycles = arrays["cat_order"], arrays["cat_cycles"]
+        booked = sorted((index for index in range(len(names))
+                         if order[index]), key=order.__getitem__)
+        ledger.cycles = {names[index]: cycles[index] for index in booked}
+        ledger.cursor = h[_H["cursor"]]
+        mask = self._mask
+        requests = self._r_request
+        pending = h[H_PENDING]
+        ledger.pending = (names[pending] if pending >= 0
+                          else requests[(-1 - pending) & mask])
+        banked = arrays["banked"]
+        ledger._deferred = {
+            requests[seq & mask]: banked[seq & mask]
+            for seq in range(h[_H["window_base"]], h[_H["next_seq"]])
+            if banked[seq & mask]}
 
     def __reduce_ex__(self, protocol):
         return _blank_core_tile, (), self._python_state()
@@ -420,7 +571,7 @@ class CompiledCoreTile(CoreTile):
 
     def stall_state(self) -> dict:
         header = {name: self._c_h[index] for name, index in _H.items()}
-        return {
+        state = {
             "in_flight": header["next_seq"] - header["window_base"],
             "ready": header["ready_n"],
             "window_base": header["window_base"],
@@ -429,6 +580,9 @@ class CompiledCoreTile(CoreTile):
             "outstanding_memory_ops": header["mao_incomplete"],
             "accel_inflight": header["accel_inflight"],
         }
+        if self.attributor is not None:
+            state["attribution"] = self.attributor.snapshot()
+        return state
 
     # -- the step ----------------------------------------------------------
     def step(self, cycle: int) -> int:
@@ -453,6 +607,7 @@ class CompiledCoreTile(CoreTile):
         mem_args = self._mem_args_by_iid
         access = self.services.mem_access
         port = self.mem_port
+        requests = self._r_request if self._c_attributed else None
         for index in range(h[H_NBUF]):
             seq = buf[index]
             slot = seq & mask
@@ -463,8 +618,11 @@ class CompiledCoreTile(CoreTile):
                     callback = _PenaltyComplete(self, seq, penalty)
                 else:
                     callback = _ExternalComplete(self, seq)
-                access(port, r_addr[slot], size, is_write=is_write,
-                       is_atomic=is_atomic, cycle=cycle, callback=callback)
+                request = access(
+                    port, r_addr[slot], size, is_write=is_write,
+                    is_atomic=is_atomic, cycle=cycle, callback=callback)
+                if requests is not None:
+                    requests[slot] = request
             else:  # store buffer: retired at issue, drains async
                 access(port, r_addr[slot], size, is_write=True,
                        is_atomic=False, cycle=cycle, callback=_noop)
@@ -504,6 +662,14 @@ class CompiledCoreTile(CoreTile):
         self._c_exit_completion = cycle
 
     def _external_complete(self, seq: int, cycle: int) -> None:
+        if self._c_attributed:
+            # the response classified the request: name its level to C
+            slot = seq & self._mask
+            request = self._r_request[slot]
+            if request is not None:
+                self._r_request[slot] = None
+                self._c_h[H_RESOLVE] = self._c_category(
+                    memory_category(request))
         if self._c_complete(self._c_ptr, seq, cycle):
             raise SimulationError(
                 f"{self.name}: compiled core capacity exceeded")

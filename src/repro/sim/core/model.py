@@ -398,6 +398,36 @@ class CoreTile(Tile):
         return mask
 
     @staticmethod
+    def _head_waits(n: DDGNode, config: CoreConfig) -> tuple:
+        """The attribution category of a window head running ``n``,
+        before and after it issues; None when the head's in-flight
+        memory request decides (``memory.<level>``)."""
+        if n.is_memory:
+            # ready but structurally blocked at the window head
+            blocked = CAT_DAE_SUPPLY if n.decoupled else CAT_COMPUTE
+            if n.decoupled or n.decoupled_store or (
+                    n.is_store and not n.is_load and config.store_buffer):
+                # retires next cycle (queue deposit / store buffer)
+                return blocked, CAT_COMPUTE
+            return blocked, None
+        category = CAT_COMPUTE
+        if n.opcode is Opcode.CALL:
+            timing = n.intrinsic_timing
+            if timing == "accel":
+                category = CAT_ACCEL
+            elif timing == "comm":
+                callee = n.callee
+                if callee == "barrier":
+                    category = CAT_BARRIER
+                elif callee.startswith(("dae_produce", "dae_store_value")):
+                    category = CAT_DAE_SUPPLY
+                elif callee.startswith(("dae_consume", "dae_store_take")):
+                    category = CAT_DAE_CONSUME
+                else:
+                    category = CAT_FABRIC
+        return category, category
+
+    @staticmethod
     def _dispatch_kind_of(n: DDGNode, config: CoreConfig) -> int:
         if n.is_memory:
             if n.decoupled:
@@ -530,34 +560,15 @@ class CoreTile(Tile):
             # frontend is between DBB launches
             return CAT_FRONTEND_IDLE
         slot = head & self._mask
-        snode = self.ddg.nodes[self._r_iid[slot]]
-        if snode.is_memory:
-            if self._r_state[slot] != _ISSUED:
-                # ready but structurally blocked at the window head
-                return CAT_DAE_SUPPLY if snode.decoupled else CAT_COMPUTE
-            if snode.decoupled or snode.decoupled_store or (
-                    snode.is_store and not snode.is_load
-                    and self.config.store_buffer):
-                # retires next cycle (queue deposit / store buffer)
-                return CAT_COMPUTE
+        category = self._head_waits(
+            self.ddg.nodes[self._r_iid[slot]],
+            self.config)[self._r_state[slot] == _ISSUED]
+        if category is None:
             # defer to the response's service level (no request: the
             # ideal path behind a None hierarchy)
             request = self._r_request[slot]
             return MEMORY_PREFIX + "ideal" if request is None else request
-        if snode.opcode is Opcode.CALL:
-            timing = snode.intrinsic_timing
-            if timing == "accel":
-                return CAT_ACCEL
-            if timing == "comm":
-                callee = snode.callee
-                if callee == "barrier":
-                    return CAT_BARRIER
-                if callee.startswith(("dae_produce", "dae_store_value")):
-                    return CAT_DAE_SUPPLY
-                if callee.startswith(("dae_consume", "dae_store_take")):
-                    return CAT_DAE_CONSUME
-                return CAT_FABRIC
-        return CAT_COMPUTE
+        return category
 
     #: predictor modes that speculate on correctly-predicted branches
     _PREDICTED_MODES = ("static", "twobit", "gshare")

@@ -14,6 +14,15 @@
  * EXIT_RESERVE or EXIT_DISPATCH; Python handles it and continues the
  * step with core_resume. Every array index is bounds-checked against its
  * capacity; an overrun returns ERR_TRACE or ERR_CAPACITY.
+ *
+ * Observers run here too. With H_TRACING the core's spans (issue to
+ * completion, DBB launch to retirement) and mispredict instants are
+ * written straight into the Tracer's ring columns, numbered by the push
+ * counter Python shares. With H_ATTR the tile's cycle ledger lives in
+ * cat_cycles/cat_order: each step books the interval since the last one
+ * to the pending category, or banks it in the window head's ring slot
+ * when the head waits on a memory request whose level is not known yet;
+ * core_complete names that level once the response is in.
  */
 #include <stdint.h>
 
@@ -45,8 +54,18 @@ enum {
     H_MASK, H_ROB, H_LSQ, H_WIDTH, H_LIVE_LIMIT, H_PERFECT_ALIAS,
     H_PERIOD, H_MISPREDICT_DELAY, H_SPEC_PERFECT, H_SPECULATES,
     H_FP_LONG_LATENCY, H_CALL_LATENCY, H_BUF_CAP,
+    H_TRACING, H_TRACE_TID, H_TRACE_CAP, H_MISPREDICT_KIND,
+    H_ATTR, H_CURSOR, H_PENDING, H_CAT_ORDER, H_NO_MEMORY, H_RESOLVE,
+    H_PRED_KIND, H_PRED_MASK, H_PRED_HISTORY,
     H_SIZE
 };
+
+/* attribution categories: the order of compiled.py's _CATEGORIES; a wait
+ * table entry of WAIT_REQUEST defers to the head's memory request */
+enum { CAT_COMPUTE = 0, CAT_MISPREDICT = 6, CAT_FRONTEND_IDLE = 7,
+       CAT_IDEAL = 8, WAIT_REQUEST = -1 };
+
+enum { PRED_STATIC, PRED_TWOBIT, PRED_GSHARE };
 
 typedef struct {
     i64 *h;
@@ -89,6 +108,23 @@ typedef struct {
     i64 *cq;                   /* min-heap of (cycle, order, seq) */
     i64 *mao;                  /* memory seqs, positions & mask */
     i64 *buf;                  /* queued memory dispatches (seqs) */
+    /* branch prediction: first successor per block, 2-bit counters */
+    const i64 *blk_succ0;
+    i64 *pred;
+    /* tracer: kinds per iid and per bid, issue and launch rings, and the
+     * Tracer's columns (written at slot n % capacity, n = t_count[0]) */
+    const i64 *span_kind;
+    const i64 *dbb_kind;
+    i64 *issued_at;            /* by seq & mask */
+    i64 *launched_at;          /* by DBB index & mask */
+    i64 *t_cycle, *t_dur, *t_iarg;
+    int32_t *t_tid, *t_kind;
+    i64 *t_count;
+    /* attribution: wait category per (iid, issued), the ledger, and the
+     * cycles banked against each in-flight seq's memory request */
+    const i64 *wait;
+    i64 *cat_cycles, *cat_order;
+    i64 *banked;
 } Core;
 
 enum { FLAG_FREE = 1, FLAG_MEM = 2, FLAG_STORE = 4, FLAG_PHI = 8 };
@@ -196,6 +232,75 @@ static i64 cq_pop(Core *c)
     return seq;
 }
 
+/* -- observers -------------------------------------------------------- */
+static void trace_push(Core *c, i64 kind, i64 cycle, i64 dur, i64 arg)
+{
+    i64 *h = c->h;
+    i64 slot = c->t_count[0]++ % h[H_TRACE_CAP];
+    c->t_kind[slot] = (int32_t)kind;
+    c->t_cycle[slot] = cycle;
+    c->t_dur[slot] = dur > 0 ? dur : 0;
+    c->t_tid[slot] = (int32_t)h[H_TRACE_TID];
+    c->t_iarg[slot] = arg;
+}
+
+static void book(Core *c, i64 category, i64 cycles)
+{
+    if (!c->cat_order[category])
+        c->cat_order[category] = ++c->h[H_CAT_ORDER];
+    c->cat_cycles[category] += cycles;
+}
+
+/* book [cursor, cycle) to the pending category; a pending -1 - seq banks
+ * it against seq's memory request */
+static void attr_advance(Core *c, i64 cycle)
+{
+    i64 *h = c->h;
+    i64 delta = cycle - h[H_CURSOR];
+    if (delta <= 0)
+        return;
+    i64 pending = h[H_PENDING];
+    if (pending >= 0)
+        book(c, pending, delta);
+    else
+        c->banked[(-1 - pending) & h[H_MASK]] += delta;
+    h[H_CURSOR] = cycle;
+}
+
+/* seq's memory access completed, served as `category`: flush its bank */
+static void attr_resolve(Core *c, i64 seq, i64 category)
+{
+    i64 *h = c->h;
+    i64 slot = seq & h[H_MASK];
+    if (c->banked[slot]) {
+        book(c, category, c->banked[slot]);
+        c->banked[slot] = 0;
+    }
+    if (h[H_PENDING] == -1 - seq)
+        h[H_PENDING] = category;
+}
+
+/* what the interval until the next step belongs to */
+static i64 attr_classify(Core *c, i64 cycle, int saturated)
+{
+    i64 *h = c->h;
+    if (h[H_FINISHED])
+        return CAT_FRONTEND_IDLE;
+    if (saturated)
+        return CAT_COMPUTE;
+    if (h[H_LAUNCH_STALL_UNTIL] > cycle)
+        return CAT_MISPREDICT;
+    i64 head = h[H_WINDOW_BASE];
+    if (head == h[H_NEXT_SEQ])
+        return CAT_FRONTEND_IDLE;
+    i64 slot = head & h[H_MASK];
+    i64 category =
+        c->wait[2 * c->r_iid[slot] + (c->r_state[slot] == ISSUED)];
+    if (category != WAIT_REQUEST)
+        return category;
+    return h[H_NO_MEMORY] ? CAT_IDEAL : -1 - head;
+}
+
 /* -- completion ------------------------------------------------------- */
 static int complete(Core *c, i64 seq, i64 cycle)
 {
@@ -205,8 +310,12 @@ static int complete(Core *c, i64 seq, i64 cycle)
     i64 iid = c->r_iid[slot];
     i64 flags = c->flags[iid];
     c->r_state[slot] = DONE;
-    if (!(flags & FLAG_FREE))
+    if (!(flags & FLAG_FREE)) {
         h[H_INSTRUCTIONS]++;
+        if (h[H_TRACING])
+            trace_push(c, c->span_kind[iid], c->issued_at[slot],
+                       cycle - c->issued_at[slot], 0);
+    }
     if (cycle > h[H_CYCLES])
         h[H_CYCLES] = cycle;
     if (c->fu[iid] >= 0)
@@ -247,8 +356,14 @@ static int complete(Core *c, i64 seq, i64 cycle)
     /* retire DBB bookkeeping */
     i64 index = c->r_dbb[slot];
     if (--c->d_remaining[index & mask] == 0) {
-        c->live_dbbs[c->block_trace[index]]--;
+        i64 bid = c->block_trace[index];
+        c->live_dbbs[bid]--;
         h[H_LIVE_TOTAL]--;
+        if (h[H_TRACING]) {
+            i64 launched = c->launched_at[index & mask];
+            trace_push(c, c->dbb_kind[bid], launched, cycle - launched,
+                       index);
+        }
     }
     if (h[H_WINDOW_BASE] == h[H_NEXT_SEQ]
             && h[H_NEXT_DBB] >= h[H_NUM_BLOCKS])
@@ -256,8 +371,16 @@ static int complete(Core *c, i64 seq, i64 cycle)
     return 0;
 }
 
+/* an external completion; H_RESOLVE >= 0 is the attribution category
+ * of seq's memory request, which Python sets before the call (a fourth
+ * ctypes argument would cost every completion) */
 int core_complete(Core *c, i64 seq, i64 cycle)
 {
+    i64 category = c->h[H_RESOLVE];
+    if (category >= 0) {
+        c->h[H_RESOLVE] = -1;
+        attr_resolve(c, seq, category);
+    }
     return complete(c, seq, cycle);
 }
 
@@ -286,6 +409,33 @@ static int depend(Core *c, i64 seq, i64 producer_iid, i64 window_base)
     return 1;
 }
 
+/* whether the branch ending block `bid` predicts the DBB at trace
+ * position `next`; twobit/gshare also train on the outcome */
+static i64 predict(Core *c, i64 bid, i64 next)
+{
+    i64 *h = c->h;
+    if (next >= h[H_NUM_BLOCKS] || c->blk_nsucc[bid] <= 1)
+        return 1;
+    i64 actual = c->block_trace[next];
+    i64 kind = h[H_PRED_KIND];
+    if (kind == PRED_STATIC)  /* backward taken, forward not taken */
+        return c->blk_static_target[bid] == actual;
+    i64 taken = actual == c->blk_succ0[bid];
+    i64 mask = h[H_PRED_MASK];
+    i64 index = c->blk_term[bid];
+    if (kind == PRED_GSHARE)
+        index ^= h[H_PRED_HISTORY];
+    index &= mask;
+    i64 counter = c->pred[index];
+    if (taken)
+        c->pred[index] = counter < 3 ? counter + 1 : 3;
+    else
+        c->pred[index] = counter > 0 ? counter - 1 : 0;
+    if (kind == PRED_GSHARE)
+        h[H_PRED_HISTORY] = ((h[H_PRED_HISTORY] << 1) | taken) & mask;
+    return (counter >= 2) == taken;
+}
+
 /* 1 launched, 0 blocked, <0 error */
 static int launch(Core *c, i64 cycle)
 {
@@ -311,9 +461,13 @@ static int launch(Core *c, i64 cycle)
             return 0;
         }
         h[H_MISPREDICTIONS]++;
+        if (h[H_TRACING])
+            trace_push(c, h[H_MISPREDICT_KIND], cycle, 0, 0);
     }
     i64 first = c->blk_off[bid], end = c->blk_off[bid + 1];
     c->d_remaining[index & mask] = end - first;
+    if (h[H_TRACING])
+        c->launched_at[index & mask] = cycle;
     c->live_dbbs[bid]++;
     h[H_LIVE_TOTAL]++;
     h[H_DBBS_LAUNCHED]++;
@@ -386,12 +540,8 @@ static int launch(Core *c, i64 cycle)
     h[H_LAST_TERMINATOR] = c->last_seq[c->blk_term[bid]];
     h[H_PREV_BID] = bid;
     h[H_NEXT_DBB] = ++index;
-    if (h[H_SPECULATES]) {
-        /* static predictor: backward taken, forward not taken */
-        h[H_PREDICTION_CORRECT] = index >= h[H_NUM_BLOCKS]
-            || c->blk_nsucc[bid] <= 1
-            || c->blk_static_target[bid] == c->block_trace[index];
-    }
+    if (h[H_SPECULATES])
+        h[H_PREDICTION_CORRECT] = predict(c, bid, index);
     return 1;
 }
 
@@ -463,6 +613,8 @@ static int issue_one(Core *c, i64 seq, i64 cycle)
     i64 kind = c->kind[iid];
     h[H_BUDGET]--;
     c->r_state[slot] = ISSUED;
+    if (h[H_TRACING])
+        c->issued_at[slot] = cycle;
     if (c->fu[iid] >= 0)
         c->fu_used[c->fu[iid]]++;
     c->energy[0] += c->energy_by_iid[iid];
@@ -508,6 +660,8 @@ static i64 finish_step(Core *c, i64 cycle, int saturated)
         h[H_FINISHED] = 1;
     if (cycle > h[H_CYCLES])
         h[H_CYCLES] = cycle;
+    if (h[H_ATTR])
+        h[H_PENDING] = attr_classify(c, cycle, saturated);
     if (h[H_FINISHED])
         return NEVER;
     i64 nxt = NEVER;
@@ -578,6 +732,8 @@ i64 core_step(Core *c, i64 cycle)
     i64 *h = c->h;
     int rc;
     h[H_NBUF] = 0;
+    if (h[H_ATTR])
+        attr_advance(c, cycle);
     /* 1. internal fixed-latency completions due now */
     while (h[H_CQ_N] > 0 && c->cq[0] <= cycle)
         if ((rc = complete(c, cq_pop(c), cycle)))

@@ -96,9 +96,14 @@ class TileAttribution:
     request whose serving level is not yet known. :meth:`advance` books
     the interval since the cursor to ``pending``; :meth:`resolve_memory`
     flushes a request's banked cycles once its response classified it.
+
+    A compiled core keeps the ledger in C while it runs and sets
+    ``source`` to itself; :meth:`snapshot`, :meth:`finalize` and pickling
+    first copy its state in (``source._sync_ledger``).
     """
 
-    __slots__ = ("name", "cycles", "cursor", "pending", "_deferred")
+    __slots__ = ("name", "cycles", "cursor", "pending", "_deferred",
+                 "source")
 
     def __init__(self, name: str):
         self.name = name
@@ -107,6 +112,23 @@ class TileAttribution:
         self.pending = CAT_FRONTEND_IDLE
         #: memory request -> cycles awaiting level resolution
         self._deferred: Dict[object, int] = {}
+        self.source = None
+
+    def _sync(self) -> None:
+        if self.source is not None:
+            self.source._sync_ledger(self)
+
+    def __getstate__(self) -> dict:
+        self._sync()
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "source"}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # pickled before __getstate__ existed
+            state = state[1]
+        self.source = None
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- hot path (called from CoreTile.step) ----------------------------
     def advance(self, cycle: int) -> None:
@@ -141,6 +163,7 @@ class TileAttribution:
         """Live view (used by stall diagnostics and deadlock reports):
         resolved buckets plus any cycles still banked against in-flight
         memory requests."""
+        self._sync()
         categories = dict(self.cycles)
         unresolved = sum(self._deferred.values())
         if unresolved:
@@ -161,6 +184,8 @@ class TileAttribution:
         their best-known category, and asserts the conservation
         invariant: the stack sums exactly to ``total_cycles``.
         """
+        self._sync()
+        self.source = None  # the ledger is closed: C no longer owns it
         self.advance(total_cycles)
         if type(self.pending) is not str:
             # ended while a memory access was the blocker (it completed at

@@ -103,15 +103,21 @@ class Tracer:
     deterministic because attachment order is deterministic.
 
     The ring is a set of columns, and push ``n`` lives in slot
-    ``n % capacity``: ``array('q')`` for cycle and duration,
-    ``array('i')`` for tid and kind, and a list for ``args``. A *kind*
-    interns ``(name, category, phase)`` once, so an event costs 24 bytes
-    plus its ``args`` pointer. A cycle, duration or tid that does not
-    fit its column (a ``float`` timestamp, say) is kept beside the ring
-    in ``_odd``, keyed by slot and stamped with its push number so a
-    later push into the slot outdates it. The columns grow in blocks of
-    :data:`_WRITE_BATCH` slots until they reach ``capacity``.
+    ``n % capacity``: ``array('q')`` for cycle, duration and an integer
+    argument, ``array('i')`` for tid and kind, and a list for ``args``.
+    A *kind* interns ``(name, category, phase)`` once, so an event costs
+    32 bytes plus its ``args`` pointer. A cycle, duration or tid that
+    does not fit its column (a ``float`` timestamp, say) is kept beside
+    the ring in ``_odd``, keyed by slot and stamped with its push number
+    so a later push into the slot outdates it. The columns grow in blocks
+    of :data:`_WRITE_BATCH` slots until they reach ``capacity``.
     :class:`TraceEvent` objects are built only when :meth:`events` asks.
+
+    A writer outside Python (the compiled core) fills the columns in
+    place: :meth:`columns` hands them over at full capacity, so their
+    buffers never move, and the push counter is a one-slot ``array``
+    both sides bump. Its events use kinds from :meth:`column_kind`,
+    whose ``args`` come from the integer column rather than the list.
     """
 
     def __init__(self, capacity: int = 200_000):
@@ -123,17 +129,25 @@ class Tracer:
         self._dur = array("q")
         self._tid = array("i")
         self._kind = array("i")
+        self._iarg = array("q")
         self._args: List[Optional[dict]] = []
         #: slot -> (push number, cycle, tid, dur) for values the columns
         #: cannot hold
         self._odd: Dict[int, tuple] = {}
-        #: (name, category, phase) -> kind id, and the keys by id
+        #: (name, category, phase) -> kind id, and the keys by id; a
+        #: fourth key field marks a column kind (see column_kind)
         self._kinds: Dict[tuple, int] = {}
         self._kind_keys: List[tuple] = []
-        #: events recorded so far, evicted ones included
-        self._pushed = 0
+        #: [events recorded so far, evicted ones included]
+        self._count = array("q", [0])
         #: lane name -> tid, in registration order
         self._tids: Dict[str, int] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        if "_pushed" in state:  # pickled before the shared push counter
+            state["_count"] = array("q", [state.pop("_pushed")])
+            state["_iarg"] = array("q", bytes(8 * len(state["_args"])))
+        self.__dict__.update(state)
 
     # -- lanes -----------------------------------------------------------
     def tid_for(self, lane: str) -> int:
@@ -152,19 +166,41 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events evicted from the ring (oldest-first)."""
-        return self._pushed - len(self)
+        return self._count[0] - len(self)
+
+    def _intern(self, key: tuple) -> int:
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = len(self._kind_keys)
+            self._kind_keys.append(key)
+        return kind
+
+    def column_kind(self, category: str, name: str, phase: str,
+                    arg: str = "") -> int:
+        """Kind id for events written straight into :meth:`columns`:
+        their ``args`` are ``{arg: <integer column>}``, or none when
+        ``arg`` is empty."""
+        return self._intern((name, category, phase, arg))
+
+    def columns(self) -> tuple:
+        """``(cycle, dur, iarg, tid, kind, count)``, grown to full
+        capacity first so the buffers stay put while a writer holds
+        them. Push ``n = count[0]`` goes to slot ``n % capacity``."""
+        self._grow(self.capacity - len(self._args))
+        return (self._cycle, self._dur, self._iarg, self._tid, self._kind,
+                self._count)
 
     def _push(self, key: tuple, cycle, tid: int, dur, args) -> None:
         try:
             kind = self._kinds[key]
         except KeyError:
-            kind = self._kinds[key] = len(self._kind_keys)
-            self._kind_keys.append(key)
-        n = self._pushed
-        self._pushed = n + 1
+            kind = self._intern(key)
+        count = self._count
+        n = count[0]
+        count[0] = n + 1
         slot = n % self.capacity
         if slot == len(self._args):
-            self._grow()
+            self._grow(min(_WRITE_BATCH, self.capacity - slot))
         self._kind[slot] = kind
         self._args[slot] = args
         try:
@@ -174,9 +210,9 @@ class Tracer:
         except (TypeError, OverflowError):
             self._odd[slot] = (n, cycle, tid, dur)
 
-    def _grow(self) -> None:
-        block = min(_WRITE_BATCH, self.capacity - len(self._args))
-        for column in (self._cycle, self._dur, self._tid, self._kind):
+    def _grow(self, block: int) -> None:
+        for column in (self._cycle, self._dur, self._iarg, self._tid,
+                       self._kind):
             column.frombytes(bytes(column.itemsize * block))
         self._args.extend([None] * block)
 
@@ -199,7 +235,7 @@ class Tracer:
 
     # -- reading ---------------------------------------------------------
     def __len__(self) -> int:
-        return min(self._pushed, self.capacity)
+        return min(self._count[0], self.capacity)
 
     def _order(self) -> Tuple[np.ndarray, Dict[int, tuple]]:
         """Buffered slots in export order, and the live ``_odd`` values
@@ -211,13 +247,13 @@ class Tracer:
         per event. Values on the side path can be any comparable type,
         so when there are any the sort falls back to ``sorted``."""
         size = len(self)
-        first = self._pushed - size  # push number of the oldest event
+        first = self._count[0] - size  # push number of the oldest event
         odd = {slot: values for slot, (n, *values) in self._odd.items()
                if n >= first}
         if not size:
             return np.arange(0), odd
         start = first % self.capacity  # the oldest event's slot
-        names = [name for name, _, _ in self._kind_keys]
+        names = [key[0] for key in self._kind_keys]
         rank = {name: index for index, name in enumerate(sorted(set(names)))}
         name_rank = [rank[name] for name in names]
         if odd:
@@ -243,22 +279,32 @@ class Tracer:
         export order."""
         order, odd = self._order()
         kinds, cycles, tids = self._kind, self._cycle, self._tid
-        durs, args = self._dur, self._args
+        durs, args, iargs = self._dur, self._args, self._iarg
+        # per kind: None (args from the list), "" (none) or the name of
+        # the integer column's argument
+        arg_names = [key[3] if len(key) > 3 else None
+                     for key in self._kind_keys]
         for begin in range(0, len(order), _WRITE_BATCH):
             for slot in order[begin:begin + _WRITE_BATCH].tolist():
+                kind = kinds[slot]
+                arg = arg_names[kind]
+                if arg is None:
+                    event_args = args[slot]
+                else:
+                    event_args = {arg: iargs[slot]} if arg else None
                 values = odd.get(slot)
                 if values is None:
-                    yield (kinds[slot], cycles[slot], tids[slot], durs[slot],
-                           args[slot])
+                    yield (kind, cycles[slot], tids[slot], durs[slot],
+                           event_args)
                 else:
-                    yield (kinds[slot], *values, args[slot])
+                    yield (kind, *values, event_args)
 
     def events(self) -> List[TraceEvent]:
         """Recorded events in chronological (start-cycle) order."""
         keys = self._kind_keys
         events = []
         for kind, cycle, tid, dur, args in self._records():
-            name, category, phase = keys[kind]
+            name, category, phase = keys[kind][:3]
             events.append(
                 TraceEvent(phase, category, name, cycle, dur, tid, args))
         return events
@@ -309,7 +355,7 @@ class Tracer:
                    f'"args":{{"name":{encode(name)}}}}}')
         heads = [(f'{{"name":{encode(name)},"cat":{encode(category)},'
                   f'"ph":"{phase}","ts":', phase)
-                 for name, category, phase in self._kind_keys]
+                 for name, category, phase, *_ in self._kind_keys]
         for kind, cycle, tid, dur, args in self._records():
             prefix, phase = heads[kind]
             if phase == "X":

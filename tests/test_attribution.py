@@ -178,6 +178,15 @@ class TestLedger:
         assert ledger.pending == "memory.l1"
         assert ledger.finalize(8) == {"memory.l1": 8}
 
+    def test_ledger_pickled_before_the_source_slot_loads(self):
+        # the default slot pickle of earlier snapshots: (None, slots)
+        ledger = TileAttribution.__new__(TileAttribution)
+        ledger.__setstate__((None, {
+            "name": "t", "cycles": {CAT_COMPUTE: 4}, "cursor": 4,
+            "pending": CAT_COMPUTE, "_deferred": {}}))
+        assert ledger.source is None
+        assert ledger.finalize(6) == {CAT_COMPUTE: 6}
+
     def test_finalize_raises_on_lost_cycles(self):
         ledger = TileAttribution("t")
         ledger.pending = CAT_COMPUTE

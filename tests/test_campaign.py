@@ -3,14 +3,16 @@ trial planning, outcome classification, serial-vs-parallel portability,
 journal resume, early stop, report validation, the terminal renderer,
 and the ``repro campaign`` CLI exit codes."""
 
+import ast
 import copy
 import json
 import pickle
+import shlex
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _fault_plan, _replay_command, build_parser, main
 from repro.harness import render_campaign_report, run_with_faults
 from repro.ir import F64
 from repro.resilience import (
@@ -309,6 +311,8 @@ class TestRenderer:
 
 
 SPMV = ["spmv", "--size", "rows=12", "--size", "cols=12"]
+#: one accel_sgemm invocation, faulted half the time
+ACCEL = ["sinkhorn-accel", "--accel-fault-rate", "0.5"]
 
 
 class TestCampaignCLI:
@@ -347,3 +351,34 @@ class TestCampaignCLI:
                     + ["--trials", "2", "--drop-rate", "0.7",
                        "--delay-rate", "0.5"]) == 2
         assert "must not exceed" in capsys.readouterr().err
+
+    def test_inject_faults_an_accelerated_workload(self, capsys):
+        assert main(["inject"] + ACCEL + ["--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "outcome: ok" in out
+        assert "accel.fail: 1" in out
+
+    def test_accelerator_trial_replays_through_inject(self, capsys,
+                                                      tmp_path):
+        """Each accelerator trial's replay line (the one campaign prints
+        for an SDC trial) reruns it through inject: same fault count,
+        and a masked trial is an ok run."""
+        journal = tmp_path / "trials.jsonl"
+        campaign = (["campaign"] + ACCEL
+                    + ["--sites", "accel", "--trials", "3",
+                       "--journal", str(journal)])
+        assert main(campaign) == 0
+        capsys.readouterr()
+        args = build_parser().parse_args(campaign)
+        faults = []
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            seed = dict(ast.literal_eval(record["parameters"]))["seed"]
+            replay = _replay_command(args, _fault_plan(args), "accel", seed)
+            assert main(shlex.split(replay)[1:]) == 0
+            out = capsys.readouterr().out
+            assert record["outcome"] == "masked"
+            assert "outcome: ok" in out
+            faults.append(json.loads(record["error"])["faults"])
+            assert f"faults injected: {faults[-1]}" in out
+        assert len(faults) == 3 and max(faults) > 0

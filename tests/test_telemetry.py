@@ -235,6 +235,53 @@ class TestColumnarRing:
             document, separators=(",", ":")).encode()
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 40), events=_events(False),
+           writers=st.lists(st.sampled_from("pci"), min_size=120,
+                            max_size=120))
+    def test_column_writes_interleave_with_pushes(self, capacity, events,
+                                                  writers):
+        """Events written in place through ``columns()`` (as the
+        compiled core writes them) share the push numbering, and a slot
+        they overwrite never shows the ``args`` of the event it held."""
+        tracer, model = Tracer(capacity=capacity), _TupleRing(capacity)
+        kinds = {"X": tracer.column_kind("core", "dbb 1", "X", "index"),
+                 "i": tracer.column_kind("core", "mispredict", "i")}
+        cycles, durs, iargs, tids, kind_of, count = tracer.columns()
+        for (phase, cat, name, cycle, span, tid, args, _), writer in zip(
+                events, writers):
+            if writer == "p":
+                tracer.complete(cat, name, cycle, cycle + span, tid, args)
+                model.push("X", cat, name, cycle, tid, args, cycle + span)
+                continue
+            slot = count[0] % capacity
+            count[0] += 1
+            phase = "X" if writer == "c" else "i"
+            kind_of[slot], cycles[slot], tids[slot] = kinds[phase], cycle, tid
+            durs[slot] = max(span, 0) if phase == "X" else 0
+            iargs[slot] = tid + 7
+            if phase == "X":
+                model.push("X", "core", "dbb 1", cycle, tid,
+                           {"index": tid + 7}, cycle + span)
+            else:
+                model.push("i", "core", "mispredict", cycle, tid, None)
+        assert tracer.dropped == model.pushed - len(model.ring)
+        assert [event.as_chrome() for event in tracer.events()] == list(
+            model.chrome_events())
+
+    def test_tracer_pickled_before_the_shared_counter_loads(self):
+        tracer = _mixed_tracer(capacity=4)
+        state = dict(tracer.__dict__)
+        state["_pushed"] = state.pop("_count")[0]
+        del state["_iarg"]
+        old = Tracer.__new__(Tracer)
+        old.__setstate__(state)
+        assert old.dropped == tracer.dropped
+        assert old.to_chrome() == tracer.to_chrome()
+        old.instant("core", "after", 99)
+        assert len(old) == 4
+
+
 class TestTraceValidation:
     def _valid(self):
         tracer = Tracer()
