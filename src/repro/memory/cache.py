@@ -91,11 +91,8 @@ class Cache:
         self.next_access = next_access
         self.stats = stats
         self.energy_sink = energy_sink
-        #: cycle-level Tracer (attached by MemorySystem.attach_tracer)
-        self.tracer = None
-        self.trace_tid = 0
-        #: per-instance CacheMemStat (attached by attach_memstat)
-        self.memstat = None
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
         self._sets = [_Set() for _ in range(config.num_sets)]
         # geometry scalars hoisted off the config (num_sets is a derived
         # property; the access path reads these every request)
@@ -140,8 +137,8 @@ class Cache:
                 cache_set.lines[tag] = True
             if not request.is_prefetch:
                 self.stats.hits += 1
-            if self.memstat is not None:
-                self.memstat.record_hit(line, request.is_prefetch)
+            for observer in self.observers:
+                observer.cache_hit(line, request.is_prefetch)
             if request.service_level is None:
                 # first level to hit classifies the request (attribution)
                 request.service_level = self.stats.name
@@ -168,12 +165,12 @@ class Cache:
             return
         if request.is_prefetch:
             self.stats.prefetches += 1
-            if self.memstat is not None:
-                self.memstat.record_prefetch_fill(line)
+            for observer in self.observers:
+                observer.cache_prefetch_fill(line)
         else:
             self.stats.misses += 1
-            if self.memstat is not None:
-                self.memstat.record_miss(line, set_index)
+            for observer in self.observers:
+                observer.cache_miss(line, set_index)
 
         self._mshr[line] = [request]
         fill = MemRequest(
@@ -187,11 +184,8 @@ class Cache:
     def _fill(self, fill_request: MemRequest, was_write: bool, cycle: int,
               miss_cycle: int = 0) -> None:
         line = fill_request.line(self._line_bytes)
-        if self.tracer is not None:
-            # span: the miss's full round trip until the line fills
-            self.tracer.complete(
-                "cache", f"{self.stats.name} miss", miss_cycle, cycle,
-                self.trace_tid, {"line": line})
+        for observer in self.observers:
+            observer.cache_fill(self.stats.name, line, miss_cycle, cycle)
         num_sets = self._num_sets
         set_index = line % num_sets
         tag = line // num_sets

@@ -21,25 +21,21 @@ from ..sim.statistics import DRAMStats
 from .request import MemRequest
 
 
-class SimpleDRAM:
-    def __init__(self, config: SimpleDRAMConfig, scheduler: Scheduler,
-                 stats: DRAMStats, frequency_ghz: float,
-                 energy_sink: Optional[List[float]] = None,
-                 injector=None):
+class _DRAMModel:
+    """What both models share: accounting, the injected stall, the
+    observers and the response. A model's :meth:`_service` returns the
+    completion cycle and its ``dram_access`` event arguments."""
+
+    def __init__(self, config, scheduler: Scheduler, stats: DRAMStats,
+                 energy_sink: Optional[List[float]], injector):
         self.config = config
         self.scheduler = scheduler
         self.stats = stats
         self.energy_sink = energy_sink
         #: optional FaultInjector: extra response stalls
         self.injector = injector
-        #: cycle-level Tracer (attached by MemorySystem.attach_tracer)
-        self.tracer = None
-        self.trace_tid = 0
-        #: DRAMMemStat shadow bank/row observer (attach_memstat)
-        self.memstat = None
-        self._per_epoch = config.requests_per_epoch(frequency_ghz)
-        #: epoch index -> responses already returned in that epoch
-        self._epoch_counts: Dict[int, int] = {}
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
 
     def access(self, request: MemRequest, cycle: int) -> None:
         self.stats.requests += 1
@@ -47,10 +43,28 @@ class SimpleDRAM:
             request.service_level = "dram"
         if self.energy_sink is not None:
             self.energy_sink[0] += self.config.energy_nj
-        if self.memstat is not None:
-            # SimpleDRAM has no banks; the observer runs a shadow
-            # open-row model (observability only, timing unchanged)
-            self.memstat.observe_address(request.address)
+        completion, event = self._service(request.address, cycle)
+        if self.injector is not None:
+            # stall the response only; bank/bus state frees on schedule
+            completion += self.injector.dram_stall(request.address, cycle)
+        self.stats.total_latency += completion - cycle
+        for observer in self.observers:
+            observer.dram_access(request, cycle, completion, **event)
+        if request.callback is not None:
+            self.scheduler.at(completion, request.callback)
+
+
+class SimpleDRAM(_DRAMModel):
+    def __init__(self, config: SimpleDRAMConfig, scheduler: Scheduler,
+                 stats: DRAMStats, frequency_ghz: float,
+                 energy_sink: Optional[List[float]] = None,
+                 injector=None):
+        super().__init__(config, scheduler, stats, energy_sink, injector)
+        self._per_epoch = config.requests_per_epoch(frequency_ghz)
+        #: epoch index -> responses already returned in that epoch
+        self._epoch_counts: Dict[int, int] = {}
+
+    def _service(self, address: int, cycle: int):
         ready = cycle + self.config.min_latency
         epoch = ready // self.config.epoch_cycles
         throttled = False
@@ -59,22 +73,12 @@ class SimpleDRAM:
             epoch += 1
             throttled = True
         self._epoch_counts[epoch] = self._epoch_counts.get(epoch, 0) + 1
+        self._prune(cycle)
         if throttled:
             self.stats.throttled += 1
-            completion = max(ready, epoch * self.config.epoch_cycles)
-        else:
-            completion = ready
-        if self.injector is not None:
-            completion += self.injector.dram_stall(request.address, cycle)
-        self.stats.total_latency += completion - cycle
-        if self.tracer is not None:
-            self.tracer.complete(
-                "dram", "write" if request.is_write else "read",
-                cycle, completion, self.trace_tid,
-                {"throttled": throttled})
-        if request.callback is not None:
-            self.scheduler.at(completion, request.callback)
-        self._prune(cycle)
+            return max(ready, epoch * self.config.epoch_cycles), \
+                {"throttled": True}
+        return ready, {"throttled": False}
 
     def _prune(self, cycle: int) -> None:
         if len(self._epoch_counts) > 1024:
@@ -83,24 +87,14 @@ class SimpleDRAM:
                 e: c for e, c in self._epoch_counts.items() if e >= current}
 
 
-class DRAMSim2Model:
+class DRAMSim2Model(_DRAMModel):
     """Bank/row-buffer cycle-level model."""
 
     def __init__(self, config: DRAMSim2Config, scheduler: Scheduler,
                  stats: DRAMStats,
                  energy_sink: Optional[List[float]] = None,
                  injector=None):
-        self.config = config
-        self.scheduler = scheduler
-        self.stats = stats
-        self.energy_sink = energy_sink
-        #: optional FaultInjector: extra response stalls
-        self.injector = injector
-        #: cycle-level Tracer (attached by MemorySystem.attach_tracer)
-        self.tracer = None
-        self.trace_tid = 0
-        #: DRAMMemStat per-bank locality observer (attach_memstat)
-        self.memstat = None
+        super().__init__(config, scheduler, stats, energy_sink, injector)
         num_banks = config.channels * config.banks_per_channel
         #: per-bank (open_row, next_free_cycle)
         self._banks: List[Tuple[Optional[int], int]] = [
@@ -121,20 +115,11 @@ class DRAMSim2Model:
         row = address // config.row_bytes
         return channel, bank, row
 
-    def access(self, request: MemRequest, cycle: int) -> None:
+    def _service(self, address: int, cycle: int):
         config = self.config
-        self.stats.requests += 1
-        if request.service_level is None:
-            request.service_level = "dram"
-        if self.energy_sink is not None:
-            self.energy_sink[0] += config.energy_nj
-        channel, bank, row = self._map(request.address)
+        channel, bank, row = self._map(address)
         open_row, bank_free = self._banks[bank]
-        if self.memstat is not None:
-            # authoritative bank state: hit / closed-row miss / conflict
-            self.memstat.record(bank, open_row, row)
         start = max(cycle, bank_free, self._bus_free[channel])
-        row_hit = open_row == row
         if open_row == row:
             self.stats.row_hits += 1
             service = config.t_cas
@@ -149,14 +134,6 @@ class DRAMSim2Model:
         self._banks[bank] = (row, completion)
         self._bus_free[channel] = start + config.burst_cycles * \
             config.clock_ratio
-        if self.injector is not None:
-            # stall the response only; bank/bus state frees on schedule
-            completion += self.injector.dram_stall(request.address, cycle)
-        self.stats.total_latency += completion - cycle
-        if self.tracer is not None:
-            self.tracer.complete(
-                "dram", "write" if request.is_write else "read",
-                cycle, completion, self.trace_tid,
-                {"row_hit": row_hit, "bank": bank})
-        if request.callback is not None:
-            self.scheduler.at(completion, request.callback)
+        # the row open *before* this access: hit / closed-row miss /
+        # conflict
+        return completion, {"bank": bank, "open_row": open_row, "row": row}

@@ -43,16 +43,15 @@ class _Deliver:
 
 class _NoCReturn:
     """Charge the response's mesh traversal back to the core before the
-    original callback fires. When a link ledger is attached, ``noc`` is
-    set and the bank->core traversal is recorded at its *actual* start
-    cycle (the response leaves the bank now, not at request time)."""
+    original callback fires. The mesh's observers see the bank->core
+    traversal at its *actual* start cycle (the response leaves the bank
+    now, not at request time)."""
 
     __slots__ = ("scheduler", "callback", "delay", "noc", "src", "dst")
 
     def __init__(self, scheduler: Scheduler,
                  callback: Callable[[int], None], delay: int,
-                 noc: Optional[MeshNoC] = None, src: int = 0,
-                 dst: int = 0):
+                 noc: MeshNoC, src: int, dst: int):
         self.scheduler = scheduler
         self.callback = callback
         self.delay = delay
@@ -62,8 +61,8 @@ class _NoCReturn:
 
     def __call__(self, cycle: int) -> None:
         noc = self.noc
-        if noc is not None and noc.memstat is not None:
-            noc.memstat.record_traversal(noc, self.src, self.dst, cycle)
+        for observer in noc.observers:
+            observer.noc_traversal(noc, self.src, self.dst, cycle)
         self.scheduler.at(cycle + self.delay, self.callback)
 
 
@@ -82,18 +81,18 @@ class _NoCEntry:
 
     def __call__(self, request: MemRequest, cycle: int) -> None:
         noc = self.noc
-        there = noc.core_to_bank_latency(self.core, request.address,
-                                         cycle=cycle)
+        bank_node = noc.bank_node(noc.bank_of(request.address))
+        there = noc.latency(self.core, bank_node)
+        for observer in noc.observers:
+            observer.noc_traversal(noc, self.core, bank_node, cycle)
         original = request.callback
         if original is not None:
             # the return hops are computed now (latency is deterministic)
-            # but the ledger charge, if any, happens when the response
-            # actually traverses — _NoCReturn records at fire time
-            bank_node = noc.bank_node(noc.bank_of(request.address))
+            # but observers see the response when it actually traverses
+            # — _NoCReturn reports at fire time
             back = noc.latency(bank_node, self.core)
-            record = noc if noc.memstat is not None else None
             request.callback = _NoCReturn(self.scheduler, original, back,
-                                          record, bank_node, self.core)
+                                          noc, bank_node, self.core)
         self.scheduler.at(cycle + there,
                           _Deliver(self.llc_access, request))
 
@@ -126,8 +125,8 @@ class _TrackedCallback:
     def __call__(self, cycle: int) -> None:
         memsys = self.memsys
         memsys.outstanding -= 1
-        if memsys._latency_hist is not None:
-            memsys._latency_hist.observe(cycle - self.issue_cycle)
+        for observer in memsys.observers:
+            observer.mem_response(cycle - self.issue_cycle)
         self.done(cycle)
 
 
@@ -149,10 +148,8 @@ class MemorySystem:
         self.cache_stats: Dict[str, CacheStats] = {}
         #: requests issued but not yet responded (deadlock diagnostics)
         self.outstanding = 0
-        #: end-to-end request latency histogram (attach_metrics)
-        self._latency_hist = None
-        #: data-movement observatory (attach_memstat)
-        self._memstat = None
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
 
         if config.dram_model == "simple":
             self.dram = SimpleDRAM(config.simple_dram, scheduler,
@@ -169,11 +166,14 @@ class MemorySystem:
 
         self.llc: Optional[Cache] = None
         llc_access = dram_access
+        #: every cache instance (observers attach to each)
+        self.caches: List[Cache] = []
         if config.llc is not None:
             stats = self._stats_for(config.llc.name)
             self.llc = Cache(config.llc, scheduler, dram_access, stats,
                              self._cache_energy)
             llc_access = self.llc.access
+            self.caches.append(self.llc)
 
         # optional mesh NoC between private hierarchies and the LLC banks
         # (§V-A extension)
@@ -200,6 +200,7 @@ class MemorySystem:
                 chain_entry = cache.access
                 levels.append(cache)
             levels.reverse()
+            self.caches += levels
             self.private_caches.append(levels)
             self._entries.append(chain_entry)
 
@@ -222,59 +223,6 @@ class MemorySystem:
             self.cache_stats[name] = CacheStats(name=name)
         return self.cache_stats[name]
 
-    # -- observability ---------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Hand the cycle tracer to every cache level and the DRAM model.
-        All cache levels share one trace lane; DRAM gets its own."""
-        cache_tid = tracer.tid_for("cache")
-        for levels in self.private_caches:
-            for cache in levels:
-                cache.tracer = tracer
-                cache.trace_tid = cache_tid
-        if self.llc is not None:
-            self.llc.tracer = tracer
-            self.llc.trace_tid = cache_tid
-        self.dram.tracer = tracer
-        self.dram.trace_tid = tracer.tid_for("dram")
-
-    def attach_metrics(self, metrics) -> None:
-        """Register memory-system metrics; the request-latency histogram
-        is observed on every response (single branch when detached)."""
-        self._latency_hist = metrics.histogram(
-            "memory.request_latency_cycles")
-
-    def attach_memstat(self, memstat) -> None:
-        """Hand the data-movement observatory to every cache instance,
-        the DRAM model, and the mesh (same fan-out as attach_tracer).
-        Each cache gets its *own* observer — per-core L1s must not share
-        shadow state — aggregated by level name at report time."""
-        memstat.line_bytes = self.line_bytes
-        self._memstat = memstat
-        for levels in self.private_caches:
-            for cache in levels:
-                cache.memstat = memstat.cache_observer(
-                    cache.stats.name, cache.config.num_sets,
-                    cache.config.associativity)
-        if self.llc is not None:
-            self.llc.memstat = memstat.cache_observer(
-                self.llc.stats.name, self.llc.config.num_sets,
-                self.llc.config.associativity)
-        if self.config.dram_model == "dramsim2":
-            dramsim = self.config.dramsim2
-            self.dram.memstat = memstat.dram_observer(
-                banks=dramsim.channels * dramsim.banks_per_channel,
-                row_bytes=dramsim.row_bytes,
-                line_bytes=dramsim.line_bytes,
-                channels=dramsim.channels, model="dramsim2")
-        else:
-            # SimpleDRAM has no banks: shadow a typical DDR geometry
-            # (8 banks, 2 KB rows) purely for locality observation
-            self.dram.memstat = memstat.dram_observer(
-                banks=8, row_bytes=2048, line_bytes=self.line_bytes,
-                channels=1, model="simple-shadow")
-        if self.noc is not None:
-            self.noc.memstat = memstat.noc_observer()
-
     # ------------------------------------------------------------------
     def access(self, core_id: int, address: int, size: int, *,
                is_write: bool, cycle: int,
@@ -285,9 +233,8 @@ class MemorySystem:
         Returns the request object so callers that attribute stall cycles
         can read the ``service_level`` the hierarchy stamps on it."""
         self.outstanding += 1
-        if self._memstat is not None:
-            # per-tile reuse profile, at the hierarchy entry point
-            self._memstat.observe_tile_access(core_id, address)
+        for observer in self.observers:
+            observer.mem_entry(core_id, address)
         request = MemRequest(address, size, is_write=is_write,
                              is_atomic=is_atomic, core_id=core_id,
                              callback=_TrackedCallback(self, callback, cycle),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass
@@ -46,8 +46,9 @@ class MeshNoC:
         self.height = height
         self.hops_total = 0
         self.traversals = 0
-        #: NoCLinkObserver per-link busy ledger (attach_memstat)
-        self.memstat = None
+        #: event handlers (repro.telemetry.observer), empty when unwatched;
+        #: the hierarchy reports each timed traversal to them
+        self.observers = ()
 
     def position(self, node: int) -> Tuple[int, int]:
         return node % self.width, node // self.width
@@ -65,24 +66,13 @@ class MeshNoC:
         dx, dy = self.position(dst_node)
         return abs(sx - dx) + abs(sy - dy)
 
-    def latency(self, src_node: int, dst_node: int,
-                cycle: Optional[int] = None) -> int:
-        """One-way traversal latency (XY routing). When a link ledger is
-        attached and the caller supplies the traversal's start ``cycle``,
-        every link on the route is charged for its wire time."""
+    def latency(self, src_node: int, dst_node: int) -> int:
+        """One-way traversal latency (XY routing)."""
         hops = self.hops(src_node, dst_node)
         self.hops_total += hops
         self.traversals += 1
-        if self.memstat is not None and cycle is not None:
-            self.memstat.record_traversal(self, src_node, dst_node, cycle)
         return hops * self.config.link_latency \
             + (hops + 1) * self.config.router_latency
-
-    def core_to_bank_latency(self, core: int, address: int,
-                             line_bytes: int = 64,
-                             cycle: Optional[int] = None) -> int:
-        bank = self.bank_of(address, line_bytes)
-        return self.latency(core, self.bank_node(bank), cycle)
 
     @property
     def average_hops(self) -> float:

@@ -121,10 +121,8 @@ class FaultInjector:
             site: random.Random(f"{plan.seed}:{site}") for site in _SITES}
         self.log: List[FaultRecord] = []
         self._load_index = 0
-        #: cycle-level Tracer (attached by the harness when tracing);
-        #: every recorded fault also becomes a trace instant
-        self.tracer = None
-        self.trace_tid = 0
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
 
     # ------------------------------------------------------------------
     def _active(self, cycle: int) -> bool:
@@ -134,10 +132,10 @@ class FaultInjector:
         return plan.end_cycle is None or cycle < plan.end_cycle
 
     def _record(self, site: str, kind: str, cycle: int, detail: str) -> None:
-        self.log.append(FaultRecord(site, kind, cycle, detail))
-        if self.tracer is not None:
-            self.tracer.instant("fault", f"{site}.{kind}", cycle,
-                                self.trace_tid, {"detail": detail})
+        record = FaultRecord(site, kind, cycle, detail)
+        self.log.append(record)
+        for observer in self.observers:
+            observer.fault(record)
 
     # -- functional loads (trace generation) ----------------------------
     def corrupt_load(self, address: int, value):

@@ -119,9 +119,8 @@ class AcceleratorFarm:
         self._tiles: Dict[str, AcceleratorTile] = {}
         #: optional FaultInjector; may fail invocations
         self.injector = None
-        #: cycle-level Tracer (attached by the Interleaver)
-        self.tracer = None
-        self.trace_tid = 0
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
         #: when True, a faulted invocation falls back to core execution
         #: instead of propagating the fault
         self.fallback_enabled = True
@@ -156,23 +155,17 @@ class AcceleratorFarm:
                 raise AcceleratorFaultError(invocation.name, cycle,
                                             transient)
         result = tile.invoke(invocation, cycle)
-        if self.tracer is not None:
-            completion, energy, nbytes = result
-            self.tracer.complete(
-                "accel", invocation.name, cycle, completion,
-                self.trace_tid, {"energy_nj": energy, "bytes": nbytes})
+        for observer in self.observers:
+            observer.accel_invocation(invocation.name, cycle, *result)
         return result
 
     def fallback_invoke(self, invocation: AccelInvocation, cycle: int):
         """Core-execution estimate for a faulted invocation."""
         result = self._tile_for(invocation).fallback_invoke(
             invocation, cycle, self.fallback_slowdown)
-        if self.tracer is not None:
-            completion, energy, nbytes = result
-            self.tracer.complete(
-                "accel", f"{invocation.name} (fallback)", cycle,
-                completion, self.trace_tid,
-                {"energy_nj": energy, "bytes": nbytes})
+        for observer in self.observers:
+            observer.accel_invocation(f"{invocation.name} (fallback)",
+                                      cycle, *result)
         return result
 
     @property

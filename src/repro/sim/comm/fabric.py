@@ -40,16 +40,8 @@ class CommFabric:
         self.dae_queue_capacity = dae_queue_capacity
         #: optional FaultInjector consulted on every send
         self.injector = injector
-        #: optional cycle-level Tracer (attached by the Interleaver);
-        #: every hook below guards on it with a single branch
-        self.tracer = None
-        self.trace_tid = 0
-        #: optional Attributor (attached by the Interleaver) recording
-        #: queue-full/empty and recv-wait stall counts
-        self.attributor = None
-        #: optional MemStat (attached by the Interleaver): message-rate
-        #: link ledger + DAE queue-depth occupancy histograms
-        self.memstat = None
+        #: event handlers (repro.telemetry.observer), empty when unwatched
+        self.observers = ()
         self.messages_sent = 0
         self.dropped_messages = 0
         self.delayed_messages = 0
@@ -65,9 +57,8 @@ class CommFabric:
         self._full_waiters: Dict[str, Deque[Wakeup]] = {}
         #: peak occupancy per queue, for stats/tests
         self.peak_occupancy: Dict[str, int] = {}
-        #: (group, generation) -> [arrival count, waiting wakeups,
-        #: arrival cycles (recorded only while tracing)]
-        self._barriers: Dict[Tuple[str, int], list] = {}
+        #: (group, generation) -> (waiting wakeups, arrival cycles)
+        self._barriers: Dict[Tuple[str, int], tuple] = {}
         #: completed barrier generations per group (stats)
         self.barriers_released: Dict[str, int] = {}
 
@@ -82,21 +73,14 @@ class CommFabric:
                 # the message vanishes; a receiver blocked on it is caught
                 # by deadlock detection or the watchdog
                 self.dropped_messages += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "fabric", f"drop {src}->{dst}", available_cycle,
-                        self.trace_tid)
+                for observer in self.observers:
+                    observer.fabric_drop(src, dst, available_cycle)
                 return
             if action == "delay":
                 self.delayed_messages += 1
                 available_cycle += extra
-        if self.tracer is not None:
-            self.tracer.instant("fabric", f"send {src}->{dst}",
-                                available_cycle, self.trace_tid)
-        if self.memstat is not None:
-            # one busy cycle per message: the pair ledger is a message
-            # rate over epochs (the generic fabric has no modeled wires)
-            self.memstat.record_fabric_send(src, dst, available_cycle, 1)
+        for observer in self.observers:
+            observer.fabric_send(src, dst, available_cycle)
         key = (src, dst)
         waiters = self._recv_waiters.get(key)
         if waiters:
@@ -113,23 +97,20 @@ class CommFabric:
         """
         key = (src, dst)
         buffered = self._messages.get(key)
-        if buffered and buffered[0] <= cycle:
-            available = buffered.popleft()
-            if self.tracer is not None:
-                # span: the message's wait in the buffer until this recv
-                self.tracer.complete("fabric", f"msg {src}->{dst}",
-                                     available, cycle, self.trace_tid)
-            return True
         if buffered:
-            # message in flight: complete when it becomes visible
             available = buffered.popleft()
-            if self.tracer is not None:
-                self.tracer.complete("fabric", f"msg {src}->{dst}",
-                                     cycle, available, self.trace_tid)
+            # span: the message's wait in the buffer until this recv, or
+            # the recv's wait for a message in flight
+            for observer in self.observers:
+                observer.fabric_message(src, dst, min(available, cycle),
+                                        max(available, cycle))
+            if available <= cycle:
+                return True
+            # message in flight: complete when it becomes visible
             wakeup(available)
             return False
-        if self.attributor is not None:
-            self.attributor.note_recv_wait()
+        for observer in self.observers:
+            observer.recv_wait(src, dst)
         self._recv_waiters.setdefault(key, deque()).append(wakeup)
         return False
 
@@ -145,13 +126,10 @@ class CommFabric:
         returns False; the producer retries when a consumer pops.
         """
         if self.queue_occupancy(name) >= self.dae_queue_capacity:
-            if self.attributor is not None:
-                self.attributor.note_queue_full(name)
+            for observer in self.observers:
+                observer.queue_full(name, available_cycle)
             self._full_waiters.setdefault(name, deque()).append(
                 wakeup_when_space)
-            if self.tracer is not None:
-                self.tracer.instant("dae", f"{name} full", available_cycle,
-                                    self.trace_tid)
             return False
         waiters = self._empty_waiters.get(name)
         if waiters:
@@ -163,10 +141,8 @@ class CommFabric:
         occupancy = self.queue_occupancy(name)
         if occupancy > self.peak_occupancy.get(name, 0):
             self.peak_occupancy[name] = occupancy
-        if self.tracer is not None:
-            self.tracer.counter("dae", name, available_cycle, occupancy)
-        if self.memstat is not None:
-            self.memstat.observe_queue_depth(name, occupancy)
+        for observer in self.observers:
+            observer.queue_depth(name, available_cycle, occupancy)
         return True
 
     def queue_try_consume(self, name: str, cycle: int,
@@ -176,28 +152,22 @@ class CommFabric:
         if queue and queue[0] <= cycle:
             queue.popleft()
             self._notify_space(name, cycle)
-            if self.tracer is not None:
-                self.tracer.counter("dae", name, cycle,
-                                    self.queue_occupancy(name))
-            if self.memstat is not None:
-                self.memstat.observe_queue_depth(
-                    name, self.queue_occupancy(name))
+            for observer in self.observers:
+                observer.queue_depth(name, cycle, self.queue_occupancy(name))
             return True
         if queue:
             available = queue.popleft()
             self._notify_space(name, available)
-            if self.tracer is not None:
-                self.tracer.counter("dae", name, available,
-                                    self.queue_occupancy(name))
+            for observer in self.observers:
+                observer.queue_depth(name, available,
+                                     self.queue_occupancy(name),
+                                     in_flight=True)
             wakeup_when_token(available)
             return False
-        if self.attributor is not None:
-            self.attributor.note_queue_empty(name)
+        for observer in self.observers:
+            observer.queue_empty(name, cycle)
         self._empty_waiters.setdefault(name, deque()).append(
             wakeup_when_token)
-        if self.tracer is not None:
-            self.tracer.instant("dae", f"{name} empty", cycle,
-                                self.trace_tid)
         return False
 
     def _notify_space(self, name: str, cycle: int) -> None:
@@ -244,24 +214,18 @@ class CommFabric:
         earlier arrivers' ``wakeup`` fires when the barrier releases.
         """
         key = (group, generation)
-        record = self._barriers.setdefault(key, [0, [], []])
-        record[0] += 1
-        if self.tracer is not None:
-            record[2].append(cycle)
-        if record[0] >= size:
-            if self.tracer is not None:
-                # one span per arriver: its wait from arrival to release
-                for arrival in record[2]:
-                    self.tracer.complete(
-                        "fabric", f"barrier {group}#{generation}",
-                        arrival, cycle, self.trace_tid)
-            for waiter in record[1]:
+        waiters, arrivals = self._barriers.setdefault(key, ([], []))
+        arrivals.append(cycle)
+        if len(arrivals) >= size:
+            for observer in self.observers:
+                observer.barrier_release(group, generation, arrivals, cycle)
+            for waiter in waiters:
                 waiter(cycle)
             del self._barriers[key]
             self.barriers_released[group] = \
                 self.barriers_released.get(group, 0) + 1
             return True
-        record[1].append(wakeup)
+        waiters.append(wakeup)
         return False
 
     # ------------------------------------------------------------------

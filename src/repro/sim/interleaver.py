@@ -21,9 +21,10 @@ outstanding memory requests.
 
 Observers (see ``docs/observability.md``): ``Interleaver.__init__`` is
 the one place that lists them; the runner entry points forward them
-unchanged as ``**observers``, and one attach pass hands each to the
-subsystems that feed it. All seven are optional and cost one branch per
-hook site when absent:
+unchanged as ``**observers``. All seven are optional; the four that
+watch components add handlers to each component's one ``observers``
+tuple (:mod:`repro.telemetry.observer`), so an absent one costs an empty
+loop per hook site:
 
 * ``tracer`` (:class:`~repro.telemetry.Tracer`) records cycle-level
   spans from tiles, fabric, memory, accelerators and fault injection;
@@ -163,51 +164,21 @@ class Interleaver:
 
     # ------------------------------------------------------------------
     def _attach(self) -> None:
-        """Hand every subsystem its services and the observers it feeds,
-        in one pass. Absent observers are skipped here, so their hook
-        sites keep a single ``is not None`` branch.
-
-        Tracer lane order (tiles first, then fabric/memory/accelerators/
-        faults) is fixed so the same configuration always produces the
-        same tids — part of the determinism contract.
-        """
-        tracer = self.tracer
-        attribution, memstat = self.attribution, self.memstat
-        fabric, memory = self.fabric, self.memory
-        services = self.services
+        """Hand every tile its services, then let each observer attach
+        its handlers, in a fixed order so that trace lanes and handler
+        order are part of the determinism contract."""
         for tile in self.tiles:
-            tile.services = services
-            if tracer is not None:
-                tile.tracer = tracer
-                tile.trace_tid = tracer.tid_for(tile.name)
-            if attribution is not None:
-                tile.attributor = attribution.for_tile(tile.name)
-        if tracer is not None:
-            fabric.tracer = tracer
-            fabric.trace_tid = tracer.tid_for("fabric")
-            if memory is not None:
-                memory.attach_tracer(tracer)
-            if self.accelerators is not None:
-                self.accelerators.tracer = tracer
-                self.accelerators.trace_tid = tracer.tid_for("accel")
-            # the shared FaultInjector (if any) records fault instants;
-            # all wired subsystems share one injector, so one suffices
-            for holder in (fabric, self.accelerators,
-                           getattr(memory, "dram", None)):
-                injector = getattr(holder, "injector", None)
-                if injector is not None:
-                    injector.tracer = tracer
-                    injector.trace_tid = tracer.tid_for("fault")
-                    break
-        if attribution is not None:
-            fabric.attributor = attribution
-        if memstat is not None:
-            fabric.memstat = memstat
-        if memory is not None:
-            if self.metrics is not None:
-                memory.attach_metrics(self.metrics)
-            if memstat is not None:
-                memory.attach_memstat(memstat)
+            tile.services = self.services
+        # a farm or an injector can outlive a run (run_supervised's
+        # retries reuse the farm): each run starts them unwatched
+        for shared in (self.accelerators, self.fabric.injector):
+            if shared is not None:
+                shared.observers = ()
+        watching = (self.tracer, self.attribution, self.memstat,
+                    self.metrics)
+        self.observers = tuple(o for o in watching if o is not None)
+        for observer in self.observers:
+            observer.attach(self)
 
     # ------------------------------------------------------------------
     def run(self) -> SystemStats:
@@ -398,8 +369,8 @@ class Interleaver:
 
     def _collect(self, cycle: int) -> SystemStats:
         if self.emitter is not None:
-            # final heartbeat BEFORE attribution.finalize mutates the
-            # ledgers the emitter's delta accounting reads
+            # final heartbeat BEFORE the attributor's collect mutates
+            # the ledgers the emitter's delta accounting reads
             self.emitter.emit(self, cycle, final=True)
         stats = SystemStats(cycles=cycle, frequency_ghz=self.frequency_ghz)
         stats.tiles = [t.stats for t in self.tiles]
@@ -410,46 +381,6 @@ class Interleaver:
             # so the breakdown cannot double count
             stats.cache_energy_nj = self.memory.cache_energy_nj
             stats.dram_energy_nj = self.memory.dram_energy_nj
-        if self.metrics is not None:
-            self._snapshot_metrics(stats)
-            stats.metrics = self.metrics.as_dict()
-        if self.attribution is not None:
-            self.attribution.finalize(stats, self.tiles, self.accelerators,
-                                      self.memory)
-        if self.memstat is not None:
-            stats.memstat = self.memstat.memory_block()
+        for observer in self.observers:
+            observer.collect(stats, self)
         return stats
-
-    def _snapshot_metrics(self, stats: SystemStats) -> None:
-        """Fold end-of-run subsystem state into the registry, alongside
-        the runtime histograms the subsystems observed themselves."""
-        metrics = self.metrics
-        metrics.gauge("sim.cycles").set(stats.cycles)
-        metrics.counter("sim.instructions").inc(stats.instructions)
-        for tile in stats.tiles:
-            prefix = f"tile.{tile.name}"
-            metrics.counter(f"{prefix}.instructions").inc(tile.instructions)
-            metrics.counter(f"{prefix}.memory_accesses").inc(
-                tile.memory_accesses)
-            metrics.counter(f"{prefix}.mispredictions").inc(
-                tile.mispredictions)
-            metrics.counter(f"{prefix}.mao_stalls").inc(tile.mao_stalls)
-        fabric = self.fabric
-        metrics.counter("fabric.messages_sent").inc(fabric.messages_sent)
-        metrics.counter("fabric.messages_dropped").inc(
-            fabric.dropped_messages)
-        metrics.counter("fabric.messages_delayed").inc(
-            fabric.delayed_messages)
-        for name, peak in sorted(fabric.peak_occupancy.items()):
-            metrics.gauge(f"fabric.queue.{name}.peak_occupancy").max(peak)
-        for group, count in sorted(fabric.barriers_released.items()):
-            metrics.counter(f"fabric.barrier.{group}.released").inc(count)
-        for name, cache in sorted(stats.caches.items()):
-            metrics.counter(f"cache.{name}.hits").inc(cache.hits)
-            metrics.counter(f"cache.{name}.misses").inc(cache.misses)
-        metrics.counter("dram.requests").inc(stats.dram.requests)
-        metrics.counter("dram.throttled").inc(stats.dram.throttled)
-        if self.accelerators is not None:
-            for name, tile in sorted(self.accelerators.tiles.items()):
-                metrics.counter(f"{name}.invocations").inc(tile.invocations)
-                metrics.counter(f"{name}.busy_cycles").inc(tile.busy_cycles)

@@ -39,8 +39,9 @@ banked against the access's request — and flushed into the right
 unaffected: deferred cycles are already counted against the cursor and
 only their label resolves late.
 
-Zero-cost-when-disabled: subsystems hold ``attributor = None`` and every
-hook is one ``is not None`` branch, the same discipline as the tracer.
+Zero-cost-when-disabled: a core tile holds ``attributor = None`` and
+checks it once per hook; the fabric loops over its ``observers`` tuple
+(:mod:`repro.telemetry.observer`), empty when nothing is attached.
 
 See ``docs/observability.md`` for the report JSON schema (v2) and the
 ``repro analyze`` / ``repro diff`` commands built on top.
@@ -49,6 +50,8 @@ See ``docs/observability.md`` for the report JSON schema (v2) and the
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+from .observer import Observer
 
 #: closed set of category names/prefixes a report may contain
 CAT_COMPUTE = "compute"
@@ -202,14 +205,13 @@ class TileAttribution:
         return dict(self.cycles)
 
 
-class Attributor:
+class Attributor(Observer):
     """Run-wide registry of per-tile ledgers plus fabric stall counters.
 
-    Created by the harness/CLI, attached by the Interleaver (one
-    :class:`TileAttribution` per tile, a stall-counter hook on the
-    fabric), and finalized into the report dictionaries stored on
-    :class:`~repro.sim.statistics.SystemStats` (``attribution`` and
-    ``roofline``).
+    :meth:`attach` gives each tile a :class:`TileAttribution` and
+    watches the fabric's stall events; :meth:`collect` stores the report
+    dictionaries on :class:`~repro.sim.statistics.SystemStats`
+    (``attribution`` and ``roofline``).
     """
 
     def __init__(self):
@@ -227,20 +229,24 @@ class Attributor:
             ledger = self.tiles[name] = TileAttribution(name)
         return ledger
 
-    # -- fabric hooks (guarded by ``attributor is not None``) ------------
-    def note_queue_full(self, name: str) -> None:
+    def attach(self, interleaver) -> None:
+        for tile in interleaver.tiles:
+            tile.attributor = self.for_tile(tile.name)
+        interleaver.fabric.observers += (self,)
+
+    # -- fabric events -----------------------------------------------------
+    def queue_full(self, name: str, cycle: int) -> None:
         self.queue_full_stalls[name] = self.queue_full_stalls.get(name, 0) + 1
 
-    def note_queue_empty(self, name: str) -> None:
+    def queue_empty(self, name: str, cycle: int) -> None:
         self.queue_empty_stalls[name] = \
             self.queue_empty_stalls.get(name, 0) + 1
 
-    def note_recv_wait(self) -> None:
+    def recv_wait(self, src: int, dst: int) -> None:
         self.recv_waits += 1
 
     # -- finalization ----------------------------------------------------
-    def finalize(self, stats, tiles, accelerators=None,
-                 memory=None) -> dict:
+    def collect(self, stats, interleaver) -> dict:
         """Close every ledger at the run's total cycle count, append
         accelerator utilization pseudo-ledgers, attach the roofline
         capture, and store both documents on ``stats``."""
@@ -263,8 +269,8 @@ class Attributor:
                     cat: cycles / instructions
                     for cat, cycles in sorted(stack.items())}
             entries[name] = entry
-        if accelerators is not None:
-            for name, accel in sorted(accelerators.tiles.items()):
+        if interleaver.accelerators is not None:
+            for name, accel in sorted(interleaver.accelerators.tiles.items()):
                 entries[name] = accel.cycle_accounting(total)
         self.report = {
             "total_cycles": total,
@@ -277,7 +283,8 @@ class Attributor:
                 "recv_waits": self.recv_waits,
             },
         }
-        self.roofline = capture_roofline(stats, tiles, memory)
+        self.roofline = capture_roofline(stats, interleaver.tiles,
+                                         interleaver.memory)
         stats.attribution = self.report
         stats.roofline = self.roofline
         return self.report

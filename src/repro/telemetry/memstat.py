@@ -10,9 +10,10 @@ occupancy histograms.
 
 Contract (same as the tracer and the attributor):
 
-* zero-cost-when-disabled — every hook on the simulation hot path is a
-  single ``memstat is not None`` branch; with no collector attached the
-  cycle counts of all 11 Parboil kernels stay bit-identical
+* zero-cost-when-disabled — the collector's handlers implement the one
+  event interface (:mod:`repro.telemetry.observer`); with no collector
+  attached every hook site loops over an empty ``observers`` tuple, and
+  the cycle counts of all 11 Parboil kernels stay bit-identical
   (``tests/test_behaviour_baseline.py``);
 * observation only — an *enabled* collector never changes timing
   either, so enabling it on a run reproduces the exact same cycles;
@@ -41,6 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .metrics import Histogram
+from .observer import Observer
 
 __all__ = [
     "CacheMemStat", "DRAMMemStat", "LinkLedger", "MemStat",
@@ -166,7 +168,7 @@ class ReuseTracker:
         other.accesses += self.accesses
 
 
-class CacheMemStat:
+class CacheMemStat(Observer):
     """Per-cache-*instance* observer: three-Cs classifier, per-set miss
     and conflict counters, and a demand-access reuse profile.
 
@@ -194,20 +196,19 @@ class CacheMemStat:
         self.set_conflicts = [0] * num_sets
         self.reuse = ReuseTracker(sample_every)
 
-    def record_hit(self, line: int, is_prefetch: bool) -> None:
+    def cache_hit(self, line: int, is_prefetch: bool) -> None:
         """Mirror a (demand or prefetch) hit into the shadows."""
         self.seen.add(line)
         self.shadow.access(line)
         if not is_prefetch:
             self.reuse.observe(line)
 
-    def record_prefetch_fill(self, line: int) -> None:
+    def cache_prefetch_fill(self, line: int) -> None:
         """A prefetch miss installs the line; keep the shadows in step
         so later demand misses classify against true contents."""
-        self.seen.add(line)
-        self.shadow.access(line)
+        self.cache_hit(line, True)
 
-    def record_miss(self, line: int, set_index: int) -> None:
+    def cache_miss(self, line: int, set_index: int) -> None:
         """Classify one primary demand miss (called exactly where the
         cache's ``stats.misses`` counter increments)."""
         self.reuse.observe(line)
@@ -230,14 +231,14 @@ class CacheMemStat:
         return self.compulsory + self.capacity + self.conflict
 
 
-class DRAMMemStat:
+class DRAMMemStat(Observer):
     """Per-bank row-buffer locality: hits / closed-row misses / row
     conflicts (a different row was open and must be precharged).
 
-    ``DRAMSim2Model`` reports its own authoritative bank state through
-    :meth:`record`; ``SimpleDRAM`` has no banks, so
-    :meth:`observe_address` runs a shadow open-row model over the same
-    line-interleaved mapping (observability only — timing unchanged)."""
+    ``DRAMSim2Model`` reports its own authoritative bank state;
+    ``SimpleDRAM`` has no banks, so :meth:`dram_access` runs a shadow
+    open-row model over the same line-interleaved mapping
+    (observability only — timing unchanged)."""
 
     __slots__ = ("banks", "row_bytes", "line_bytes", "channels", "model",
                  "row_hits", "row_misses", "row_conflicts",
@@ -257,11 +258,23 @@ class DRAMMemStat:
         self.bank_hits = [0] * self.banks
         self.bank_misses = [0] * self.banks
         self.bank_conflicts = [0] * self.banks
-        #: shadow open row per bank (observe_address path only)
+        #: shadow open row per bank (SimpleDRAM only)
         self._open_rows: List[Optional[int]] = [None] * self.banks
 
-    def record(self, bank: int, open_row: Optional[int], row: int) -> None:
-        """Classify one access against the caller's bank state."""
+    def dram_access(self, request, cycle, completion, throttled=False,
+                    bank=None, open_row=None, row=None) -> None:
+        """Classify one access as a row hit, closed-row miss or conflict."""
+        if bank is None:
+            # shadow model: map the address, classify, open the row
+            line = request.address // self.line_bytes
+            banks_per_channel = self.banks // self.channels or 1
+            channel = line % self.channels
+            bank = (channel * banks_per_channel
+                    + (line // self.channels) % banks_per_channel) \
+                % self.banks
+            row = request.address // self.row_bytes
+            open_row = self._open_rows[bank]
+            self._open_rows[bank] = row
         if open_row == row:
             self.row_hits += 1
             self.bank_hits[bank] += 1
@@ -271,17 +284,6 @@ class DRAMMemStat:
         else:
             self.row_conflicts += 1
             self.bank_conflicts[bank] += 1
-
-    def observe_address(self, address: int) -> None:
-        """Shadow-model path: map the address, classify, open the row."""
-        line = address // self.line_bytes
-        banks_per_channel = self.banks // self.channels or 1
-        channel = line % self.channels
-        bank = (channel * banks_per_channel
-                + (line // self.channels) % banks_per_channel) % self.banks
-        row = address // self.row_bytes
-        self.record(bank, self._open_rows[bank], row)
-        self._open_rows[bank] = row
 
     @property
     def accesses(self) -> int:
@@ -347,7 +349,7 @@ class LinkLedger:
         }
 
 
-class NoCLinkObserver:
+class NoCLinkObserver(Observer):
     """Mesh-side ledger: expands an XY route into its directed links and
     charges each for the traversal's wire time."""
 
@@ -356,8 +358,8 @@ class NoCLinkObserver:
     def __init__(self, epoch_cycles: int = DEFAULT_EPOCH_CYCLES):
         self.ledger = LinkLedger(epoch_cycles)
 
-    def record_traversal(self, noc, src_node: int, dst_node: int,
-                         cycle: int) -> None:
+    def noc_traversal(self, noc, src_node: int, dst_node: int,
+                      cycle: int) -> None:
         ledger = self.ledger
         ledger.traversals += 1
         link_latency = noc.config.link_latency
@@ -380,10 +382,10 @@ class NoCLinkObserver:
             node = nxt
 
 
-class MemStat:
-    """The observatory: one per run, handed to every memory-path
-    subsystem by the Interleaver's attach pass (the same fan-out as the
-    tracer and the attributor)."""
+class MemStat(Observer):
+    """The observatory: one per run. :meth:`attach` gives every cache
+    instance, the DRAM model and the mesh a handler of their own, and
+    watches the fabric and the hierarchy entry point itself."""
 
     def __init__(self, *, sample_every: int = DEFAULT_SAMPLE_EVERY,
                  epoch_cycles: int = DEFAULT_EPOCH_CYCLES):
@@ -399,50 +401,66 @@ class MemStat:
         #: fabric core->core message ledger
         self.fabric_links = LinkLedger(self.epoch_cycles)
         #: DAE queue name -> occupancy histogram
-        self.queue_depth: Dict[str, Histogram] = {}
+        self.queue_depth_hist: Dict[str, Histogram] = {}
 
-    # -- factory/attach helpers (called once per subsystem) -------------
-    def cache_observer(self, level: str, num_sets: int,
-                       associativity: int) -> CacheMemStat:
-        observer = CacheMemStat(level, num_sets, associativity,
-                                self.sample_every)
-        self.cache_observers.setdefault(level, []).append(observer)
-        return observer
+    def attach(self, interleaver) -> None:
+        interleaver.fabric.observers += (self,)
+        memory = interleaver.memory
+        if memory is None:
+            return
+        self.line_bytes = memory.line_bytes
+        memory.observers += (self,)
+        # each cache gets its *own* observer: per-core L1s must not
+        # share shadow state; memory_block aggregates them by level
+        for cache in memory.caches:
+            observer = CacheMemStat(cache.stats.name, cache.config.num_sets,
+                                    cache.config.associativity,
+                                    self.sample_every)
+            self.cache_observers.setdefault(observer.level, []).append(
+                observer)
+            cache.observers += (observer,)
+        if memory.config.dram_model == "dramsim2":
+            dramsim = memory.config.dramsim2
+            self.dram = DRAMMemStat(
+                dramsim.channels * dramsim.banks_per_channel,
+                dramsim.row_bytes, dramsim.line_bytes, dramsim.channels,
+                "dramsim2")
+        else:
+            # SimpleDRAM has no banks: shadow a typical DDR geometry
+            # (8 banks, 2 KB rows) purely for locality observation
+            self.dram = DRAMMemStat(8, 2048, self.line_bytes, 1,
+                                    "simple-shadow")
+        memory.dram.observers += (self.dram,)
+        if memory.noc is not None:
+            self.noc = NoCLinkObserver(self.epoch_cycles)
+            memory.noc.observers += (self.noc,)
 
-    def dram_observer(self, *, banks: int, row_bytes: int,
-                      line_bytes: int, channels: int,
-                      model: str) -> DRAMMemStat:
-        self.dram = DRAMMemStat(banks, row_bytes, line_bytes, channels,
-                                model)
-        return self.dram
+    def collect(self, stats, interleaver) -> None:
+        stats.memstat = self.memory_block()
 
-    def noc_observer(self) -> NoCLinkObserver:
-        self.noc = NoCLinkObserver(self.epoch_cycles)
-        return self.noc
-
-    def queue_histogram(self, name: str) -> Histogram:
-        hist = self.queue_depth.get(name)
-        if hist is None:
-            hist = self.queue_depth[name] = Histogram(QUEUE_DEPTH_BUCKETS)
-        return hist
-
-    # -- runtime hooks ---------------------------------------------------
-    def observe_tile_access(self, core_id: int, address: int) -> None:
+    # -- events ------------------------------------------------------------
+    def mem_entry(self, core_id: int, address: int) -> None:
+        # per-tile reuse profile, at the hierarchy entry point
         tracker = self.tile_reuse.get(core_id)
         if tracker is None:
             tracker = self.tile_reuse[core_id] = \
                 ReuseTracker(self.sample_every)
         tracker.observe(address // self.line_bytes)
 
-    def record_fabric_send(self, src: int, dst: int, cycle: int,
-                           latency: int) -> None:
+    def fabric_send(self, src: int, dst: int, cycle: int) -> None:
+        # one busy cycle per message: the pair ledger is a message rate
+        # over epochs (the generic fabric has no modeled wires)
         self.fabric_links.traversals += 1
-        self.fabric_links.charge(f"{src}->{dst}", cycle, latency)
+        self.fabric_links.charge(f"{src}->{dst}", cycle, 1)
 
-    def observe_queue_depth(self, name: str, occupancy: int) -> None:
-        hist = self.queue_depth.get(name)
+    def queue_depth(self, name: str, cycle: int, occupancy: int,
+                    in_flight: bool = False) -> None:
+        if in_flight:
+            return
+        hist = self.queue_depth_hist.get(name)
         if hist is None:
-            hist = self.queue_depth[name] = Histogram(QUEUE_DEPTH_BUCKETS)
+            hist = self.queue_depth_hist[name] = \
+                Histogram(QUEUE_DEPTH_BUCKETS)
         hist.observe(occupancy)
 
     # -- report ----------------------------------------------------------
@@ -489,7 +507,7 @@ class MemStat:
             },
             "queues": {
                 name: hist.as_dict()
-                for name, hist in sorted(self.queue_depth.items())
+                for name, hist in sorted(self.queue_depth_hist.items())
             },
             "fabric_links": self.fabric_links.as_dict(),
         }

@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-Subsystems register instruments at attach time (one dict lookup each)
-and update them at runtime behind a ``metrics is not None`` guard — the
-same zero-cost-when-disabled contract as the tracer. The registry
-serializes to plain JSON-able dicts alongside :class:`SystemStats`, so
+:meth:`MetricsRegistry.attach` registers the runtime instruments (the
+memory request-latency histogram, fed through the event interface of
+:mod:`repro.telemetry.observer`); :meth:`MetricsRegistry.collect` folds
+end-of-run subsystem state in. The registry serializes to plain JSON-able dicts alongside :class:`SystemStats`, so
 sweeps and CI can consume machine-readable results
 (``repro simulate ... --stats-json``).
 
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .observer import Observer
 
 #: power-of-two latency buckets (cycles) — covers L1 hits through badly
 #: throttled DRAM responses
@@ -53,8 +55,9 @@ class Gauge:
             self.value = value
 
 
-class Histogram:
-    """Fixed-boundary histogram of observed values."""
+class Histogram(Observer):
+    """Fixed-boundary histogram of observed values. Attached to the
+    memory system, it observes request latencies."""
 
     __slots__ = ("boundaries", "counts", "total", "count", "min", "max")
 
@@ -82,6 +85,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    mem_response = observe
 
     @property
     def mean(self) -> float:
@@ -178,6 +183,40 @@ class MetricsRegistry:
             if name in table:
                 raise ValueError(
                     f"metric {name!r} already registered as a {kind}")
+
+    def attach(self, interleaver) -> None:
+        if interleaver.memory is not None:
+            interleaver.memory.observers += (self.histogram(
+                "memory.request_latency_cycles"),)
+
+    def collect(self, stats, interleaver) -> None:
+        """Fold end-of-run subsystem state into the registry, alongside
+        the runtime histograms, and store the snapshot on ``stats``."""
+        self.gauge("sim.cycles").set(stats.cycles)
+        self.counter("sim.instructions").inc(stats.instructions)
+        for tile in stats.tiles:
+            for field in ("instructions", "memory_accesses",
+                          "mispredictions", "mao_stalls"):
+                self.counter(f"tile.{tile.name}.{field}").inc(
+                    getattr(tile, field))
+        fabric = interleaver.fabric
+        self.counter("fabric.messages_sent").inc(fabric.messages_sent)
+        self.counter("fabric.messages_dropped").inc(fabric.dropped_messages)
+        self.counter("fabric.messages_delayed").inc(fabric.delayed_messages)
+        for name, peak in sorted(fabric.peak_occupancy.items()):
+            self.gauge(f"fabric.queue.{name}.peak_occupancy").max(peak)
+        for group, count in sorted(fabric.barriers_released.items()):
+            self.counter(f"fabric.barrier.{group}.released").inc(count)
+        for name, cache in sorted(stats.caches.items()):
+            self.counter(f"cache.{name}.hits").inc(cache.hits)
+            self.counter(f"cache.{name}.misses").inc(cache.misses)
+        self.counter("dram.requests").inc(stats.dram.requests)
+        self.counter("dram.throttled").inc(stats.dram.throttled)
+        if interleaver.accelerators is not None:
+            for name, tile in sorted(interleaver.accelerators.tiles.items()):
+                self.counter(f"{name}.invocations").inc(tile.invocations)
+                self.counter(f"{name}.busy_cycles").inc(tile.busy_cycles)
+        stats.metrics = self.as_dict()
 
     def as_dict(self) -> dict:
         return {

@@ -10,9 +10,10 @@ loads directly in Perfetto (https://ui.perfetto.dev) or
 
 Design constraints:
 
-* **zero-cost when disabled** — subsystems hold ``tracer = None`` and
-  every instrumentation point is a single ``if tracer is not None``
-  branch on the hot path; no event object is ever built when tracing is
+* **zero-cost when disabled** — a Python component's hook site loops
+  over its ``observers`` tuple, which is empty when nothing is attached
+  (see :mod:`repro.telemetry.observer`), and a core tile checks
+  ``tracer is None``; no event object is ever built when tracing is
   off;
 * **bounded** — the ring buffer keeps the most recent ``capacity``
   events and counts what it dropped, so tracing a billion-cycle run
@@ -36,6 +37,8 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .observer import Observer
 
 #: bump when the exported JSON layout changes incompatibly
 TRACE_SCHEMA_VERSION = 1
@@ -96,11 +99,11 @@ class TraceEvent:
 class Tracer:
     """Ring-buffered event recorder.
 
-    Subsystems are handed the tracer by the Interleaver (or the harness)
-    and call :meth:`complete` / :meth:`instant` / :meth:`counter` behind
-    a ``tracer is not None`` guard. Lane ids come from :meth:`tid_for`,
-    which assigns a stable integer per lane name in first-use order —
-    deterministic because attachment order is deterministic.
+    :meth:`attach` hands each core tile the tracer and its lane, and
+    every other component a :class:`TraceLane` handler. Lane ids come
+    from :meth:`tid_for`, which assigns a stable integer per lane name
+    in first-use order — deterministic because attachment order is
+    deterministic.
 
     The ring is a set of columns, and push ``n`` lives in slot
     ``n % capacity``: ``array('q')`` for cycle, duration and an integer
@@ -150,6 +153,33 @@ class Tracer:
         self.__dict__.update(state)
 
     # -- lanes -----------------------------------------------------------
+    def attach(self, interleaver) -> None:
+        """Give every tile and component of ``interleaver`` its lane, in
+        the order that fixes the tids (tiles, then ``fabric``, ``cache``
+        — one for all levels — ``dram``, ``accel`` and ``fault``)."""
+        for tile in interleaver.tiles:
+            tile.tracer = self
+            tile.trace_tid = self.tid_for(tile.name)
+        fabric = interleaver.fabric
+        fabric.observers += (TraceLane(self, self.tid_for("fabric")),)
+        memory = interleaver.memory
+        if memory is not None:
+            lane = TraceLane(self, self.tid_for("cache"))
+            for cache in memory.caches:
+                cache.observers += (lane,)
+            memory.dram.observers += (TraceLane(self, self.tid_for("dram")),)
+        if interleaver.accelerators is not None:
+            interleaver.accelerators.observers += (
+                TraceLane(self, self.tid_for("accel")),)
+        # the harness shares one injector with the fabric and every
+        # other subsystem it faults
+        if fabric.injector is not None:
+            fabric.injector.observers += (
+                TraceLane(self, self.tid_for("fault")),)
+
+    def collect(self, stats, interleaver) -> None:
+        """Nothing to fold into ``stats``: the caller writes the trace."""
+
     def tid_for(self, lane: str) -> int:
         """Stable integer id for a named lane (tile, fabric, cache, ...)."""
         tid = self._tids.get(lane)
@@ -401,6 +431,62 @@ class Tracer:
         atomic_write_chunks(path, self._chrome_chunks(frequency_ghz,
                                                       run_id))
         return len(self._tids) + len(self)
+
+
+class TraceLane(Observer):
+    """A component's events as trace records on lane ``tid``."""
+
+    __slots__ = ("tracer", "tid")
+
+    def __init__(self, tracer: Tracer, tid: int):
+        self.tracer = tracer
+        self.tid = tid
+
+    def cache_fill(self, level, line, miss_cycle, cycle):
+        # span: the miss's full round trip until the line fills
+        self.tracer.complete("cache", f"{level} miss", miss_cycle, cycle,
+                             self.tid, {"line": line})
+
+    def dram_access(self, request, cycle, completion, throttled=False,
+                    bank=None, open_row=None, row=None):
+        args = ({"throttled": throttled} if bank is None
+                else {"row_hit": open_row == row, "bank": bank})
+        self.tracer.complete("dram", "write" if request.is_write else "read",
+                             cycle, completion, self.tid, args)
+
+    def fabric_send(self, src, dst, cycle):
+        self.tracer.instant("fabric", f"send {src}->{dst}", cycle, self.tid)
+
+    def fabric_drop(self, src, dst, cycle):
+        self.tracer.instant("fabric", f"drop {src}->{dst}", cycle, self.tid)
+
+    def fabric_message(self, src, dst, start, end):
+        self.tracer.complete("fabric", f"msg {src}->{dst}", start, end,
+                             self.tid)
+
+    def queue_full(self, name, cycle):
+        self.tracer.instant("dae", f"{name} full", cycle, self.tid)
+
+    def queue_depth(self, name, cycle, occupancy, in_flight=False):
+        # on lane 0, not this lane: the trace bytes pin that
+        self.tracer.counter("dae", name, cycle, occupancy)
+
+    def queue_empty(self, name, cycle):
+        self.tracer.instant("dae", f"{name} empty", cycle, self.tid)
+
+    def barrier_release(self, group, generation, arrivals, cycle):
+        # one span per arriver: its wait from arrival to release
+        for arrival in arrivals:
+            self.tracer.complete("fabric", f"barrier {group}#{generation}",
+                                 arrival, cycle, self.tid)
+
+    def accel_invocation(self, name, cycle, completion, energy_nj, nbytes):
+        self.tracer.complete("accel", name, cycle, completion, self.tid,
+                             {"energy_nj": energy_nj, "bytes": nbytes})
+
+    def fault(self, record):
+        self.tracer.instant("fault", f"{record.site}.{record.kind}",
+                            record.cycle, self.tid, {"detail": record.detail})
 
 
 def validate_chrome_trace(document: dict) -> int:

@@ -11,8 +11,15 @@ meant to alter simulated behaviour must leave every case's
   {1, 4 tiles} x {SimpleDRAM, DRAMSim2} on small sgemm and spmv;
 * a mesh NoC with directory coherence, 2 DAE pairs (Fig 11), an
   accelerated kernel (Fig 12/13) and one fault-injected seed;
-* one run killed mid-flight and resumed from its checkpoint, which must
-  equal its uninterrupted case (:data:`SAME_AS`).
+* traced runs with every Python observer attached (tracer, metrics,
+  attribution and memstat), whose document adds ``trace_sha256``, the
+  SHA-256 of the written Chrome trace. Between them they drive every
+  trace lane: fabric barriers (stencil on 4 tiles), DAE queues on
+  DRAMSim2, a mesh NoC with coherence, the accelerated sinkhorn, and a
+  fault-injected run with message drops and delays, DRAM stalls and
+  accelerator fallbacks;
+* runs killed mid-flight and resumed from their checkpoint, which must
+  equal their uninterrupted case (:data:`SAME_AS`).
 
 ``behaviour_baseline.json`` beside this file holds the committed
 reports. A list longer than :data:`HASH_OVER` entries (the per-set and
@@ -37,16 +44,24 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from repro.checkpoint import CheckpointSink, resume_simulation
+import numpy as np
+
+from repro.checkpoint import (
+    CheckpointSink, load_checkpoint, resume_simulation,
+)
 from repro.harness import (
-    build_system, dae_hierarchy, inorder_core, ooo_core, prepare,
+    build_dae, build_system, dae_hierarchy, inorder_core, ooo_core, prepare,
     prepare_dae_sliced, run_with_faults, simulate, simulate_dae,
 )
+from repro.ir.types import F64
 from repro.memory import NoCConfig
-from repro.resilience import FaultPlan
+from repro.resilience import FaultInjector, FaultPlan
 from repro.sim import CycleBudgetExceeded
 from repro.sim.accelerator import AcceleratorFarm
-from repro.telemetry import Attributor, MemStat, stats_to_dict
+from repro.telemetry import (
+    Attributor, MemStat, MetricsRegistry, Tracer, stats_to_dict,
+)
+from repro.trace import SimMemory
 from repro.workloads import PARBOIL, build_parboil
 from repro.workloads.graphproj import build as build_graphproj
 from repro.workloads.sinkhorn import build_combined
@@ -67,8 +82,33 @@ def _observers():
     return dict(attribution=Attributor(), memstat=MemStat())
 
 
+def _all_observers():
+    return dict(_observers(), tracer=Tracer(), metrics=MetricsRegistry())
+
+
+def _trace_sha256(tracer):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.json"
+        tracer.write(str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _traced(scenario):
+    """The report of ``scenario(**observers)`` with every observer
+    attached, plus the SHA-256 of its Chrome trace."""
+    observers = _all_observers()
+    document = stats_to_dict(scenario(**observers))
+    document["trace_sha256"] = _trace_sha256(observers["tracer"])
+    return document
+
+
 def _hierarchy(dram="simple"):
     return replace(dae_hierarchy(), dram_model=dram)
+
+
+def _observed(scenario):
+    """The report of ``scenario`` with attribution and memstat attached."""
+    return stats_to_dict(scenario(**_observers()))
 
 
 def _parboil(kernel):
@@ -89,33 +129,99 @@ def _matrix(kernel, core, tiles, dram):
     return stats_to_dict(stats)
 
 
-def _mesh_coherence():
+def _mesh_coherence(**observers):
     w = build_parboil("spmv", **SMALL["spmv"])
     hierarchy = replace(dae_hierarchy(), noc=NoCConfig(), coherence=True)
     stats = simulate(w.kernel, w.args, core=ooo_core(), num_tiles=4,
-                     hierarchy=hierarchy, memory=w.memory, **_observers())
+                     hierarchy=hierarchy, memory=w.memory, **observers)
     w.verify()
-    return stats_to_dict(stats)
+    return stats
 
 
-def _dae_pairs():
+def _dae_specs():
     w = build_graphproj(nleft=16, nright=64, avg_degree=4)
-    specs = prepare_dae_sliced(w.kernel, w.args, pairs=2)
+    return w, prepare_dae_sliced(w.kernel, w.args, pairs=2)
+
+
+def _dae_pairs(**observers):
+    w, specs = _dae_specs()
     stats = simulate_dae(specs, access_core=inorder_core(),
                          execute_core=inorder_core(),
-                         hierarchy=dae_hierarchy(), **_observers())
+                         hierarchy=dae_hierarchy(), **observers)
     w.verify()
-    return stats_to_dict(stats)
+    return stats
 
 
-def _accelerated():
+def _traced_dae():
+    """The traced DAE system: DRAMSim2, and queues short enough to fill."""
+    return dict(access_core=inorder_core(), execute_core=inorder_core(),
+                hierarchy=_hierarchy("dramsim2"), queue_entries=4)
+
+
+def _traced_dae_pairs(**observers):
+    w, specs = _dae_specs()
+    stats = simulate_dae(specs, **_traced_dae(), **observers)
+    w.verify()
+    return stats
+
+
+def _accelerated(**observers):
     w = build_combined(mix="dense-heavy", accelerated=True)
     farm = AcceleratorFarm().add_default("sgemm")
     stats = simulate(w.kernel, w.args, core=ooo_core(), num_tiles=4,
                      hierarchy=dae_hierarchy(), memory=w.memory,
-                     accelerators=farm, **_observers())
+                     accelerators=farm, **observers)
     w.verify()
-    return stats_to_dict(stats)
+    return stats
+
+
+def _stencil(**observers):
+    w = build_parboil("stencil", nx=8, ny=8, nz=6)
+    stats = simulate(w.kernel, w.args, core=ooo_core(), num_tiles=4,
+                     hierarchy=dae_hierarchy(), memory=w.memory, **observers)
+    w.verify()
+    return stats
+
+
+def chatter(A: 'f64*', B: 'f64*', C: 'f64*', n: int, extra: int):
+    """Tile 0 sends ``extra`` more messages than tile 1 receives, so a
+    few dropped ones cannot deadlock it; both tiles then read ``A`` and
+    ``B`` and accumulate ``A @ B`` into ``C`` on the accelerator."""
+    if tile_id() == 0:  # noqa: F821 - a kernel intrinsic
+        for i in range(n + extra):
+            send_i64(1, i)  # noqa: F821
+    else:
+        for i in range(n):
+            recv_i64(0)  # noqa: F821
+    acc = 0.0
+    for i in range(n * n):
+        acc += A[i] * B[i]
+    accel_sgemm(A, B, C, n, n, n)  # noqa: F821
+
+
+def _chatter_faults(**observers):
+    """Message drops and delays, DRAM stalls and accelerator fallbacks
+    on 2 InO tiles over DRAMSim2."""
+    n = 8
+    generator = np.random.default_rng(0)
+    mem = SimMemory()
+    A = mem.alloc(n * n, F64, "A", init=generator.uniform(-1, 1, n * n))
+    B = mem.alloc(n * n, F64, "B", init=generator.uniform(-1, 1, n * n))
+    C = mem.alloc(n * n, F64, "C")
+    plan = FaultPlan(seed=5, message_drop_rate=0.1, message_delay_rate=0.3,
+                     dram_stall_rate=0.3, accel_fault_rate=0.5)
+    injector = FaultInjector(plan)
+    stats = simulate(chatter, [A, B, C, n, 6], core=inorder_core(),
+                     num_tiles=2, hierarchy=_hierarchy("dramsim2"),
+                     memory=mem, accelerators=AcceleratorFarm().add_default(
+                         "sgemm"), injector=injector, **observers)
+    assert np.allclose(C.data.reshape(n, n),
+                       2 * A.data.reshape(n, n) @ B.data.reshape(n, n))
+    # the plan must keep reaching every faulted site
+    assert set(injector.summary()) == {
+        "msg.drop", "msg.delay", "dram.stall", "accel.fail"}, \
+        injector.summary()
+    return stats
 
 
 def _faulted():
@@ -148,6 +254,27 @@ def _resumed():
     return stats_to_dict(stats)
 
 
+def _traced_resumed_dae():
+    """The traced DAE pairs on DRAMSim2, killed at :data:`KILL_AT` and
+    resumed: the restored tracer carries the whole trace."""
+    w, specs = _dae_specs()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "run.ckpt")
+        system = build_dae(specs, **_traced_dae(),
+                           checkpoint=CheckpointSink(path, 10 ** 9),
+                           max_cycles=KILL_AT, **_all_observers())
+        try:
+            system.run()
+        except CycleBudgetExceeded:
+            restored = load_checkpoint(path).interleaver
+        else:
+            raise AssertionError(f"run ended before cycle {KILL_AT}")
+    restored.max_cycles = 10 ** 9
+    document = stats_to_dict(restored.run())
+    document["trace_sha256"] = _trace_sha256(restored.tracer)
+    return document
+
+
 def _cases():
     cases = {f"parboil-{kernel}": partial(_parboil, kernel)
              for kernel in sorted(PARBOIL)}
@@ -158,11 +285,20 @@ def _cases():
                     cases[f"{kernel}-{core}-{tiles}t-{dram}"] = partial(
                         _matrix, kernel, core, tiles, dram)
     cases.update({
-        "mesh-coherence-spmv-ooo-4t": _mesh_coherence,
-        "dae-graphproj-2pairs": _dae_pairs,
-        "accel-sinkhorn-ooo-4t": _accelerated,
+        "mesh-coherence-spmv-ooo-4t": partial(_observed, _mesh_coherence),
+        "dae-graphproj-2pairs": partial(_observed, _dae_pairs),
+        "accel-sinkhorn-ooo-4t": partial(_observed, _accelerated),
         "faults-sgemm-ino-seed3": _faulted,
         "resumed-sgemm-ooo-1t-simple": _resumed,
+        "traced-stencil-ooo-4t": partial(_traced, _stencil),
+        "traced-dae-graphproj-2pairs-dramsim2": partial(
+            _traced, _traced_dae_pairs),
+        "traced-mesh-coherence-spmv-ooo-4t": partial(
+            _traced, _mesh_coherence),
+        "traced-accel-sinkhorn-ooo-4t": partial(_traced, _accelerated),
+        "traced-faults-chatter-ino-2t": partial(_traced, _chatter_faults),
+        "traced-resumed-dae-graphproj-2pairs-dramsim2":
+            _traced_resumed_dae,
     })
     return cases
 
@@ -170,7 +306,11 @@ def _cases():
 #: case name -> zero-argument callable returning its full report
 CASES = _cases()
 #: cases with no baseline entry of their own: each must equal another
-SAME_AS = {"resumed-sgemm-ooo-1t-simple": "sgemm-ooo-1t-simple"}
+SAME_AS = {
+    "resumed-sgemm-ooo-1t-simple": "sgemm-ooo-1t-simple",
+    "traced-resumed-dae-graphproj-2pairs-dramsim2":
+        "traced-dae-graphproj-2pairs-dramsim2",
+}
 
 
 def compact(document):

@@ -300,18 +300,18 @@ class TestCheckpointFormat:
             load_checkpoint(str(bumped))
 
     def test_previous_schema_version_is_refused(self, snapshot, tmp_path):
-        # version 6: the Interleaver keeps its clock in `cycle` and counts
-        # tile steps, the scheduler counts events, so a version-5 pickle
-        # cannot resume
-        assert CHECKPOINT_SCHEMA_VERSION == 6
+        # version 7: the observed components hold one `observers` tuple
+        # in place of their tracer/memstat/attributor fields, so a
+        # version-6 pickle cannot resume
+        assert CHECKPOINT_SCHEMA_VERSION == 7
         blob = open(snapshot, "rb").read()
         magic, _, digest, length = _HEADER.unpack_from(blob)
-        old = tmp_path / "v5.bin"
-        old.write_bytes(_HEADER.pack(magic, 5, digest, length)
+        old = tmp_path / "v6.bin"
+        old.write_bytes(_HEADER.pack(magic, 6, digest, length)
                         + blob[_HEADER.size:])
         with pytest.raises(CheckpointError,
-                           match="schema version 5, but this build reads "
-                                 "version 6"):
+                           match="schema version 6, but this build reads "
+                                 "version 7"):
             load_checkpoint(str(old))
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):

@@ -30,7 +30,8 @@ from repro.ir import F64, I64
 from repro.memory import NoCConfig
 from repro.sim.config import CacheConfig, MemoryHierarchyConfig
 from repro.telemetry import (
-    Attributor, Histogram, MemStat, ReuseTracker, diff_memory_blocks,
+    Attributor, CacheMemStat, Histogram, MemStat, ReuseTracker,
+    diff_memory_blocks,
     stats_to_dict, validate_memory_block, validate_report,
 )
 from repro.trace import SimMemory
@@ -268,7 +269,7 @@ class TestRendererGuards:
 
     def test_memstat_renderer_on_zero_access_block(self):
         memstat = MemStat()
-        memstat.cache_observer("L1", num_sets=4, associativity=2)
+        memstat.cache_observers["L1"] = [CacheMemStat("L1", 4, 2)]
         document = {"memory": memstat.memory_block()}
         rendered = render_memstat_report(document)
         assert "data-movement observatory" in rendered

@@ -1,9 +1,12 @@
 """Observer plumbing: the runner entry points forward ``**observers``
-unchanged to the Interleaver, the CLI builds them from its flags, and
-``--resume`` refuses flags whose observer the snapshot never carried.
+unchanged to the Interleaver, the CLI builds them from its flags,
+``--resume`` refuses flags whose observer the snapshot never carried,
+and every watched component holds one ``observers`` tuple of handlers
+in place of a field per observer.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +16,16 @@ from repro.harness import (
     inorder_core, prepare_dae_sliced, run_supervised, simulate,
     simulate_dae, simulate_heterogeneous,
 )
-from repro.telemetry import Attributor, Tracer, stats_to_dict, validate_report
+from repro.memory import NoCConfig
+from repro.memory.dram import DRAMSim2Model, SimpleDRAM
+from repro.resilience import FaultInjector, FaultPlan
+from repro.sim.accelerator import AcceleratorFarm
+from repro.telemetry import (
+    Attributor, MemStat, MetricsRegistry, Tracer, stats_to_dict,
+    validate_report,
+)
+from repro.telemetry.memstat import CacheMemStat, DRAMMemStat, NoCLinkObserver
+from repro.telemetry.tracer import TraceLane
 from repro.workloads import build_parboil
 
 
@@ -132,3 +144,90 @@ def test_dae_workload_report_validates(command, tmp_path):
     assert validate_report(document) == 4
     assert set(document["attribution"]["tiles"]) == {
         "access0", "access1", "execute0", "execute1"}
+
+
+class TestOneObserverSlot:
+    """Each of the eight watched component kinds holds exactly one
+    ``observers`` tuple; attaching the four observers fills it with
+    their handlers in attach order (tracer, attribution, memstat,
+    metrics)."""
+
+    def _system(self, dram, farm=None, **observers):
+        w = build_parboil("sgemm", n=4, m=4, k=4)
+        hierarchy = replace(dae_hierarchy(), dram_model=dram,
+                            noc=NoCConfig(), coherence=True)
+        return build_system(
+            w.kernel, w.args, core=inorder_core(), num_tiles=2,
+            hierarchy=hierarchy, memory=w.memory,
+            accelerators=farm or AcceleratorFarm().add_default("sgemm"),
+            injector=FaultInjector(FaultPlan(seed=0)), **observers)
+
+    def _components(self, system):
+        memory = system.memory
+        return [*memory.caches, memory.dram, memory.noc, memory,
+                system.fabric, system.accelerators, system.fabric.injector]
+
+    @pytest.mark.parametrize("dram", ["simple", "dramsim2"])
+    def test_unwatched_components_hold_an_empty_tuple(self, dram):
+        components = self._components(self._system(dram))
+        assert {type(c).__name__ for c in components} == {
+            "Cache", "SimpleDRAM" if dram == "simple" else "DRAMSim2Model",
+            "MeshNoC", "MemorySystem", "CommFabric", "AcceleratorFarm",
+            "FaultInjector"}
+        for component in components:
+            assert component.observers == (), type(component).__name__
+
+    @pytest.mark.parametrize("dram", ["simple", "dramsim2"])
+    def test_handlers_sit_in_attach_order(self, dram):
+        tracer, memstat = Tracer(), MemStat()
+        attribution, metrics = Attributor(), MetricsRegistry()
+        system = self._system(dram, tracer=tracer, attribution=attribution,
+                              memstat=memstat, metrics=metrics)
+        memory = system.memory
+        assert list(tracer.tid_names.values()) == [
+            "InO0", "InO1", "fabric", "cache", "dram", "accel", "fault"]
+
+        def lane(name):
+            return (TraceLane, tracer.tid_for(name))
+
+        def kinds(component):
+            return [(type(o), o.tid) if isinstance(o, TraceLane) else o
+                    for o in component.observers]
+
+        for cache in memory.caches:
+            assert kinds(cache)[0] == lane("cache")
+            (handler,) = cache.observers[1:]
+            assert type(handler) is CacheMemStat
+            assert handler in memstat.cache_observers[cache.stats.name]
+        assert isinstance(memory.dram,
+                          SimpleDRAM if dram == "simple" else DRAMSim2Model)
+        assert type(memstat.dram) is DRAMMemStat
+        assert kinds(memory.dram) == [lane("dram"), memstat.dram]
+        assert type(memstat.noc) is NoCLinkObserver
+        assert kinds(memory.noc) == [memstat.noc]
+        assert kinds(memory) == [
+            memstat, metrics.histogram("memory.request_latency_cycles")]
+        assert kinds(system.fabric) == [lane("fabric"), attribution, memstat]
+        assert kinds(system.accelerators) == [lane("accel")]
+        assert kinds(system.fabric.injector) == [lane("fault")]
+
+    def test_no_component_keeps_a_field_per_observer(self):
+        system = self._system("simple", tracer=Tracer(),
+                              attribution=Attributor(), memstat=MemStat(),
+                              metrics=MetricsRegistry())
+        for component in self._components(system):
+            for name in ("tracer", "trace_tid", "memstat", "attributor",
+                         "_memstat", "_latency_hist"):
+                assert not hasattr(component, name), \
+                    f"{type(component).__name__}.{name}"
+
+    def test_a_farm_serving_two_runs_holds_the_last_runs_lane(self):
+        # run_supervised hands one farm to every retry
+        farm = AcceleratorFarm().add_default("sgemm")
+        self._system("simple", farm, tracer=Tracer())
+        tracer = Tracer()
+        self._system("simple", farm, tracer=tracer)
+        assert [(type(o), o.tracer) for o in farm.observers] \
+            == [(TraceLane, tracer)]
+        self._system("simple", farm)
+        assert farm.observers == ()
