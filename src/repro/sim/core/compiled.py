@@ -38,9 +38,9 @@ Observers and predictors run in C as well:
 :func:`bind` picks the backend when a run starts, with no knob: C
 whenever the library loads, the Python core (which stays the reference
 model) otherwise. The library is built with ``gcc -O2 -shared -fPIC``
-into the user cache directory, named by the hash of the source, on the
-first compiled tile. With no ``gcc`` on ``PATH`` the Python core runs;
-a source that fails to build raises.
+into the user cache directory (:mod:`repro.clib`), named by the hash of
+the source and its flags, on the first compiled tile. With no ``gcc``
+on ``PATH`` the Python core runs; a source that fails to build raises.
 
 A compiled tile pickles in the Python layout (as a plain
 :class:`CoreTile`, its predictor and attribution ledger included), so a
@@ -52,15 +52,11 @@ from __future__ import annotations
 import copy
 import ctypes
 import dataclasses
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from array import array
 from pathlib import Path
 from typing import Optional
 
+from ... import clib
 from ..errors import SimulationError
 from ..tile import NEVER
 from ...ir.instructions import Opcode
@@ -132,47 +128,16 @@ class _Core(ctypes.Structure):
 _library = None          # None: not tried yet; False: no compiler
 
 
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache")
-    return Path(base) / "repro"
-
-
-def _build(gcc: str) -> Path:
-    """Compile ``step.c`` once per source hash; returns the ``.so``."""
-    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
-    name = f"core-step-{digest}.so"
-    for directory in (_cache_dir(), Path(tempfile.gettempdir()) / "repro"):
-        path = directory / name
-        if path.exists():
-            return path
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            scratch = directory / f".{name}.{os.getpid()}.tmp"
-            result = subprocess.run(
-                [gcc, "-O2", "-shared", "-fPIC", "-o", str(scratch),
-                 str(SOURCE)], capture_output=True, text=True)
-        except OSError:
-            continue  # unwritable cache directory: try the next one
-        if result.returncode != 0:
-            raise SimulationError(
-                f"the compiled core ({SOURCE.name}) failed to build:\n"
-                f"{result.stderr.strip()}")
-        os.replace(scratch, path)  # atomic: readers never see a partial .so
-        return path
-    raise SimulationError("no writable directory for the compiled core")
-
-
 def load() -> Optional[ctypes.CDLL]:
     """The compiled step library, or None when ``gcc`` is not on PATH.
     Built and loaded on first use, never at import."""
     global _library
     if _library is None:
-        gcc = shutil.which("gcc")
-        if gcc is None:
+        path = clib.build(SOURCE, ("-O2",), SimulationError)
+        if path is None:
             _library = False
         else:
-            lib = ctypes.CDLL(str(_build(gcc)))
+            lib = ctypes.CDLL(str(path))
             pointer, i64 = ctypes.c_void_p, ctypes.c_int64
             for name, args in (("core_step", (pointer, i64)),
                                ("core_resume", (pointer, i64, i64)),

@@ -12,6 +12,13 @@ kernel once per tile, binding ``tile_id()``/``num_tiles()`` per instance,
 over a shared address space — standing in for the OpenMP native run.
 Tiles execute sequentially, which yields one valid interleaving of the
 parallel program, exactly as a native run yields one particular schedule.
+
+This module is the reference semantics and the fallback. Wherever
+``gcc`` is on PATH, :func:`~repro.trace.native.start` runs each kernel
+instance it can on ``interp.c``, a bytecode interpreter over the same
+block plans, with identical traces, memory images and errors; the
+generator below runs the rest (fault injection, ``alloca``, comm, DAE
+and accelerator calls; see ``native.py``).
 """
 
 from __future__ import annotations
@@ -53,15 +60,20 @@ def _wrap(value: int) -> int:
     return value - (1 << 64) if value > _I64_MAX else value
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _trunc_quotient(a: int, b: int) -> int:
     if b == 0:
         raise InterpreterError("integer division by zero")
     q = abs(a) // abs(b)
     return q if (a < 0) == (b < 0) else -q
 
 
+def _trunc_div(a: int, b: int) -> int:
+    # -2**63 / -1 wraps to -2**63, as LLVM's i64 sdiv does
+    return _wrap(_trunc_quotient(a, b))
+
+
 def _trunc_rem(a: int, b: int) -> int:
-    return a - b * _trunc_div(a, b)
+    return a - b * _trunc_quotient(a, b)
 
 
 _ICMP = {
@@ -95,7 +107,7 @@ _BINOPS = {
     Opcode.OR: lambda a, b: a | b,
     Opcode.XOR: lambda a, b: a ^ b,
     Opcode.SHL: lambda a, b: _wrap(a << (b & 63)),
-    Opcode.LSHR: lambda a, b: (a & 0xFFFFFFFFFFFFFFFF) >> (b & 63),
+    Opcode.LSHR: lambda a, b: _wrap((a & _U64_MASK) >> (b & 63)),
     Opcode.ASHR: lambda a, b: a >> (b & 63),
     Opcode.FADD: lambda a, b: a + b,
     Opcode.FSUB: lambda a, b: a - b,
@@ -117,12 +129,14 @@ _ATOMIC = {
 class _BlockPlan:
     """A precompiled basic block: phi assignments plus step tuples."""
 
-    __slots__ = ("bid", "name", "num_insts", "phis", "steps")
+    __slots__ = ("bid", "name", "num_insts", "insts", "phis", "steps")
 
-    def __init__(self, bid: int, name: str, num_insts: int):
+    def __init__(self, bid: int, name: str, insts: list):
         self.bid = bid
         self.name = name
-        self.num_insts = num_insts
+        self.num_insts = len(insts)
+        #: the block's instructions: its phis, then one per step
+        self.insts = insts
         #: (dest_env_key, {id(pred_plan): operand slot})
         self.phis: list = []
         self.steps: list = []
@@ -187,6 +201,8 @@ class Interpreter:
         #: per-function execution plans (precompiled blocks), keyed
         #: id(function) -> (entry_plan, plans_by_block_id)
         self._plans: Dict[int, tuple] = {}
+        #: the same plans encoded for interp.c (None: Python runs them)
+        self._programs: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def run(self, func_name: str, args: Sequence, *, tile: int = 0,
@@ -268,13 +284,21 @@ class Interpreter:
                 f"{func_name} expects {len(func.args)} args, got {len(args)}")
         bound = [a.base if isinstance(a, ArrayRef) else a for a in args]
         trace = KernelTrace(func_name, tile=tile, num_tiles=num_tiles)
-        return trace, self._exec(func, bound, tile, num_tiles, trace,
-                                 collect)
+        from . import native  # imported here: native imports this module
+        entry, plans, _ = self._plans.get(id(func)) or \
+            self._build_plans(func)
+        run = native.start(self, func, entry, plans, bound, tile,
+                           num_tiles, trace, collect)
+        if run is None:
+            run = self._exec(func, entry, bound, tile, num_tiles, trace,
+                             collect)
+        return trace, run
 
     # ------------------------------------------------------------------
-    def _exec(self, func: Function, args: Sequence, tile: int,
-              num_tiles: int, trace: KernelTrace, collect: bool):
-        """Generator executing ``func`` over precompiled block plans.
+    def _exec(self, func: Function, entry_plan: _BlockPlan, args: Sequence,
+              tile: int, num_tiles: int, trace: KernelTrace,
+              collect: bool):
+        """Generator executing ``func`` from its entry block's plan.
 
         Each block is compiled once (per interpreter) into a list of step
         tuples with pre-resolved handlers and operand slots; execution is
@@ -282,9 +306,6 @@ class Interpreter:
         step accounting, and co-operative yield points — are identical to
         the direct tree-walking interpreter this replaces.
         """
-        cached = self._plans.get(id(func))
-        entry_plan = cached[0] if cached is not None \
-            else self._build_plans(func)[0]
         env: Dict[int, object] = {}
         for formal, actual in zip(func.args, args):
             env[id(formal)] = actual
@@ -430,7 +451,7 @@ class Interpreter:
         plans: Dict[int, "_BlockPlan"] = {}
         for block in func.blocks:
             plans[id(block)] = _BlockPlan(block.bid, block.name,
-                                          len(block.instructions))
+                                          block.instructions)
         for block in func.blocks:
             plan = plans[id(block)]
             phis = block.phis

@@ -6,10 +6,11 @@ import pytest
 
 from repro.frontend import NativeContext, compile_kernel
 from repro.frontend import native
-from repro.ir import F64, I64, Module
+from repro.ir import F64, I64, Module, Opcode
 from repro.trace import (
     Interpreter, InterpreterError, SimMemory, StepLimitExceeded,
 )
+from repro.trace.interpreter import _BINOPS, _trunc_div, _trunc_rem
 
 from . import kernels
 from .conftest import run_kernel
@@ -118,6 +119,36 @@ class TestFunctionalSemantics:
         interp = Interpreter(module, SimMemory(), step_limit=10_000)
         with pytest.raises(StepLimitExceeded):
             interp.run("f", [1])
+
+
+class TestI64Results:
+    """Every integer result stays in the i64 range, as LLVM's does, so it
+    stores into an i64 segment."""
+
+    def test_lshr_of_a_negative_by_a_multiple_of_64(self):
+        lshr = _BINOPS[Opcode.LSHR]
+        assert lshr(-8, 0) == -8
+        assert lshr(-8, 64) == -8
+        assert lshr(-8, 128) == -8
+        assert lshr(-8, 1) == (2 ** 64 - 8) >> 1
+        assert lshr(-8, 63) == 1
+
+    def test_sdiv_of_the_minimum_by_minus_one_wraps(self):
+        assert _trunc_div(-2 ** 63, -1) == -2 ** 63
+        assert _trunc_rem(-2 ** 63, -1) == 0
+        assert _trunc_div(-7, 2) == -3 and _trunc_rem(-7, 2) == -1
+
+    def test_results_store_into_i64(self):
+        source = (
+            "def f(A: 'i64*', m: int, d: int):\n"
+            "    A[0] = m // d\n")
+        func = compile_kernel(source)
+        mem = SimMemory()
+        A = mem.alloc(1, I64, "A")
+        module = Module("m")
+        module.add_function(func)
+        Interpreter(module, mem).run("f", [A, -2 ** 63, -1])
+        assert A.data[0] == -2 ** 63
 
 
 class TestTraceArtifacts:
