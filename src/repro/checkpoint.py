@@ -70,10 +70,9 @@ _HEADER = struct.Struct("<8sI32sQ")
 class Checkpoint:
     """A restored snapshot: the live Interleaver plus its cycle cursor.
 
-    ``run_id`` is the originating run's registry id (None for snapshots
-    taken before the run registry existed or without one): a resumed
-    run keeps writing artifacts under the same id, so the whole
-    crash/resume lineage stays joinable."""
+    ``run_id`` is the originating run's ``--run-id`` (None for an
+    unstamped run): a resumed run keeps writing artifacts under the
+    same id, so the whole crash/resume lineage stays joinable."""
 
     schema_version: int
     cycle: int
@@ -149,7 +148,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     interleaver = document["interleaver"]
     # arm the run loop to continue from the snapshot cycle
     interleaver.cycle = cycle
-    # .get(): pre-registry checkpoints carry no run_id and stay loadable
+    # .get(): unstamped checkpoints carry no run_id and stay loadable
     return Checkpoint(version, cycle, interleaver,
                       run_id=document.get("run_id"))
 

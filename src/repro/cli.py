@@ -35,9 +35,9 @@ Commands
 ``--quiet``/``--verbose`` (before the command) set the stderr status
 level; stdout stays machine-readable report content. ``simulate
 --heartbeat FILE`` streams live run heartbeats (see
-``docs/observability.md``); ``--registry [DIR]`` records a provenance
-manifest per run and stamps its ``run_id`` into every artifact the run
-writes.
+``docs/observability.md``); ``--run-id ID`` stamps every artifact the run
+writes (trace, reports, checkpoints, heartbeats), and a ``--resume`` keeps
+the snapshot's id.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -122,18 +121,10 @@ def _system(args):
              else HIERARCHIES[args.hierarchy]()))
 
 
-def _run_config(args, **extra) -> dict:
-    """The system flags a ``--registry`` manifest records."""
-    return {"workload": args.workload, "size": args.size or [],
-            "core": args.core, "tiles": args.tiles,
-            "hierarchy": getattr(args, "hierarchy_config", None)
-            or args.hierarchy, **extra}
-
-
 def _observers(args, run_id=None, source=None) -> dict:
     """The :class:`Interleaver` observers the flags ask for, keyed by
     their keyword; a flag the command does not define counts as off.
-    ``run_id`` stamps checkpoints and ``source`` heartbeats."""
+    ``run_id`` stamps checkpoints and, beside ``source``, heartbeats."""
     from .telemetry import (
         HeartbeatEmitter, MemStat, MetricsRegistry, SelfProfiler, Tracer,
     )
@@ -158,7 +149,7 @@ def _observers(args, run_id=None, source=None) -> dict:
     if flag("heartbeat"):
         observers["emitter"] = HeartbeatEmitter(
             args.heartbeat, every_cycles=flag("heartbeat_every") or 100_000,
-            source=source)
+            source=dict(source, run_id=run_id) if run_id else source)
     return observers
 
 
@@ -182,47 +173,33 @@ def _restore(args):
     return restored
 
 
-def _registry_run_id(args, inherited=None):
-    """Resolve the provenance id for this run: ``--run-id`` wins, then
-    the id a resumed snapshot was stamped with (so the crash/resume
-    lineage stays joinable); ``--registry`` without either mints a fresh
-    id. None (the default) means no stamping at all, so unregistered
-    artifacts stay byte-identical to pre-registry builds."""
-    run_id = getattr(args, "run_id", None) or inherited
-    if run_id is None and getattr(args, "registry", None):
-        from .registry import new_run_id
-        run_id = new_run_id()
-    return run_id
-
-
 @dataclass
 class _Run:
     """One workload run of the CLI: what the run path produced and the
-    output tail writes, prints and records."""
+    output tail writes and prints."""
 
     args: argparse.Namespace
-    workload: str
-    #: config/seed keywords for the --registry manifest
-    manifest: dict
     run_id: Optional[str] = None
     observers: dict = field(default_factory=dict)
     #: the Interleaver that ran: built here, or restored by --resume
     system: object = None
     stats: object = None
     status: str = "ok"
-    checkpoint_path: Optional[str] = None
     #: the supervisor's record, for runs under run_supervised
     outcome: object = None
 
 
 @contextlib.contextmanager
-def _running(args, workload: str, **manifest):
+def _running(args, workload: str):
     """Open one run of ``workload``: restore ``--resume``, resolve the
-    run id and attach the flags' observers. Every exit, success or
-    failure, then goes through :func:`_output_tail`."""
-    run = _Run(args, workload, manifest)
+    run id (``--run-id``, else the id the resumed snapshot was stamped
+    with, so a crash/resume lineage stays joinable; None stamps nothing)
+    and attach the flags' observers. Every exit, success or failure,
+    then goes through :func:`_output_tail`."""
+    run = _Run(args)
     restored = _restore(args) if getattr(args, "resume", None) else None
-    run.run_id = _registry_run_id(args, restored and restored.run_id)
+    run.run_id = getattr(args, "run_id", None) or \
+        (restored and restored.run_id)
     run.observers = _observers(
         args, run_id=run.run_id,
         source={"resumed": args.resume} if restored else
@@ -238,15 +215,13 @@ def _running(args, workload: str, **manifest):
         run.system.profiler = run.observers.get("profiler")
         run.observers["tracer"] = run.system.tracer
         STATUS.info(f"resuming {args.resume} from cycle {restored.cycle}")
-    began = time.perf_counter()
     try:
         yield run
     except BaseException as exc:
         run.status = classify_failure(exc)
-        run.checkpoint_path = getattr(exc, "checkpoint_path", None)
         raise
     finally:
-        _output_tail(run, time.perf_counter() - began)
+        _output_tail(run)
 
 
 def _run(run: _Run, workload=None, core=None, hierarchy=None, *,
@@ -281,7 +256,6 @@ def _run(run: _Run, workload=None, core=None, hierarchy=None, *,
                 workload.kernel, workload.args, plan=plan, retries=retries,
                 fresh=fresh, **options)
             run.status = run.outcome.status
-            run.checkpoint_path = run.outcome.checkpoint_path
             run.stats = run.outcome.stats if run.outcome.ok else None
             return run.stats
         system = build_system(workload.kernel, workload.args, **options)
@@ -291,13 +265,12 @@ def _run(run: _Run, workload=None, core=None, hierarchy=None, *,
     return run.stats
 
 
-def _output_tail(run: _Run, wall_seconds: float) -> None:
+def _output_tail(run: _Run) -> None:
     """The end of every run, success or failure: write the report files
     of a successful run, then print the heartbeat status line and the
-    profile, and record the ``--registry`` manifest."""
+    profile."""
     from .telemetry import write_stats_json
     args, stats = run.args, run.stats
-    written = {}
     if run.status == "ok" and stats is not None:
         if getattr(args, "trace", None):
             tracer = run.observers["tracer"]
@@ -307,14 +280,12 @@ def _output_tail(run: _Run, wall_seconds: float) -> None:
             dropped = f" ({tracer.dropped} dropped)" if tracer.dropped \
                 else ""
             STATUS.info(f"trace: {count} event(s){dropped} -> {args.trace}")
-            written["trace"] = args.trace
         for flag, kind in (("metrics", "metrics"), ("stats_json", "stats"),
                            ("json", "report")):
             path = getattr(args, flag, None)
             if path:
                 write_stats_json(stats, path, run_id=run.run_id)
                 STATUS.info(f"{kind}: -> {path}")
-                written[kind] = path
     emitter = run.observers.get("emitter")
     if emitter is not None:
         if emitter.errors:
@@ -326,46 +297,6 @@ def _output_tail(run: _Run, wall_seconds: float) -> None:
     profiler = run.observers.get("profiler")
     if profiler is not None and profiler.report is not None:
         print(profiler.report.summary())
-    _record_manifest(
-        args, run.run_id, workload=run.workload, status=run.status,
-        stats=stats if run.status == "ok" else None,
-        wall_seconds=wall_seconds, **run.manifest,
-        artifacts=dict(written, heartbeat=getattr(args, "heartbeat", None),
-                       checkpoint=run.checkpoint_path
-                       or getattr(args, "checkpoint", None),
-                       resumed_from=getattr(args, "resume", None)))
-
-
-def _record_manifest(args, run_id, *, workload, status, stats=None,
-                     wall_seconds=0.0, seed=None, config=None,
-                     artifacts=None, extra=None):
-    """Record a provenance manifest under ``--registry`` (no-op
-    without)."""
-    if not getattr(args, "registry", None) or run_id is None:
-        return
-    from .checkpoint import CHECKPOINT_SCHEMA_VERSION
-    from .registry import RunManifest, RunRegistry
-    from .telemetry import (
-        HEARTBEAT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
-        TRACE_SCHEMA_VERSION,
-    )
-    mips = None
-    if stats is not None and wall_seconds > 0:
-        mips = stats.instructions / wall_seconds / 1e6
-    manifest = RunManifest.capture(
-        run_id, workload=workload, status=status, config=config,
-        seed=seed, stats=stats, wall_seconds=wall_seconds, mips=mips,
-        schema_versions={
-            "trace": TRACE_SCHEMA_VERSION,
-            "metrics": METRICS_SCHEMA_VERSION,
-            "checkpoint": CHECKPOINT_SCHEMA_VERSION,
-            "heartbeat": HEARTBEAT_SCHEMA_VERSION,
-        },
-        artifacts={kind: path for kind, path in (artifacts or {}).items()
-                   if path},
-        extra=extra)
-    path = RunRegistry(args.registry).record(manifest)
-    STATUS.info(f"run {run_id}: manifest -> {path}")
 
 
 # -- sweep path (simulate/inject/analyze --sweep) -----------------------------
@@ -494,7 +425,7 @@ def cmd_simulate(args) -> int:
     core, hierarchy = _system(args)
     if args.sweep:
         single = ("trace", "metrics", "stats_json", "profile", "retries",
-                  "checkpoint", "resume", "heartbeat", "registry", "run_id",
+                  "checkpoint", "resume", "heartbeat", "run_id",
                   "memstat")
         if any(getattr(args, name) for name in single):
             return _fail("--sweep is incompatible with " + "/".join(
@@ -509,9 +440,7 @@ def cmd_simulate(args) -> int:
     # a resumed workload already ran functionally before the original
     # run's snapshot, so it is neither rebuilt nor verified
     workload = None if args.resume else _build(args.workload, args.size)
-    with _running(args, workload.name if workload else args.workload,
-                  config=None if args.resume else _run_config(
-                      args, core=core, max_cycles=args.max_cycles)) as run:
+    with _running(args, workload.name if workload else args.workload) as run:
         stats = _run(run, workload, core, hierarchy)
         if stats is None:
             outcome = run.outcome
@@ -794,8 +723,7 @@ def cmd_inject(args) -> int:
         return w.kernel, w.args, w.memory
 
     workload = _build(args.workload, args.size)
-    with _running(args, workload.name, seed=plan.seed,
-                  config=_run_config(args, plan=plan)) as run:
+    with _running(args, workload.name) as run:
         _run(run, workload, *_system(args), plan=plan, fresh=fresh)
         outcome = run.outcome
         print(f"workload: {workload.name}  plan: seed={plan.seed} "
@@ -857,9 +785,7 @@ def cmd_campaign(args) -> int:
         if kinds:
             sites.append("accel")
         sites = [s for s in sites if site_rate(plan, s) > 0.0]
-    run_id = _registry_run_id(args)
     core, hierarchy = _system(args)
-    began = time.perf_counter()
     try:
         result = run_campaign(
             func, workload.args, plan=plan,
@@ -874,7 +800,6 @@ def cmd_campaign(args) -> int:
             workload_name=workload.name)
     except (CampaignError, ValueError) as exc:
         return _fail(f"error: {exc}")
-    wall = time.perf_counter() - began
     report = result.report()
     validate_campaign_report(report)
     print(render_campaign_report(report))
@@ -886,21 +811,6 @@ def cmd_campaign(args) -> int:
         atomic_write_json(args.json, report, indent=2)
         STATUS.info(f"campaign report: -> {args.json}")
     sdc_upper = report["sdc"]["ci"][1]
-    _record_manifest(
-        args, run_id, workload=workload.name, status="ok",
-        wall_seconds=wall, seed=plan.seed,
-        config=_run_config(args, plan=plan, sites=report["sites"],
-                           trials=args.trials),
-        artifacts={"report": args.json, "journal": args.journal},
-        extra={"campaign": {
-            "schema_version": report["schema_version"],
-            "trials": report["trials"],
-            "outcomes": report["outcomes"],
-            "sdc_rate": report["sdc"]["rate"],
-            "sdc_ci": report["sdc"]["ci"],
-            "golden_digest": report["golden"]["digest"],
-            "early_stopped": report["early_stopped"],
-        }})
     if args.sdc_threshold is not None and sdc_upper > args.sdc_threshold:
         return _fail(f"SDC gate: upper bound {sdc_upper:.3f} exceeds "
                      f"threshold {args.sdc_threshold}")
@@ -1029,15 +939,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "and restore their results bit-identically")
         return sub
 
-    def with_registry(sub):
-        sub.add_argument("--registry", nargs="?", const="runs",
-                         metavar="DIR",
-                         help="record a provenance manifest (run id, "
-                              "config digest, host, headline stats, "
-                              "artifact paths) in DIR (default: runs)")
+    def with_run_id(sub):
         sub.add_argument("--run-id", dest="run_id", metavar="ID",
-                         help="stamp artifacts with this run id instead "
-                              "of a generated one")
+                         help="stamp this run id into every artifact the "
+                              "run writes (trace, reports, checkpoints, "
+                              "heartbeats)")
         return sub
 
     def with_checkpoint(sub):
@@ -1080,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   f"(default {default})")
         return sub
 
-    sim = with_system(with_registry(with_checkpoint(with_sweep(
+    sim = with_system(with_run_id(with_checkpoint(with_sweep(
         with_supervision(with_workload(commands.add_parser(
             "simulate", help="simulate a workload on a system "
                              "preset")))))), configs=True)
@@ -1113,18 +1019,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "stride)")
     sim.set_defaults(func=cmd_simulate)
 
-    inject = with_fault_plan(with_system(with_registry(with_checkpoint(
+    inject = with_fault_plan(with_system(with_run_id(with_checkpoint(
         with_sweep(with_supervision(with_workload(commands.add_parser(
             "inject",
             help="run a deterministic fault-injection campaign"))))))),
         (0.0,) * len(FAULT_RATES))
     inject.set_defaults(func=cmd_inject)
 
-    campaign = with_fault_plan(with_system(with_registry(with_workload(
+    campaign = with_fault_plan(with_system(with_workload(
         commands.add_parser(
             "campaign",
             help="SDC characterization: stratified fault trials "
-                 "classified against a golden-output oracle")))),
+                 "classified against a golden-output oracle"))),
         (0.01, 0.01, 0.05, 0.05, 0.05))
     campaign.add_argument("--trials", type=int, default=24, metavar="N",
                           help="faulted trials to run (default 24); "

@@ -55,10 +55,6 @@ def lookup(name: str) -> Optional[IntrinsicInfo]:
     return _REGISTRY.get(name)
 
 
-def is_intrinsic(name: str) -> bool:
-    return name in _REGISTRY
-
-
 def all_intrinsics() -> Dict[str, IntrinsicInfo]:
     return dict(_REGISTRY)
 

@@ -47,12 +47,6 @@ class Function:
             raise ValueError(f"function {self.name} has no blocks")
         return self.blocks[0]
 
-    def block_by_id(self, bid: int) -> BasicBlock:
-        block = self.blocks[bid]
-        if block.bid != bid:
-            raise KeyError(f"block ids out of sync in {self.name}")
-        return block
-
     def block_by_name(self, name: str) -> BasicBlock:
         for block in self.blocks:
             if block.name == name:

@@ -105,9 +105,6 @@ class StaticDDG:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def block_of(self, bid: int) -> DDGBlock:
-        return self.blocks[bid]
-
 
 def build_ddg(func: Function) -> StaticDDG:
     """Construct the static DDG for a finalized function."""

@@ -9,8 +9,6 @@ space exploration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.config import CoreConfig
 
 #: Table II reference points (mm^2, 22nm)
@@ -20,17 +18,6 @@ INO_CORE_AREA_MM2 = 1.01
 #: reference configurations the Table II numbers correspond to
 _REF_OOO_WIDTH = 4
 _REF_OOO_ROB = 128
-
-
-@dataclass(frozen=True)
-class AreaBreakdown:
-    core_mm2: float
-    l1_mm2: float
-    l2_share_mm2: float
-
-    @property
-    def total_mm2(self) -> float:
-        return self.core_mm2 + self.l1_mm2 + self.l2_share_mm2
 
 
 def core_area_mm2(config: CoreConfig) -> float:

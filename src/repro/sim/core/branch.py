@@ -15,16 +15,6 @@ in the static scheme.
 from __future__ import annotations
 
 
-class StaticBTFN:
-    """Backward-taken / forward-not-taken (the paper's static scheme)."""
-
-    def predict(self, branch_iid: int, backward: bool) -> bool:
-        return backward
-
-    def update(self, branch_iid: int, taken: bool) -> None:
-        pass
-
-
 class TwoBitPredictor:
     """Per-branch two-bit saturating counters.
 

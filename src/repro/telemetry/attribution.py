@@ -410,7 +410,7 @@ def validate_report(document: dict, schema_version: int = None, *,
         raise ValueError(
             f"report schema version {version!r} unsupported "
             f"(supported: {', '.join(map(str, SUPPORTED_REPORT_VERSIONS))})")
-    # run_id is optional (pre-registry reports lack it) but must be a
+    # run_id is optional (unstamped reports lack it) but must be a
     # non-empty string when present
     run_id = document.get("run_id")
     if run_id is not None and (not isinstance(run_id, str) or not run_id):

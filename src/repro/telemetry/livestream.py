@@ -23,9 +23,7 @@ Contracts (same family as the tracer, see ``docs/observability.md``):
   cycle-stride emitter produce bit-identical streams. Wall-clock
   figures live under the single ``"wall"`` key, which
   :func:`heartbeat_key` strips and :func:`heartbeat_digest` therefore
-  excludes. A wall-clock stride (``every_seconds``) makes the *set* of
-  emission cycles nondeterministic; use a cycle stride when comparing
-  streams.
+  excludes.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION", "HeartbeatEmitter", "heartbeat_digest",
@@ -47,15 +45,14 @@ _NEVER = (1 << 62)  # mirrors sim.tile.NEVER without importing the package
 
 
 class HeartbeatEmitter:
-    """Streams periodic run snapshots to a JSONL file or a callable.
+    """Streams a run snapshot every ``every_cycles`` simulated cycles to
+    the JSONL file ``path``.
 
-    Exactly one sink: ``path`` (lines are appended — a file or a named
-    pipe; every point of a journaled sweep appends to one shared file)
-    or ``send`` (called with the heartbeat dict, for in-process
-    consumers). The Interleaver polls :meth:`due` on its watchdog stride
-    and calls :meth:`emit` only at outer-loop consistency points, where
-    every event due at the stamped cycle has fired — the same guarantee
-    checkpoints rely on.
+    Lines are appended (a file or a named pipe; every point of a
+    journaled sweep appends to one shared file). The Interleaver polls
+    :meth:`due` on its watchdog stride and calls :meth:`emit` only at
+    outer-loop consistency points, where every event due at the stamped
+    cycle has fired — the same guarantee checkpoints rely on.
 
     ``source`` labels (run id, sweep point index, workload) are merged
     into every heartbeat so readers of a shared stream can demultiplex
@@ -67,30 +64,16 @@ class HeartbeatEmitter:
     state, keeping resumed cycle-stamped content identical.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 send: Optional[Callable[[dict], None]] = None, *,
-                 every_cycles: Optional[int] = 100_000,
-                 every_seconds: Optional[float] = None,
-                 source: Optional[dict] = None,
-                 include_tiles: bool = True):
-        if (path is None) == (send is None):
-            raise ValueError("HeartbeatEmitter needs exactly one sink: "
-                             "path or send")
-        if every_cycles is None and every_seconds is None:
-            raise ValueError("HeartbeatEmitter needs a stride: "
-                             "every_cycles and/or every_seconds")
-        if every_cycles is not None and every_cycles <= 0:
+    def __init__(self, path: str, *, every_cycles: int = 100_000,
+                 source: Optional[dict] = None):
+        if not path:
+            raise ValueError("HeartbeatEmitter needs a path")
+        if every_cycles is None or every_cycles <= 0:
             raise ValueError(f"heartbeat cycle stride must be positive, "
                              f"got {every_cycles}")
-        if every_seconds is not None and every_seconds <= 0:
-            raise ValueError(f"heartbeat wall stride must be positive, "
-                             f"got {every_seconds}")
         self.path = path
-        self.send = send
         self.every_cycles = every_cycles
-        self.every_seconds = every_seconds
         self.source = dict(source) if source else {}
-        self.include_tiles = include_tiles
         #: heartbeats emitted so far (monotonic, part of the stream)
         self.seq = 0
         #: sink failures swallowed (a broken pipe must not kill the run)
@@ -103,15 +86,7 @@ class HeartbeatEmitter:
 
     # -- scheduling (polled on the Interleaver's watchdog stride) --------
     def due(self, cycle: int) -> bool:
-        if self.every_cycles is not None and \
-                cycle - self._last_cycle >= self.every_cycles:
-            return True
-        if self.every_seconds is not None:
-            now = time.monotonic()
-            if self._last_wall is None or \
-                    now - self._last_wall >= self.every_seconds:
-                return True
-        return False
+        return cycle - self._last_cycle >= self.every_cycles
 
     # -- emission --------------------------------------------------------
     def emit(self, interleaver, cycle: int, final: bool = False) -> dict:
@@ -143,8 +118,7 @@ class HeartbeatEmitter:
         if interleaver.checkpoint is not None:
             heartbeat["checkpoint_age"] = \
                 cycle - interleaver.checkpoint.last_cycle
-        if self.include_tiles:
-            heartbeat["tiles"] = self._tile_states(interleaver)
+        heartbeat["tiles"] = self._tile_states(interleaver)
         if final:
             heartbeat["final"] = True
         if self.source:
@@ -204,22 +178,17 @@ class HeartbeatEmitter:
 
     def _push(self, heartbeat: dict) -> None:
         try:
-            if self.send is not None:
-                self.send(heartbeat)
-            else:
-                # append + flush, no fsync: heartbeats are advisory and
-                # must never stall the simulation on disk latency
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(heartbeat) + "\n")
+            # append + flush, no fsync: heartbeats are advisory and
+            # must never stall the simulation on disk latency
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(heartbeat) + "\n")
         except Exception as exc:
             # heartbeats are advisory and must never fail the run, but a
             # broken sink should be observable: warn once, then count
             self.errors += 1
             if self.errors == 1:
                 from ..harness.status import STATUS
-                target = "send callback" if self.send is not None \
-                    else self.path
-                STATUS.warn(f"heartbeat: emit to {target} failed "
+                STATUS.warn(f"heartbeat: emit to {self.path} failed "
                             f"({exc}); further failures are only "
                             f"counted (emitter.errors)")
 

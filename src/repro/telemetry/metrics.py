@@ -250,9 +250,9 @@ def stats_to_dict(stats, run_id: Optional[str] = None) -> dict:
     Includes the registry snapshot under ``"metrics"`` when the run
     carried one (``SystemStats.metrics``); this is the single serializer
     behind ``--metrics``, ``--stats-json`` and sweep exports.
-    ``run_id`` (opt-in: only registered runs stamp it, so default
-    reports stay byte-identical across resume-identity checks) makes
-    the report joinable against its run-registry manifest.
+    ``run_id`` (opt-in: only runs given ``--run-id`` stamp it, so
+    default reports stay byte-identical across resume-identity checks)
+    makes the report joinable against the run's other artifacts.
     """
     document = {
         "schema_version": METRICS_SCHEMA_VERSION,

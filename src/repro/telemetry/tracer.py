@@ -362,8 +362,7 @@ class Tracer:
         """Chrome trace_event JSON object (loadable in Perfetto).
 
         ``run_id`` stamps provenance into ``otherData`` so the trace is
-        joinable against its run-registry manifest (see
-        ``repro.registry``)."""
+        joinable against the run's other artifacts."""
         events = [
             {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
              "args": {"name": name}}
@@ -506,7 +505,7 @@ def validate_chrome_trace(document: dict) -> int:
         raise ValueError(
             f"trace schema version {version!r} unsupported "
             f"(expected {TRACE_SCHEMA_VERSION})")
-    # run_id is optional (pre-registry traces lack it) but must be a
+    # run_id is optional (unstamped traces lack it) but must be a
     # non-empty string when present
     run_id = other.get("run_id")
     if run_id is not None and (not isinstance(run_id, str) or not run_id):

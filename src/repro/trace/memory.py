@@ -104,11 +104,6 @@ class SimMemory:
         self._next += (size + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
         return ref
 
-    def alloc_like(self, values: Union[Sequence, np.ndarray],
-                   element_type: IRType, name: str = "arr") -> ArrayRef:
-        values = np.asarray(values)
-        return self.alloc(len(values), element_type, name, init=values)
-
     # ------------------------------------------------------------------
     def _segment_for(self, address: int) -> ArrayRef:
         index = bisect.bisect_right(self._bases, address) - 1
@@ -129,7 +124,7 @@ class SimMemory:
             raise MemoryError_(
                 f"misaligned access at {address:#x} in {segment.name}")
         value = segment.data[offset // elem_size]
-        value = int(value) if ty.is_integer else float(value)
+        value = float(value) if ty.is_float else int(value)
         if self.injector is not None:
             value = self.injector.corrupt_load(address, value)
         return value

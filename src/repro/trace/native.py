@@ -238,7 +238,7 @@ class Program:
             return (OP["GEP"], dest(step[1], False), reg(step[2], False),
                     reg(step[3], False), 0, step[4])
         if kind == 2:
-            f = not step[4].is_integer
+            f = step[4].is_float
             return (OP["LOAD_F" if f else "LOAD_I"], dest(step[1], f),
                     reg(step[2], False), 0, self._memory(step[3]), 0)
         if kind == 3:
@@ -269,7 +269,7 @@ class Program:
         if kind == 10:
             return self._cast(step, inst)
         if kind == 11:
-            f = not step[6].is_integer
+            f = step[6].is_float
             return (OP["ATOMIC_F" if f else "ATOMIC_I"], dest(step[1], f),
                     reg(step[3], False), reg(step[4], f),
                     self._memory(step[5]), _ATOMIC[inst.operation])

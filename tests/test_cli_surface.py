@@ -53,10 +53,8 @@ SURFACE = {
         '--journal': 'store journal=None',
         '--json': 'store json=None',
         '--max-cycles': 'store max_cycles:int=None',
-        '--registry': "store registry=None nargs=? const='runs'",
         '--resume-campaign':
             'storetrue resume_campaign=False nargs=0 const=True',
-        '--run-id': 'store run_id=None',
         '--sdc-threshold': 'store sdc_threshold:float=None',
         '--seed': 'store seed:int=0',
         '--sites': 'store sites=None',
@@ -99,7 +97,6 @@ SURFACE = {
         '--jobs': 'store jobs:int=1',
         '--journal': 'store journal=None',
         '--max-cycles': 'store max_cycles:int=2000000000',
-        '--registry': "store registry=None nargs=? const='runs'",
         '--resume': 'store resume=None',
         '--resume-sweep': 'storetrue resume_sweep=False nargs=0 const=True',
         '--retries': 'store retries:int=0',
@@ -150,7 +147,6 @@ SURFACE = {
         '--memstat': 'storetrue memstat=False nargs=0 const=True',
         '--metrics': 'store metrics=None',
         '--profile': 'storetrue profile=False nargs=0 const=True',
-        '--registry': "store registry=None nargs=? const='runs'",
         '--resume': 'store resume=None',
         '--resume-sweep': 'storetrue resume_sweep=False nargs=0 const=True',
         '--retries': 'store retries:int=0',

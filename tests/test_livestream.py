@@ -1,4 +1,4 @@
-"""Live telemetry: heartbeat streaming, sweep watch, run registry.
+"""Live telemetry: heartbeat streaming, sweep watch, run id stamping.
 
 Covers the PR-7 observability layer end to end:
 
@@ -7,10 +7,9 @@ Covers the PR-7 observability layer end to end:
 * the emitter is non-blocking and zero-cost when absent;
 * sweep heartbeat streams (serial and parallel) and the watch
   dashboard's ETA/straggler math;
-* run-registry manifest round-trips, and ``latest()`` picking the
-  newest recorded manifest;
-* run_id provenance stamping, including acceptance of pre-registry
-  artifacts that lack it.
+* ``--run-id`` provenance stamping of every artifact a run writes and
+  its inheritance on ``--resume``, including acceptance of unstamped
+  artifacts.
 """
 
 import io
@@ -28,9 +27,6 @@ from repro.harness import (
 )
 from repro.harness import watch
 from repro.ir import F64
-from repro.registry import (
-    RunManifest, RunRegistry, config_digest, new_run_id, validate_manifest,
-)
 from repro.telemetry import (
     HeartbeatEmitter, heartbeat_digest, heartbeat_key, read_heartbeats,
     stats_to_dict, validate_chrome_trace, validate_heartbeat,
@@ -97,11 +93,10 @@ class TestHeartbeatEmitter:
         assert stats_to_dict(streamed) == stats_to_dict(bare)
 
     def test_emitter_requires_exactly_one_sink(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             HeartbeatEmitter()
         with pytest.raises(ValueError):
-            HeartbeatEmitter(str(tmp_path / "hb.jsonl"),
-                             send=lambda beat: None)
+            HeartbeatEmitter(None)
         with pytest.raises(ValueError):
             HeartbeatEmitter(str(tmp_path / "hb.jsonl"), every_cycles=0)
 
@@ -297,45 +292,6 @@ class TestWatchMath:
         assert out.getvalue().count("3/3 done") == 1
 
 
-# -- run registry --------------------------------------------------------------
-
-class TestRunRegistry:
-    def test_manifest_round_trip(self, tmp_path):
-        stats = _saxpy_run()
-        manifest = RunManifest.capture(
-            new_run_id(), workload="saxpy", stats=stats, seed=3,
-            config={"core": "ooo", "tiles": 2},
-            wall_seconds=1.5, mips=2.0,
-            schema_versions={"metrics": 2},
-            artifacts={"stats": "stats.json"})
-        document = manifest.as_dict()
-        assert validate_manifest(document) == manifest.run_id
-        assert RunManifest.from_dict(document) == manifest
-        assert document["cycles"] == stats.cycles
-
-    def test_registry_record_load_latest(self, tmp_path):
-        registry = RunRegistry(str(tmp_path / "runs"))
-        for index in range(2):
-            manifest = RunManifest.capture(
-                f"r20260101-00000{index}-abcdef", workload="saxpy",
-                status="ok")
-            registry.record(manifest)
-        assert len(registry.run_ids()) == 2
-        assert registry.latest().run_id == "r20260101-000001-abcdef"
-
-    def test_validate_manifest_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            validate_manifest({"schema_version": 999})
-        with pytest.raises(ValueError):
-            validate_manifest({"schema_version": 1, "run_id": ""})
-
-    def test_config_digest_stable_and_order_insensitive(self):
-        first = config_digest({"a": 1, "b": [2, 3]})
-        second = config_digest({"b": [2, 3], "a": 1})
-        assert first == second and len(first) == 16
-        assert first != config_digest({"a": 2, "b": [2, 3]})
-
-
 # -- run_id provenance stamping ----------------------------------------------
 
 class TestRunIdStamping:
@@ -381,7 +337,7 @@ class TestRunIdStamping:
         path = str(tmp_path / "ck.bin")
         save_checkpoint(interleaver, path, cycle=50, run_id="r-test")
         assert load_checkpoint(path).run_id == "r-test"
-        # pre-registry snapshots load with run_id None
+        # unstamped snapshots load with run_id None
         save_checkpoint(interleaver, path, cycle=50)
         assert load_checkpoint(path).run_id is None
 
@@ -416,51 +372,51 @@ HISTO = ["histo", "--size", "n=256", "--core", "ino"]
 
 
 class TestCLI:
-    def test_simulate_with_heartbeat_and_registry(self, tmp_path,
-                                                  capsys):
+    def test_run_id_stamps_every_artifact_and_survives_resume(
+            self, tmp_path, capsys):
+        from repro.checkpoint import load_checkpoint
         hb = tmp_path / "hb.jsonl"
         stats_json = tmp_path / "stats.json"
-        registry_dir = tmp_path / "runs"
+        trace = tmp_path / "trace.json"
+        checkpoint = tmp_path / "ck.bin"
         assert cli_main(["simulate"] + HISTO + [
+            "--run-id", "r-test",
             "--heartbeat", str(hb), "--heartbeat-every", "500",
-            "--registry", str(registry_dir),
-            "--stats-json", str(stats_json)]) == 0
-        captured = capsys.readouterr()
-        assert "cycles:" in captured.out
-        assert "manifest ->" in captured.err
+            "--stats-json", str(stats_json), "--trace", str(trace),
+            "--checkpoint", str(checkpoint),
+            "--checkpoint-every", "2000"]) == 0
+        assert "cycles:" in capsys.readouterr().out
+        assert json.loads(stats_json.read_text())["run_id"] == "r-test"
+        assert json.loads(trace.read_text())["otherData"]["run_id"] \
+            == "r-test"
+        assert load_checkpoint(str(checkpoint)).run_id == "r-test"
         beats = read_heartbeats(str(hb))
         assert beats and beats[-1]["final"] is True
-        registry = RunRegistry(str(registry_dir))
-        manifest = registry.latest()
-        assert manifest.workload == "histo" and manifest.status == "ok"
-        # artifacts were stamped with the registered id
-        document = json.loads(stats_json.read_text())
-        assert document["run_id"] == manifest.run_id
-
-    def test_registry_ignores_other_json_files(self, tmp_path, capsys):
-        registry_dir = tmp_path / "runs"
-        registry_dir.mkdir()
-        assert cli_main(["simulate"] + HISTO + [
-            "--registry", str(registry_dir),
-            "--stats-json", str(registry_dir / "zz-stats.json")]) == 0
+        assert all(beat["source"] == {"workload": "histo",
+                                      "run_id": "r-test"}
+                   for beat in beats)
+        # a resume without --run-id keeps the snapshot's id
+        resumed_hb = tmp_path / "resumed.jsonl"
+        resumed_stats = tmp_path / "resumed.json"
+        assert cli_main(["simulate", "histo", "--resume", str(checkpoint),
+                         "--heartbeat", str(resumed_hb),
+                         "--stats-json", str(resumed_stats)]) == 0
         capsys.readouterr()
-        registry = RunRegistry(str(registry_dir))
-        assert len(registry.run_ids()) == 1
-        assert registry.latest().workload == "histo"
+        assert json.loads(resumed_stats.read_text())["run_id"] == "r-test"
+        beats = read_heartbeats(str(resumed_hb))
+        assert beats and all(beat["source"]["run_id"] == "r-test"
+                             for beat in beats)
 
-    def test_latest_is_the_newest_run_whatever_its_id(self, tmp_path,
-                                                      capsys):
-        registry_dir = str(tmp_path / "runs")
-        assert cli_main(["simulate"] + HISTO
-                        + ["--registry", registry_dir]) == 0
+    def test_unstamped_run_writes_no_run_id(self, tmp_path, capsys):
+        hb = tmp_path / "hb.jsonl"
+        stats_json = tmp_path / "stats.json"
         assert cli_main(["simulate"] + HISTO + [
-            "--registry", registry_dir, "--run-id", "ci-job-7"]) == 0
+            "--heartbeat", str(hb), "--heartbeat-every", "500",
+            "--stats-json", str(stats_json)]) == 0
         capsys.readouterr()
-        registry = RunRegistry(registry_dir)
-        # a generated "r2026..." id sorts after "ci-job-7" by name
-        assert sorted(registry.run_ids())[-1].startswith("r")
-        assert registry.run_ids()[-1] == "ci-job-7"
-        assert registry.latest().run_id == "ci-job-7"
+        assert "run_id" not in json.loads(stats_json.read_text())
+        assert all(beat["source"] == {"workload": "histo"}
+                   for beat in read_heartbeats(str(hb)))
 
     def test_quiet_suppresses_status_lines(self, tmp_path, capsys):
         stats_json = tmp_path / "stats.json"

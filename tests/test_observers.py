@@ -121,9 +121,7 @@ class TestCLIResume:
     ])
     def test_observer_flag_missing_from_snapshot_exits_2(
             self, histo_snapshot, tmp_path, capsys, flags, flag):
-        registry = tmp_path / "runs"
-        argv = HISTO + ["--resume", str(histo_snapshot),
-                        "--registry", str(registry)]
+        argv = HISTO + ["--resume", str(histo_snapshot)]
         argv += [f.format(tmp=tmp_path) for f in flags]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -131,7 +129,6 @@ class TestCLIResume:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
         assert not (tmp_path / "m.json").exists()
-        assert not registry.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "memstat"])

@@ -370,6 +370,28 @@ entry:
     assert list(memory.segments[0].data) == [-2 ** 63, 0, -1, -1, 0]
 
 
+def test_pointer_typed_load_chases_a_pointer():
+    # the loaded i64* stays an integer address on both backends
+    source = """define i64 @chase(i64** %PP) {
+entry:
+  %P = load i64*, i64** %PP
+  %v = load i64, i64* %P
+  ret i64 %v
+}
+"""
+    func = parse_function(source)
+
+    def setup():
+        memory = SimMemory()
+        target = memory.alloc(1, I64, "target", init=[42])
+        PP = memory.alloc(1, I64, "PP", init=[target.base])
+        interp = Interpreter(_module(func), memory)
+        return memory, lambda: [interp.run("chase", [PP])]
+
+    traces = _assert_same_traces(setup, instances=1)
+    assert traces[0].return_value == 42
+
+
 def test_uncollected_run_counts_instructions():
     def setup():
         memory = SimMemory()
