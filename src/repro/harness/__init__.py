@@ -11,10 +11,10 @@ from .reporting import (
     render_report_diff, render_table, render_timeline, render_totals_diff,
 )
 from .runner import (
-    DAEPairSpec, DEFAULT_MAX_CYCLES, FaultedRun, Prepared, RunOutcome,
+    DAEPairSpec, DEFAULT_MAX_CYCLES, Prepared, RunOutcome, accel_kinds,
     build_dae, build_heterogeneous, build_system, classify_failure,
-    graceful_interrupts, prepare, prepare_dae, prepare_dae_sliced,
-    run_supervised, run_with_faults, simulate, simulate_dae,
+    default_farm, graceful_interrupts, prepare, prepare_dae,
+    prepare_dae_sliced, run_supervised, simulate, simulate_dae,
     simulate_heterogeneous,
 )
 from .status import (
@@ -43,10 +43,10 @@ __all__ = [
     "render_campaign_report", "render_memory_diff",
     "render_memstat_report", "render_report_diff", "render_table",
     "render_timeline", "render_totals_diff",
-    "DAEPairSpec", "DEFAULT_MAX_CYCLES", "FaultedRun", "Prepared",
-    "RunOutcome", "build_dae", "build_heterogeneous", "build_system",
-    "classify_failure", "graceful_interrupts", "prepare", "prepare_dae",
-    "prepare_dae_sliced", "run_supervised", "run_with_faults", "simulate",
+    "DAEPairSpec", "DEFAULT_MAX_CYCLES", "Prepared", "RunOutcome",
+    "accel_kinds", "build_dae", "build_heterogeneous", "build_system",
+    "classify_failure", "default_farm", "graceful_interrupts", "prepare",
+    "prepare_dae", "prepare_dae_sliced", "run_supervised", "simulate",
     "simulate_dae", "simulate_heterogeneous",
     "NORMAL", "QUIET", "STATUS", "StatusLogger", "VERBOSE",
     "set_status_level",

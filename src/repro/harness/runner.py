@@ -106,6 +106,30 @@ def _check_trace_count(prepared: Prepared, num_tiles: int,
                     f"the extra {count - num_tiles} trace(s) are ignored")
 
 
+def accel_kinds(function: Function) -> List[str]:
+    """Accelerator design kinds the compiled ``function`` invokes: every
+    ``accel_*`` intrinsic with a default design (pure data)."""
+    from ..sim.accelerator.library import DESIGN_FACTORIES
+    return sorted({
+        inst.callee[len("accel_"):] for inst in function.instructions()
+        if getattr(inst, "callee", "").startswith("accel_")
+        and inst.callee[len("accel_"):] in DESIGN_FACTORIES})
+
+
+def default_farm(function: Function) -> Optional[AcceleratorFarm]:
+    """A fresh AcceleratorFarm with one default tile per design
+    ``function`` invokes, None when it invokes none. A farm keeps
+    runtime state (instance occupancy, invocation counts), so every run
+    builds its own."""
+    kinds = accel_kinds(function)
+    if not kinds:
+        return None
+    farm = AcceleratorFarm()
+    for kind in kinds:
+        farm.add_default(kind)
+    return farm
+
+
 def _assemble(tiles: List[CoreTile], frequency_ghz: float, *,
               hierarchy: Optional[MemoryHierarchyConfig],
               accelerators: Optional[AcceleratorFarm],
@@ -355,43 +379,6 @@ def graceful_interrupts(interleaver: Interleaver,
 # -- fault injection + supervised runs (robustness layer) ------------------------
 
 @dataclass
-class FaultedRun:
-    """Result of :func:`run_with_faults`: stats plus the fault log."""
-
-    stats: SystemStats
-    fault_log: Tuple[FaultRecord, ...]
-    injector: FaultInjector
-
-    @property
-    def fault_summary(self):
-        return self.injector.summary()
-
-
-def run_with_faults(kernel: Kernel, args: Sequence, *,
-                    plan: FaultPlan,
-                    core: Optional[CoreConfig] = None,
-                    num_tiles: int = 1,
-                    hierarchy: Optional[MemoryHierarchyConfig] = None,
-                    accelerators: Optional[AcceleratorFarm] = None,
-                    memory: Optional[SimMemory] = None,
-                    max_cycles: int = DEFAULT_MAX_CYCLES,
-                    wall_clock_limit: Optional[float] = None) -> FaultedRun:
-    """Simulate under a deterministic :class:`FaultPlan`.
-
-    The same ``plan`` (same seed) over the same workload reproduces the
-    exact same faults, and therefore bit-identical :class:`SystemStats`
-    and fault logs — the property the resilience tests assert.
-    """
-    plan.validate()
-    injector = FaultInjector(plan)
-    stats = simulate(kernel, args, core=core, num_tiles=num_tiles,
-                     hierarchy=hierarchy, accelerators=accelerators,
-                     memory=memory, max_cycles=max_cycles,
-                     wall_clock_limit=wall_clock_limit, injector=injector)
-    return FaultedRun(stats, tuple(injector.log), injector)
-
-
-@dataclass
 class RunOutcome:
     """Per-run record kept by the supervisor (and by sweeps): what
     happened, how many attempts it took, and how long it ran."""
@@ -442,39 +429,125 @@ def _is_transient(exc: BaseException) -> bool:
                             WatchdogTimeout))
 
 
+def _functional_pass(state: tuple, num_tiles: int,
+                     injector: Optional[FaultInjector]) -> Prepared:
+    """Trace ``state``'s ``(kernel, args, memory)``, flipping loads under
+    ``injector``. A flipped load (an index walking off a segment, a
+    broken shape) can crash the interpreter with a workload-level error:
+    the injected fault surfaced, so it becomes a :class:`SimulationError`
+    reading ``"<ExceptionName>: <message>"``."""
+    kernel, args, memory = state
+    try:
+        return prepare(kernel, args, num_tiles=num_tiles, memory=memory,
+                       injector=injector)
+    except (SimulationError, ConfigError):
+        raise
+    except Exception as exc:
+        if injector is None:
+            raise
+        raise SimulationError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def run_plan(plan: Optional[FaultPlan], *,
+             prepared: Optional[Prepared] = None,
+             source: Optional[Callable[[], tuple]] = None,
+             retries: int = 0, interrupts: bool = False,
+             accelerators: Optional[AcceleratorFarm] = None,
+             num_tiles: int = 1,
+             **options) -> Tuple[RunOutcome, Optional[Prepared]]:
+    """The one place a :class:`FaultPlan` (None: a clean run) becomes a
+    run; :func:`run_supervised`, sweep points and campaign trials all
+    call it. Never raises for simulation failures.
+
+    Only a plan that flips functional loads needs a functional pass of
+    its own: each attempt re-interprets ``source()``'s pristine
+    ``(kernel, args, memory)`` under its injector. Every other plan
+    re-times ``prepared``, traced here once without an injector (from
+    ``source()``) when the caller has none. Attempt ``i`` runs
+    ``plan.reseeded(i)`` under a fresh :class:`FaultInjector`, on
+    ``accelerators`` or else its own :func:`default_farm`; transient
+    failures are retried up to ``retries`` times. ``options`` are
+    :func:`build_system`'s (``core``, ``hierarchy``, ``max_cycles``,
+    ``wall_clock_limit`` and the observers). With ``interrupts`` every
+    attempt runs under :func:`graceful_interrupts`.
+
+    Returns the outcome and, when it is ``ok``, the :class:`Prepared`
+    that ran, whose memory holds the run's functional output.
+    """
+    if plan is not None:
+        plan.validate()
+    flips = plan is not None and plan.bitflip_load_rate > 0.0
+    profiler = options.get("profiler")
+    start = time.monotonic()
+    for attempt in range(retries + 1):
+        injector = FaultInjector(plan.reseeded(attempt)) \
+            if plan is not None and plan.enabled else None
+        ran = prepared
+        try:
+            if flips or ran is None:
+                ran = _functional_pass(source(), num_tiles,
+                                       injector if flips else None)
+                if not flips:
+                    prepared = ran
+            system = build_system(
+                ran.function, [], prepared=ran, num_tiles=num_tiles,
+                accelerators=accelerators if accelerators is not None
+                else default_farm(ran.function),
+                injector=injector, **options)
+            with (graceful_interrupts(system) if interrupts
+                  else contextlib.nullcontext()):
+                stats = system.run()
+        except SimulationInterrupted:
+            raise  # the user stopped the run: no retry, no outcome
+        except (SimulationError, ConfigError) as exc:
+            failure = exc
+            if not _is_transient(exc):
+                break
+        else:
+            return RunOutcome(
+                "ok", stats=stats, attempts=attempt + 1,
+                fault_log=tuple(injector.log) if injector else (),
+                wall_seconds=time.monotonic() - start,
+                profile=profiler.report if profiler is not None else None
+            ), ran
+    # a failed run's profile was finished as its run() raised
+    return RunOutcome(
+        classify_failure(failure), error=str(failure), attempts=attempt + 1,
+        stats=getattr(failure, "partial_stats", None),
+        fault_log=tuple(injector.log) if injector else (),
+        wall_seconds=time.monotonic() - start,
+        profile=profiler.report if profiler is not None else None,
+        checkpoint_path=getattr(failure, "checkpoint_path", None)), None
+
+
 def run_supervised(kernel: Kernel, args: Sequence, *,
                    plan: Optional[FaultPlan] = None,
-                   core: Optional[CoreConfig] = None,
-                   num_tiles: int = 1,
-                   hierarchy: Optional[MemoryHierarchyConfig] = None,
-                   accelerators: Optional[AcceleratorFarm] = None,
                    memory: Optional[SimMemory] = None,
-                   max_cycles: int = DEFAULT_MAX_CYCLES,
-                   wall_clock_limit: Optional[float] = None,
                    retries: int = 0,
-                   backoff_seconds: float = 0.0,
                    fresh: Optional[Callable[[], tuple]] = None,
                    prepared: Optional[Prepared] = None,
-                   **observers) -> RunOutcome:
+                   **options) -> RunOutcome:
     """Run a simulation under supervision: cycle budget, wall-clock
-    watchdog, and retry-with-backoff for transient faults.
+    watchdog, and retries for transient faults (:func:`run_plan` over
+    ``kernel``/``args``/``memory``; ``options`` are its keywords).
 
     Never raises for simulation failures — returns a :class:`RunOutcome`
     whose ``status`` classifies what happened, so sweeps degrade
-    gracefully instead of dying on the first bad configuration.
+    gracefully instead of dying on the first bad configuration. A crash
+    of the functional pass under bit flips is an ``error`` outcome.
 
     Retries re-run with ``plan.reseeded(attempt)`` so a different (but
-    still deterministic) fault pattern is drawn each attempt. When the
-    workload mutates its own memory (most kernels do), pass ``fresh``: a
-    zero-argument callable returning a new ``(kernel, args, memory)``
-    triple per attempt, so retries start from pristine state.
+    still deterministic) fault pattern is drawn each attempt. A plan
+    that flips loads re-interprets the workload every attempt: the
+    first from ``kernel``/``args``/``memory`` (unless ``prepared``
+    already traced them), later ones from ``fresh``, a zero-argument
+    callable returning a new ``(kernel, args, memory)`` triple, so they
+    start from pristine state; without ``fresh`` such a plan takes
+    neither ``prepared`` nor ``retries`` (``ValueError``). Every other
+    run re-times ``prepared``, or traces made once from
+    ``kernel``/``args``/``memory``.
 
-    ``prepared`` reuses an existing artifact for the first attempt
-    (dropped when a fault injector is active or ``fresh`` rebuilt the
-    workload, since both need a new functional run).
-
-    ``observers`` pass unchanged to every attempt's :class:`Interleaver`.
-    With a ``checkpoint`` sink, the run autosaves and — the
+    With a ``checkpoint`` observer, the run autosaves and — the
     supervisor integration — flushes a final snapshot *before* the cycle
     budget or watchdog failure propagates, so ``RunOutcome.
     checkpoint_path`` points at a resumable snapshot of the work already
@@ -484,54 +557,21 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
     raise :class:`SimulationInterrupted` (after that final snapshot)
     instead of being retried or classified.
     """
-    profiler = observers.get("profiler")
-    attempts = 0
-    start = time.monotonic()
-    last_exc: Optional[BaseException] = None
-    fault_log: Tuple[FaultRecord, ...] = ()
-    while attempts <= retries:
-        attempt_plan = plan.reseeded(attempts) if plan is not None else None
-        injector = FaultInjector(attempt_plan) \
-            if attempt_plan is not None and attempt_plan.enabled else None
-        k, a, m = kernel, args, memory
-        attempt_prepared = prepared
-        if fresh is not None and attempts > 0:
-            k, a, m = fresh()
-            # the caller's Prepared is bound to the original memory;
-            # retries on pristine state must re-prepare
-            attempt_prepared = None
-        if injector is not None:
-            # an injector corrupts functional loads during trace
-            # generation; a Prepared made without it would skip that
-            attempt_prepared = None
-        attempts += 1
-        try:
-            system = build_system(
-                k, a, core=core, num_tiles=num_tiles, hierarchy=hierarchy,
-                accelerators=accelerators, memory=m, max_cycles=max_cycles,
-                wall_clock_limit=wall_clock_limit, prepared=attempt_prepared,
-                injector=injector, **observers)
-            with graceful_interrupts(system):
-                stats = system.run()
-            return RunOutcome(
-                "ok", stats=stats, attempts=attempts,
-                fault_log=tuple(injector.log) if injector else (),
-                wall_seconds=time.monotonic() - start,
-                profile=profiler.report if profiler is not None else None)
-        except SimulationInterrupted:
-            raise  # the user stopped the run: no retry, no outcome
-        except (SimulationError, ConfigError) as exc:
-            last_exc = exc
-            fault_log = tuple(injector.log) if injector else ()
-            if attempts <= retries and _is_transient(exc):
-                if backoff_seconds > 0:
-                    time.sleep(backoff_seconds * (2 ** (attempts - 1)))
-                continue
-            break
-    # a failed run's profile was finished as its run() raised
-    return RunOutcome(
-        classify_failure(last_exc), error=str(last_exc), attempts=attempts,
-        stats=getattr(last_exc, "partial_stats", None), fault_log=fault_log,
-        wall_seconds=time.monotonic() - start,
-        profile=profiler.report if profiler is not None else None,
-        checkpoint_path=getattr(last_exc, "checkpoint_path", None))
+    if (plan is not None and plan.bitflip_load_rate > 0.0 and fresh is None
+            and (prepared is not None or retries > 0)):
+        # the caller's memory has already run: flipping its loads again
+        # would compute on its own output
+        raise ValueError("a plan that flips loads re-interprets the "
+                         "workload on every attempt: pass fresh= to "
+                         "rebuild its pristine state")
+    pristine = prepared is None
+
+    def source() -> tuple:
+        nonlocal pristine
+        if pristine:
+            pristine = False
+            return kernel, args, memory
+        return fresh()
+
+    return run_plan(plan, prepared=prepared, source=source,
+                    retries=retries, interrupts=True, **options)[0]

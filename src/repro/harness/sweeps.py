@@ -20,8 +20,7 @@ takes ``jobs``: with ``jobs > 1`` the points run on a process pool. The
 the worker can rebuild the system from, and failures inside a worker
 land in the same non-``ok`` SweepPoint records as serial sweeps. Point
 order — and therefore every stat — is identical to a serial run (see
-docs/performance.md). ``on_error="raise"`` forces serial execution so
-the first failure propagates with its traceback.
+docs/performance.md).
 
 Sweeps are also crash-recoverable (see ``docs/resilience.md``): with
 ``journal_path`` every completed point is appended to a JSONL journal
@@ -50,15 +49,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..resilience.faults import FaultInjector
-from ..sim.config import ConfigError, CoreConfig, MemoryHierarchyConfig
-from ..sim.errors import SimulationError
+from ..sim.config import CoreConfig, MemoryHierarchyConfig
 from ..sim.statistics import SystemStats
 from ..telemetry.livestream import HeartbeatEmitter
 from .reporting import render_table
-from .runner import (
-    DEFAULT_MAX_CYCLES, Prepared, classify_failure, simulate,
-)
+from .runner import DEFAULT_MAX_CYCLES, Prepared, RunOutcome, run_plan
 from .status import STATUS
 from .watch import heartbeats_path_for
 
@@ -118,18 +113,6 @@ class SweepResult:
             row.append(point.outcome)
             rows.append(row)
         return render_table(headers, rows, title=title)
-
-
-def _run_point(parameters: Dict[str, object], simulate_call,
-               on_error: str) -> SweepPoint:
-    try:
-        stats = simulate_call()
-    except (SimulationError, ConfigError) as exc:
-        if on_error == "raise":
-            raise
-        return SweepPoint(parameters, None, outcome=classify_failure(exc),
-                          error=str(exc))
-    return SweepPoint(parameters, stats)
 
 
 # -- crash-recoverable sweep journal ----------------------------------------
@@ -243,10 +226,10 @@ class SweepJournal:
 # -- sweep execution: serial or worker pool --------------------------------
 #
 # A sweep point is (parameters, spec): ``parameters`` labels the point in
-# the result table; ``spec`` is a pure-data dict of ``simulate`` keyword
-# arguments, plus two convenience keys resolved at run time —
+# the result table; ``spec`` is a pure-data dict of ``build_system``
+# keyword arguments, plus two keys resolved at run time —
 # ``hierarchy_factory`` (rebuilds a cold memory config per point) and
-# ``plan`` (a FaultPlan wired in as a fresh FaultInjector). Pure data is
+# ``plan`` (the FaultPlan run_plan runs the point under). Pure data is
 # what makes the spec picklable, which is what lets a worker process
 # execute it against its own copy of the Prepared workload.
 #
@@ -261,9 +244,9 @@ class SweepJournal:
 #: per-worker-process Prepared workload, installed by _worker_init
 _WORKER_PREPARED: Optional[Prepared] = None
 
-#: a point task: (index, parameters, spec, on_error, stream), where
-#: ``stream`` is None or (heartbeat path, cycle stride, point count)
-Task = Tuple[int, Dict, Dict, str, Optional[Tuple[str, int, int]]]
+#: a point task: (index, parameters, spec, stream), where ``stream`` is
+#: None or (heartbeat path, cycle stride, point count)
+Task = Tuple[int, Dict, Dict, Optional[Tuple[str, int, int]]]
 
 
 def _worker_init(payload: bytes) -> None:
@@ -272,25 +255,22 @@ def _worker_init(payload: bytes) -> None:
 
 
 def _execute_spec(prepared: Prepared, spec: Dict,
-                  emitter: Optional[HeartbeatEmitter] = None) -> SystemStats:
+                  emitter: Optional[HeartbeatEmitter] = None) -> RunOutcome:
+    """Re-time ``prepared`` under one point's spec, on its own farm."""
     spec = dict(spec)
     factory = spec.pop("hierarchy_factory", None)
     if factory is not None:
         spec["hierarchy"] = factory()
-    plan = spec.pop("plan", None)
-    if plan is not None:
-        plan.validate()
-        spec["injector"] = FaultInjector(plan)
     if emitter is not None:
         spec["emitter"] = emitter
-    return simulate(prepared.function, [], prepared=prepared, **spec)
+    return run_plan(spec.pop("plan", None), prepared=prepared, **spec)[0]
 
 
 def _point(prepared, task: Task) -> SweepPoint:
     """Run one point, serially or in a worker: the same code either way.
     With a ``stream``, the point's emitter appends its heartbeats to the
     sweep's shared JSONL stream itself."""
-    index, parameters, spec, on_error, stream = task
+    index, parameters, spec, stream = task
     runner = spec.get("point_runner")
     if runner is not None:
         return runner(parameters, spec, prepared)
@@ -302,7 +282,9 @@ def _point(prepared, task: Task) -> SweepPoint:
         args += (HeartbeatEmitter(path, every_cycles=every,
                                   source={"point": index,
                                           "points": total}),)
-    return _run_point(parameters, lambda: _execute_spec(*args), on_error)
+    outcome = _execute_spec(*args)
+    return SweepPoint(parameters, outcome.stats if outcome.ok else None,
+                      outcome=outcome.status, error=outcome.error)
 
 
 def _worker_point(task: Task) -> SweepPoint:
@@ -368,7 +350,7 @@ def _execute_parallel(payload: bytes, todo: List[Task], jobs: int,
 
 
 def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
-                   on_error: str, jobs: int,
+                   jobs: int,
                    journal_path: Optional[str] = None,
                    resume: bool = False,
                    point_retries: int = 2,
@@ -380,8 +362,10 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
     pool initializer), then stream pure-data specs. Results are assembled
     in submission order, so the SweepResult is bit-identical to a serial
     sweep — each point's simulation is an isolated deterministic run
-    either way. ``on_error="raise"`` executes serially so the first
-    failure propagates with a usable traceback.
+    either way.
+
+    Points only re-time the prepared traces, so a ``plan`` that flips
+    functional loads is refused (``ValueError``) before any point runs.
 
     With ``journal_path``, completed points are journaled as they finish,
     and a fresh sweep starts the journal empty. ``resume=True`` keeps it
@@ -406,6 +390,17 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
     if heartbeat_every is not None and journal_path is None:
         raise ValueError("heartbeat_every needs a journal_path to stream "
                          "heartbeats beside")
+    for _, spec in tasks:
+        plan = spec.get("plan")
+        if plan is not None:
+            plan.validate()
+            if plan.bitflip_load_rate > 0.0:
+                raise ValueError(
+                    f"a sweep re-times traces made once, so it cannot "
+                    f"flip functional loads (bitflip_load_rate="
+                    f"{plan.bitflip_load_rate}; set it to 0 to sweep "
+                    f"timing faults); `repro campaign --sites mem` "
+                    f"re-interprets the workload for every trial")
     journal = SweepJournal(journal_path) if journal_path else None
     if journal is not None and not resume:
         # a fresh sweep over a stale journal must not report old points
@@ -427,7 +422,7 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
             if restored is not None:
                 points[index] = restored
                 continue
-        todo.append((index, parameters, spec, on_error, stream))
+        todo.append((index, parameters, spec, stream))
 
     def collected(index: int, parameters: Dict, point: SweepPoint) -> None:
         points[index] = point
@@ -438,7 +433,7 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
                           if point.cycles is not None else ""))
 
     jobs = min(jobs, len(todo))
-    if jobs <= 1 or on_error == "raise":
+    if jobs <= 1:
         for task in todo:
             collected(task[0], task[1], _point(prepared, task))
     else:
@@ -456,7 +451,6 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
                num_tiles: int = 1,
                max_cycles: int = DEFAULT_MAX_CYCLES,
                wall_clock_limit: Optional[float] = None,
-               on_error: str = "record",
                jobs: int = 1,
                journal_path: Optional[str] = None,
                resume: bool = False,
@@ -469,16 +463,15 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
     The special grid key ``"plan"`` holds :class:`FaultPlan` values (or
     ``None``) instead of a core-config field: each point runs under a
     fresh :class:`FaultInjector` for its plan, so fault scenarios sweep
-    like any other axis.
+    like any other axis. Points re-time ``prepared``, so a plan that
+    flips functional loads is refused before any point runs.
 
     ``hierarchy_factory`` rebuilds the memory system per point (cold
     caches for every configuration); passing ``hierarchy`` reuses one
     config object but still constructs a fresh MemorySystem per run.
 
-    ``on_error="record"`` (default) turns failures into non-``ok``
-    points; ``on_error="raise"`` propagates the first failure.
-    ``jobs > 1`` distributes points over a worker pool (same results,
-    same order). ``journal_path``/``resume``/``point_retries``/
+    Failures become non-``ok`` points. ``jobs > 1`` distributes points
+    over a worker pool (same results, same order). ``journal_path``/``resume``/``point_retries``/
     ``retry_backoff`` make the sweep crash-recoverable — see
     :func:`_execute_sweep` and ``docs/resilience.md``.
     ``heartbeat_every`` (needs a journal) streams live per-point
@@ -502,7 +495,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
         else:
             spec["hierarchy"] = hierarchy
         tasks.append((overrides, spec))
-    return _execute_sweep(prepared, tasks, on_error, jobs,
+    return _execute_sweep(prepared, tasks, jobs,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
@@ -514,7 +507,6 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                     num_tiles: int = 1,
                     max_cycles: int = DEFAULT_MAX_CYCLES,
                     wall_clock_limit: Optional[float] = None,
-                    on_error: str = "record",
                     jobs: int = 1,
                     journal_path: Optional[str] = None,
                     resume: bool = False,
@@ -527,7 +519,7 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                "hierarchy": hierarchy, "max_cycles": max_cycles,
                "wall_clock_limit": wall_clock_limit})
              for name, hierarchy in configurations.items()]
-    return _execute_sweep(prepared, tasks, on_error, jobs,
+    return _execute_sweep(prepared, tasks, jobs,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
@@ -535,7 +527,6 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
 
 
 def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
-               on_error: str = "record",
                jobs: int = 1,
                journal_path: Optional[str] = None,
                resume: bool = False,
@@ -546,12 +537,13 @@ def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
 
     Each value of ``runs`` is a dict of :func:`simulate` keyword
     arguments (``core``, ``hierarchy``, ``max_cycles``, ...) plus an
-    optional ``"plan"`` key holding a :class:`FaultPlan` for that run.
+    optional ``"plan"`` key holding a timing-only :class:`FaultPlan`
+    for that run.
     Failing runs are recorded (deadlock/timeout/fault/...) and the sweep
     continues — the acceptance scenario for resilient exploration.
     """
     tasks = [({"run": name}, dict(kwargs)) for name, kwargs in runs.items()]
-    return _execute_sweep(prepared, tasks, on_error, jobs,
+    return _execute_sweep(prepared, tasks, jobs,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,

@@ -41,10 +41,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.config import ConfigError
-from ..sim.errors import SimulationError
 from ..telemetry.metrics import wilson_interval
-from .faults import FaultInjector, FaultPlan, _SITES
+from .faults import FaultPlan, _SITES
 
 #: bump when the campaign report block changes incompatibly
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -163,30 +161,16 @@ class CampaignPayload:
     sweep ships its ``Prepared`` through).
 
     ``blob`` is the *pristine* workload — ``(function, args, memory)``
-    pickled before the golden run mutated the memory — so a mem-site
-    trial can re-interpret from clean state with its injector attached.
+    pickled before the golden run mutated the memory — from which a
+    mem-site trial re-interprets with its injector attached.
     Timing-site trials (msg/dram/accel) cannot corrupt functional data
-    and reuse the golden ``prepared`` directly: re-timing the golden
-    traces is exactly the compile-once-simulate-many contract.
+    and re-time the golden ``prepared``: the compile-once-simulate-many
+    contract.
     """
 
     blob: bytes
     prepared: object          # the golden Prepared
     golden_digests: Dict[str, str]
-
-
-def build_accelerator_farm(kinds: Sequence[str]):
-    """Fresh AcceleratorFarm covering ``kinds`` (farms accumulate
-    runtime state, so every trial rebuilds its own); None when empty."""
-    if not kinds:
-        return None
-    from ..sim.accelerator.library import DESIGN_FACTORIES
-    from ..sim.accelerator.tile import AcceleratorFarm
-    farm = AcceleratorFarm()
-    for kind in kinds:
-        if kind in DESIGN_FACTORIES:
-            farm.add_default(kind)
-    return farm if farm.tiles else None
 
 
 def fault_log_digest(log: Sequence) -> str:
@@ -196,77 +180,41 @@ def fault_log_digest(log: Sequence) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def execute_trial(payload: CampaignPayload, plan: FaultPlan,
-                  cfg: Dict) -> "SweepPoint":
-    """Run one faulted trial and classify it against the golden image.
+def execute_trial(parameters: Dict, spec: Dict,
+                  payload: CampaignPayload) -> "SweepPoint":
+    """Run one faulted trial (``spec["campaign_plan"]`` on the
+    ``spec["campaign"]`` system) through :func:`~repro.harness.runner.
+    run_plan` and classify it against the golden image: the sweep
+    executor's ``point_runner`` for campaign trials, module-level so
+    worker processes resolve it by reference.
 
     Returns a :class:`~repro.harness.sweeps.SweepPoint` whose
     ``outcome`` is the taxonomy label and whose ``error`` field packs
     the trial detail as canonical JSON — the shape the sweep journal
     round-trips bit-identically.
     """
-    from ..harness.runner import classify_failure, prepare, simulate
+    from ..harness.runner import run_plan
     from ..harness.sweeps import SweepPoint
 
-    plan.validate()
-    injector = FaultInjector(plan) if plan.enabled else None
-    stats = None
-    outcome = "masked"
-    error = ""
+    run, ran = run_plan(
+        spec["campaign_plan"], prepared=payload.prepared,
+        source=lambda: pickle.loads(zlib.decompress(payload.blob)),
+        **spec["campaign"])
     corrupted: Tuple[str, ...] = ()
-    try:
-        if plan.bitflip_load_rate > 0.0:
-            # bit flips fire during functional interpretation, so the
-            # trial re-interprets the pristine workload with the
-            # injector attached (the one path that must not reuse the
-            # golden traces)
-            function, args, memory = pickle.loads(
-                zlib.decompress(payload.blob))
-            prepared = prepare(function, args,
-                               num_tiles=cfg["num_tiles"],
-                               memory=memory, injector=injector)
-        else:
-            prepared = payload.prepared
-            memory = prepared.memory
-        stats = simulate(
-            prepared.function, [], prepared=prepared,
-            core=cfg.get("core"), num_tiles=cfg["num_tiles"],
-            hierarchy=cfg.get("hierarchy"),
-            accelerators=build_accelerator_farm(
-                cfg.get("accel_kinds") or ()),
-            max_cycles=cfg["max_cycles"],
-            wall_clock_limit=cfg.get("wall_clock_limit"),
-            injector=injector)
-    except (SimulationError, ConfigError) as exc:
-        outcome = _FAILURE_OUTCOME.get(classify_failure(exc), "detected")
-        error = str(exc)
-    except Exception as exc:  # noqa: BLE001 — a flipped index load can
-        # crash interpretation with workload-level errors (unmapped
-        # address, bad shape); in a campaign any crash is a detection
-        outcome = "detected"
-        error = f"{type(exc).__name__}: {exc}"
-    else:
+    if run.ok:
         corrupted = corrupted_segments(payload.golden_digests,
-                                       memory_digests(memory))
+                                       memory_digests(ran.memory))
         outcome = "sdc" if corrupted else "masked"
-    log = tuple(injector.log) if injector is not None else ()
+    else:
+        outcome = _FAILURE_OUTCOME.get(run.status, "detected")
     detail = json.dumps({
         "corrupted": list(corrupted),
-        "error": error,
-        "fault_digest": fault_log_digest(log),
-        "faults": len(log),
+        "error": run.error,
+        "fault_digest": fault_log_digest(run.fault_log),
+        "faults": len(run.fault_log),
     }, sort_keys=True)
-    return SweepPoint({}, stats, outcome=outcome, error=detail)
-
-
-def _campaign_point_runner(parameters: Dict, spec: Dict,
-                           payload: CampaignPayload):
-    """The sweep executor's ``point_runner`` hook for campaign trials —
-    module-level so worker processes resolve it by reference."""
-    point = execute_trial(payload, spec["campaign_plan"],
-                          spec["campaign"])
-    point.parameters = parameters
-    return point
+    return SweepPoint(parameters, run.stats if run.ok else None,
+                      outcome=outcome, error=detail)
 
 
 # -- campaign orchestration -------------------------------------------------
@@ -402,7 +350,6 @@ def _sdc_ci_width(points: List, z: float) -> float:
 def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
                  memory=None, sites: Optional[Sequence[str]] = None,
                  core=None, num_tiles: int = 1, hierarchy=None,
-                 accel_kinds: Sequence[str] = (),
                  max_cycles: Optional[int] = None,
                  wall_clock_limit: Optional[float] = None,
                  hang_factor: int = 64,
@@ -436,11 +383,10 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
     Wilson interval is narrower than the target, checked every
     ``ci_check_every`` trials (a fixed stride, so early stop never
     breaks serial/parallel identity). ``kernel`` may be an already
-    compiled :class:`~repro.ir.function.Function`.
+    compiled :class:`~repro.ir.function.Function`. Every run gets a
+    fresh default farm for the ``accel_*`` designs the kernel invokes.
     """
-    from ..harness.runner import (
-        DEFAULT_MAX_CYCLES, classify_failure, prepare, simulate,
-    )
+    from ..harness.runner import DEFAULT_MAX_CYCLES, run_plan
     from ..harness.sweeps import _execute_sweep
 
     plan.validate()
@@ -467,24 +413,20 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
     blob = zlib.compress(pickle.dumps((func, args, mem), protocol=4), 6)
 
     from ..harness.status import STATUS
-    try:
-        prepared = prepare(func, args, num_tiles=num_tiles, memory=mem)
-        golden_stats = simulate(
-            func, [], prepared=prepared, core=core, num_tiles=num_tiles,
-            hierarchy=hierarchy,
-            accelerators=build_accelerator_farm(accel_kinds),
-            max_cycles=max_cycles or DEFAULT_MAX_CYCLES,
-            wall_clock_limit=wall_clock_limit)
-    except (SimulationError, ConfigError) as exc:
+    clean, prepared = run_plan(
+        None, source=lambda: (func, args, mem), core=core,
+        num_tiles=num_tiles, hierarchy=hierarchy,
+        max_cycles=max_cycles or DEFAULT_MAX_CYCLES,
+        wall_clock_limit=wall_clock_limit)
+    if not clean.ok:
         raise CampaignError(
-            f"golden run failed ({classify_failure(exc)}): {exc}; a "
-            f"campaign needs a clean baseline to classify against") \
-            from exc
+            f"golden run failed ({clean.status}): {clean.error}; a "
+            f"campaign needs a clean baseline to classify against")
     digests = memory_digests(mem)
     golden = GoldenReference(digests=digests,
                              digest=_combined_digest(digests),
-                             cycles=golden_stats.cycles,
-                             instructions=golden_stats.instructions)
+                             cycles=clean.stats.cycles,
+                             instructions=clean.stats.instructions)
     STATUS.info(f"campaign golden run: {golden.cycles} cycles, "
                 f"{len(digests)} segment(s), digest {golden.digest[:12]}")
 
@@ -498,7 +440,6 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
         "hierarchy": hierarchy,
         "max_cycles": trial_budget,
         "wall_clock_limit": wall_clock_limit,
-        "accel_kinds": tuple(accel_kinds),
     }
     tasks = []
     for index in range(trials):
@@ -507,7 +448,7 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
                                      trial_seed(plan.seed, index))
         tasks.append((
             {"trial": index, "site": site, "seed": trial_plan.seed},
-            {"point_runner": _campaign_point_runner,
+            {"point_runner": execute_trial,
              "campaign_plan": trial_plan, "campaign": cfg},
         ))
 
@@ -524,13 +465,12 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
             # progressive extension: the journal restores the prefix
             # bit-identically, so global trial indices stay stable
             result = _execute_sweep(
-                payload, tasks[:end], "record", jobs,
+                payload, tasks[:end], jobs,
                 journal_path=journal_path,
                 resume=resume or position > 0)
             points = list(result.points)
         else:
-            result = _execute_sweep(payload, tasks[position:end],
-                                    "record", jobs)
+            result = _execute_sweep(payload, tasks[position:end], jobs)
             points.extend(result.points)
         position = end
         if sdc_ci_target is not None and position < len(tasks):
@@ -645,7 +585,7 @@ def validate_campaign_report(document: dict) -> int:
 __all__ = [
     "CAMPAIGN_OUTCOMES", "CAMPAIGN_SCHEMA_VERSION", "CampaignError",
     "CampaignPayload", "CampaignResult", "GoldenReference",
-    "TrialOutcome", "build_accelerator_farm", "corrupted_segments",
+    "TrialOutcome", "corrupted_segments",
     "execute_trial", "fault_log_digest", "memory_digests",
     "run_campaign", "site_rate", "stratified_plan", "trial_seed",
     "validate_campaign_report",

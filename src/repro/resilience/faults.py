@@ -10,7 +10,7 @@ subsystem never perturbs another, and logs every injected fault.
 Determinism contract: the simulator itself is deterministic (the event
 scheduler breaks ties by insertion order), so with the same plan — same
 seed included — every hook is queried in the same order and the same
-faults fire at the same places. Two runs of ``run_with_faults`` with one
+faults fire at the same places. Two ``run_supervised`` runs with one
 plan produce identical :class:`~repro.sim.statistics.SystemStats` and
 identical fault logs.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 _SITES = ("mem", "msg", "dram", "accel")
 
@@ -212,11 +212,11 @@ class FaultInjector:
         self._record("accel", "fail", cycle, name)
         return plan.accel_fault_transient
 
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, int]:
-        """Fault counts keyed ``site.kind``."""
-        counts: Dict[str, int] = {}
-        for record in self.log:
-            key = f"{record.site}.{record.kind}"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+
+def fault_summary(log: Sequence[FaultRecord]) -> Dict[str, int]:
+    """Fault counts of a fault log, keyed ``site.kind``."""
+    counts: Dict[str, int] = {}
+    for record in log:
+        key = f"{record.site}.{record.kind}"
+        counts[key] = counts.get(key, 0) + 1
+    return counts

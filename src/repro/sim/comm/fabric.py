@@ -160,8 +160,7 @@ class CommFabric:
             self._notify_space(name, available)
             for observer in self.observers:
                 observer.queue_depth(name, available,
-                                     self.queue_occupancy(name),
-                                     in_flight=True)
+                                     self.queue_occupancy(name))
             wakeup_when_token(available)
             return False
         for observer in self.observers:

@@ -170,7 +170,7 @@ class Interleaver:
         for tile in self.tiles:
             tile.services = self.services
         # a farm or an injector can outlive a run (run_supervised's
-        # retries reuse the farm): each run starts them unwatched
+        # retries reuse a caller's farm): each run starts them unwatched
         for shared in (self.accelerators, self.fabric.injector):
             if shared is not None:
                 shared.observers = ()

@@ -126,9 +126,7 @@ class TileAttribution:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "source"}
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):  # pickled before __getstate__ existed
-            state = state[1]
+    def __setstate__(self, state: dict) -> None:
         self.source = None
         for name, value in state.items():
             setattr(self, name, value)

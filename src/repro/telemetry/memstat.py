@@ -453,10 +453,7 @@ class MemStat(Observer):
         self.fabric_links.traversals += 1
         self.fabric_links.charge(f"{src}->{dst}", cycle, 1)
 
-    def queue_depth(self, name: str, cycle: int, occupancy: int,
-                    in_flight: bool = False) -> None:
-        if in_flight:
-            return
+    def queue_depth(self, name: str, cycle: int, occupancy: int) -> None:
         hist = self.queue_depth_hist.get(name)
         if hist is None:
             hist = self.queue_depth_hist[name] = \

@@ -20,7 +20,7 @@ class Observer:
     """No-op handlers for every event the Python components emit.
     ``cache_miss`` fires exactly where ``stats.misses`` increments. For
     DRAMSim2, ``open_row`` is the row open *before* the access; SimpleDRAM
-    passes ``bank=None``. ``in_flight`` marks a consume of an unseen token."""
+    passes ``bank=None``."""
 
     __slots__ = ()
 
@@ -42,7 +42,7 @@ class Observer:
     def fabric_message(self, src, dst, start, end): pass
     def recv_wait(self, src, dst): pass
     def queue_full(self, name, cycle): pass
-    def queue_depth(self, name, cycle, occupancy, in_flight=False): pass
+    def queue_depth(self, name, cycle, occupancy): pass
     def queue_empty(self, name, cycle): pass
     def barrier_release(self, group, generation, arrivals, cycle): pass
     # AcceleratorFarm, FaultInjector

@@ -146,12 +146,6 @@ class Tracer:
         #: lane name -> tid, in registration order
         self._tids: Dict[str, int] = {}
 
-    def __setstate__(self, state: dict) -> None:
-        if "_pushed" in state:  # pickled before the shared push counter
-            state["_count"] = array("q", [state.pop("_pushed")])
-            state["_iarg"] = array("q", bytes(8 * len(state["_args"])))
-        self.__dict__.update(state)
-
     # -- lanes -----------------------------------------------------------
     def attach(self, interleaver) -> None:
         """Give every tile and component of ``interleaver`` its lane, in
@@ -466,7 +460,7 @@ class TraceLane(Observer):
     def queue_full(self, name, cycle):
         self.tracer.instant("dae", f"{name} full", cycle, self.tid)
 
-    def queue_depth(self, name, cycle, occupancy, in_flight=False):
+    def queue_depth(self, name, cycle, occupancy):
         # on lane 0, not this lane: the trace bytes pin that
         self.tracer.counter("dae", name, cycle, occupancy)
 

@@ -51,11 +51,11 @@ from repro.checkpoint import (
 )
 from repro.harness import (
     build_dae, build_system, dae_hierarchy, inorder_core, ooo_core, prepare,
-    prepare_dae_sliced, run_with_faults, simulate, simulate_dae,
+    prepare_dae_sliced, run_supervised, simulate, simulate_dae,
 )
 from repro.ir.types import F64
 from repro.memory import NoCConfig
-from repro.resilience import FaultInjector, FaultPlan
+from repro.resilience import FaultInjector, FaultPlan, fault_summary
 from repro.sim import CycleBudgetExceeded
 from repro.sim.accelerator import AcceleratorFarm
 from repro.telemetry import (
@@ -218,20 +218,20 @@ def _chatter_faults(**observers):
     assert np.allclose(C.data.reshape(n, n),
                        2 * A.data.reshape(n, n) @ B.data.reshape(n, n))
     # the plan must keep reaching every faulted site
-    assert set(injector.summary()) == {
+    assert set(fault_summary(injector.log)) == {
         "msg.drop", "msg.delay", "dram.stall", "accel.fail"}, \
-        injector.summary()
+        fault_summary(injector.log)
     return stats
 
 
 def _faulted():
     w = build_parboil("sgemm", **SMALL["sgemm"])
-    run = run_with_faults(
+    run = run_supervised(
         w.kernel, w.args, memory=w.memory, core=inorder_core(),
         hierarchy=dae_hierarchy(),
         plan=FaultPlan(seed=3, bitflip_load_rate=0.05, dram_stall_rate=0.3))
     document = stats_to_dict(run.stats)
-    document["faults"] = run.fault_summary
+    document["faults"] = fault_summary(run.fault_log)
     document["fault_log"] = [record.as_tuple() for record in run.fault_log]
     return document
 

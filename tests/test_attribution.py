@@ -103,11 +103,11 @@ class TestConservation:
         assert document["attribution"]["total_cycles"] > 0
 
     def test_accelerated_workload(self):
-        from repro.cli import _detect_accelerators
+        from repro.harness import default_farm
         from repro.frontend import compile_kernel
         from repro.workloads.sinkhorn import build_combined
         workload = build_combined(accelerated=True)
-        farm = _detect_accelerators(compile_kernel(workload.kernel))
+        farm = default_farm(compile_kernel(workload.kernel))
         assert farm is not None
         _, document = _run_attributed(
             workload, core=ooo_core(), hierarchy=dae_hierarchy(),
@@ -177,15 +177,6 @@ class TestLedger:
         # pending was the node: future cycles book to the resolved label
         assert ledger.pending == "memory.l1"
         assert ledger.finalize(8) == {"memory.l1": 8}
-
-    def test_ledger_pickled_before_the_source_slot_loads(self):
-        # the default slot pickle of earlier snapshots: (None, slots)
-        ledger = TileAttribution.__new__(TileAttribution)
-        ledger.__setstate__((None, {
-            "name": "t", "cycles": {CAT_COMPUTE: 4}, "cursor": 4,
-            "pending": CAT_COMPUTE, "_deferred": {}}))
-        assert ledger.source is None
-        assert ledger.finalize(6) == {CAT_COMPUTE: 6}
 
     def test_finalize_raises_on_lost_cycles(self):
         ledger = TileAttribution("t")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _fault_plan, _replay_command, build_parser, main
-from repro.harness import render_campaign_report, run_with_faults
+from repro.harness import render_campaign_report, run_supervised
 from repro.ir import F64
 from repro.resilience import (
     CAMPAIGN_SCHEMA_VERSION, CampaignError, FaultPlan, FaultRecord,
@@ -181,7 +181,7 @@ class TestDeterminismAndPortability:
         golden_mem, golden_args = _saxpy_env()
         from repro.harness import simulate
         simulate(kernels.saxpy, golden_args, memory=golden_mem)
-        replay = run_with_faults(
+        replay = run_supervised(
             kernels.saxpy, args,
             plan=stratified_plan(self.PLAN, trial.site, trial.seed),
             memory=mem)
@@ -231,7 +231,7 @@ class TestFaultLogPortability:
 
     def test_fault_log_pickle_round_trip_preserves_digest(self):
         mem, args = _saxpy_env()
-        run = run_with_faults(kernels.saxpy, args,
+        run = run_supervised(kernels.saxpy, args,
                               plan=FaultPlan(seed=5,
                                              bitflip_load_rate=0.5),
                               memory=mem)

@@ -164,12 +164,12 @@ class TestResumeIdentity:
         assert want != clean
 
     def test_accelerated(self, tmp_path):
-        from repro.cli import _detect_accelerators
+        from repro.harness import default_farm
         from repro.frontend import compile_kernel
 
         def make(checkpoint, max_cycles):
             w = build_combined(accelerated=True)
-            farm = _detect_accelerators(compile_kernel(w.kernel))
+            farm = default_farm(compile_kernel(w.kernel))
             assert farm is not None
             return build_system(w.kernel, w.args, core=ooo_core(),
                                 hierarchy=dae_hierarchy(), memory=w.memory,

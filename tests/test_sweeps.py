@@ -79,8 +79,8 @@ class TestParallelSweeps:
     def test_serial_and_jobs4_are_bit_identical(self):
         # 8 points: 2 issue widths x 4 fault scenarios. drop-everything
         # deadlocks ping_pong (the tiles wait on messages that never
-        # arrive); delay-everything and bitflips complete with the fault
-        # machinery engaged; None is the clean baseline.
+        # arrive); delay-everything and DRAM stalls complete with the
+        # fault machinery engaged; None is the clean baseline.
         prepared = prepare(kernels.ping_pong, [16], num_tiles=2)
         grid = {
             "issue_width": [1, 2],
@@ -88,7 +88,7 @@ class TestParallelSweeps:
                 None,
                 FaultPlan(seed=1, message_delay_rate=1.0),
                 FaultPlan(seed=2, message_drop_rate=1.0),
-                FaultPlan(seed=3, bitflip_load_rate=0.5),
+                FaultPlan(seed=3, dram_stall_rate=0.5),
             ],
         }
 
@@ -103,14 +103,23 @@ class TestParallelSweeps:
         assert ([point_fingerprint(p) for p in serial.points]
                 == [point_fingerprint(p) for p in parallel.points])
 
-    def test_on_error_raise_stays_serial_and_propagates(self):
-        from repro.sim.errors import DeadlockError
-        prepared = prepare(kernels.ping_pong, [16], num_tiles=2)
-        with pytest.raises(DeadlockError):
-            sweep_core(prepared, CoreConfig(),
-                       {"plan": [FaultPlan(message_drop_rate=1.0)]},
-                       hierarchy_factory=dae_hierarchy, num_tiles=2,
-                       on_error="raise", jobs=4)
+
+    def test_accelerated_points_build_their_own_farms(self):
+        # a farm shared by serial points would carry instance occupancy
+        # and invocation counts from one point to the next
+        from repro.workloads.sinkhorn import build_combined
+        workload = build_combined(accelerated=True)
+        prepared = prepare(workload.kernel, workload.args,
+                           memory=workload.memory)
+
+        def run(jobs):
+            return sweep_core(prepared, BASE, {"issue_width": [2, 4]},
+                              hierarchy_factory=dae_hierarchy, jobs=jobs)
+
+        serial, parallel = run(1), run(2)
+        assert serial.outcomes() == {"ok": 2}
+        assert ([point_fingerprint(p) for p in serial.points]
+                == [point_fingerprint(p) for p in parallel.points])
 
 
 class TestSweepHierarchy:

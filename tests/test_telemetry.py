@@ -269,18 +269,6 @@ class TestColumnarRing:
         assert [event.as_chrome() for event in tracer.events()] == list(
             model.chrome_events())
 
-    def test_tracer_pickled_before_the_shared_counter_loads(self):
-        tracer = _mixed_tracer(capacity=4)
-        state = dict(tracer.__dict__)
-        state["_pushed"] = state.pop("_count")[0]
-        del state["_iarg"]
-        old = Tracer.__new__(Tracer)
-        old.__setstate__(state)
-        assert old.dropped == tracer.dropped
-        assert old.to_chrome() == tracer.to_chrome()
-        old.instant("core", "after", 99)
-        assert len(old) == 4
-
 
 class TestTraceValidation:
     def _valid(self):
