@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 7
+CHECKPOINT_SCHEMA_VERSION = 8
 
 _MAGIC = b"MSIMCKPT"
 _HEADER = struct.Struct("<8sI32sQ")

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -71,15 +72,16 @@ CORES = {"ino": inorder_core, "ooo": ooo_core, "xeon": xeon_core}
 HIERARCHIES = {"dae": dae_hierarchy, "xeon": xeon_hierarchy,
                "none": lambda: None}
 
-WORKLOADS = {
-    **PARBOIL,
+#: every named workload; Parboil names resolve in ``PARBOIL`` at lookup
+#: time, so a later change to that table shows here too
+WORKLOADS = ChainMap({
     "graph-projection": _build_graphproj,
     "ewsd": _build_ewsd,
     "sinkhorn-combined": _build_combined,
     # SGEMM offloaded to an accelerator tile + an SPMD barrier: exercises
     # core, cache/DRAM, fabric and accelerator subsystems in one trace
     "sinkhorn-accel": partial(_build_combined, accelerated=True),
-}
+}, PARBOIL)
 
 
 def _build(name: str, size_args: Sequence[str]):

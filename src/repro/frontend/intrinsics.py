@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..ir.types import F64, I64, IRType, VOID
+from ..trace.accel_ops import ACCEL_OPS
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,11 @@ for _name in ("sqrtf", "expf", "logf", "sinf", "cosf", "fabsf", "floorf",
 # -- accelerator invocation API (§II, §IV) ------------------------------------
 # Variadic: pointer and size arguments are recorded in the dynamic trace so
 # the matching accelerator model can be invoked with its configuration
-# parameters during simulation.
-for _name in ("accel_sgemm", "accel_histo", "accel_elementwise",
-              "accel_conv2d", "accel_dense", "accel_pool", "accel_relu",
-              "accel_batchnorm"):
-    register(IntrinsicInfo(_name, (), VOID, "accel", variadic=True))
+# parameters during simulation. One intrinsic per kind in the accelerator
+# table of repro.trace.accel_ops.
+for _kind in ACCEL_OPS:
+    register(IntrinsicInfo(f"accel_{_kind}", (), VOID, "accel",
+                           variadic=True))
 
 #: names of the accelerator intrinsics (used by passes and the simulator)
 ACCEL_INTRINSICS = tuple(

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
+from ..trace.accel_ops import ACCEL_OPS
+
 
 class NativeContext:
     """Binds tile_id/num_tiles and message queues for a native run."""
@@ -129,13 +131,13 @@ def floorf(x: float) -> float:
     return float(math.floor(x))
 
 
-# Accelerator invocations are no-ops natively; the numeric effect of an
+# Accelerator invocations do not run natively: the numeric effect of an
 # accelerated kernel region is applied by the functional model during
-# simulation, so native runs exercise the software fallback path instead.
-def accel_sgemm(*args) -> None:
+# trace generation, so native runs exercise the software fallback path.
+def _accel(*args) -> None:
     raise NotImplementedError(
         "accelerator intrinsics only execute under the IR interpreter")
 
 
-accel_histo = accel_elementwise = accel_conv2d = accel_dense = accel_sgemm
-accel_pool = accel_relu = accel_batchnorm = accel_sgemm
+for _kind in ACCEL_OPS:
+    globals()[f"accel_{_kind}"] = _accel

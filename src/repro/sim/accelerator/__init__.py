@@ -1,17 +1,17 @@
 """Accelerator simulation (paper §IV)."""
 
-from .library import DESIGN_FACTORIES, params_from_invocation
-from .perf_model import (
-    AccelParams, AccelResult, AcceleratorDesign, GenericPerformanceModel,
-    LoopSpec, ProcessSpec,
+from .library import (
+    DESIGN_FACTORIES, KINDS, AccelParams, AcceleratorDesign, AcceleratorKind,
+    params_from_invocation,
 )
+from .perf_model import AccelResult, GenericPerformanceModel
 from .rtl_sim import CommunicationModel, FPGAEmulation, RTLSimulation
 from .tile import AcceleratorFarm, AcceleratorTile
 
 __all__ = [
-    "DESIGN_FACTORIES", "params_from_invocation",
-    "AccelParams", "AccelResult", "AcceleratorDesign",
-    "GenericPerformanceModel", "LoopSpec", "ProcessSpec",
+    "DESIGN_FACTORIES", "KINDS", "params_from_invocation",
+    "AccelParams", "AccelResult", "AcceleratorDesign", "AcceleratorKind",
+    "GenericPerformanceModel",
     "CommunicationModel", "FPGAEmulation", "RTLSimulation",
     "AcceleratorFarm", "AcceleratorTile",
 ]

@@ -1,298 +1,213 @@
 """Accelerator design library.
 
-Factory functions producing :class:`AcceleratorDesign` points for the
-paper's three fixed-function accelerators (§VI-A: matrix multiplication,
-saturating histogram, element-wise arithmetic) and for the neural-network
-kernels of §VII-C (convolution, dense, pooling, activation, batch norm).
-Each factory is parameterized by PLM size, which is the design-space knob
-swept in Figure 10 (4 KB–256 KB), and exposes the mapping from the
-``accel_*`` intrinsic's recorded trace arguments to model parameters.
+An :class:`AcceleratorDesign` is plain data: an accelerator kind and the
+size of its private local memory (PLM), the design-space knob swept in
+Figure 10 (4 KB–256 KB). Everything the performance models read comes
+from the kind's row in :data:`KINDS`: the paper's three fixed-function
+accelerators (§VI-A: matrix multiplication, saturating histogram,
+element-wise arithmetic) and the neural-network kernels of §VII-C
+(convolution, dense, pooling, activation, batch norm).
+
+Every kind is one pipelined load / compute / store template (§IV-B): the
+compute stage runs ``work(p) // lanes`` single-cycle iterations, and the
+load and store stages move ``in_bytes`` and ``out_bytes`` through the
+communication model. A kind whose output is read back as well as written
+(sgemm's ``C +=``, histo's saturating update) moves its output twice.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from ...trace.accel_ops import accel_op
 from ...trace.tracefile import AccelInvocation
-from .perf_model import (
-    AccelParams, AcceleratorDesign, LoopSpec, ProcessSpec,
-)
+
+#: configuration parameters of one invocation (accelerator-specific keys,
+#: e.g. {"n": 64, "m": 64, "k": 64}); the names follow the argument
+#: layouts of :data:`repro.trace.accel_ops.ACCEL_OPS`
+AccelParams = Dict[str, int]
 
 #: bytes per element everywhere (f64 / i64)
 ELEM = 8
+KB = 1024
 #: SRAM area per PLM byte, um^2 (22nm-flavored)
 _AREA_PER_PLM_BYTE = 2.6
-_BASE_AREA = {
-    "sgemm": 9.0e4, "histo": 5.5e4, "elementwise": 4.0e4,
-    "conv2d": 1.1e5, "dense": 8.0e4, "pool": 4.5e4, "relu": 3.0e4,
-    "batchnorm": 5.0e4,
-}
-#: datapath lanes (elements processed per compute-loop iteration)
-_LANES = {
-    "sgemm": 8, "histo": 2, "elementwise": 16, "conv2d": 16, "dense": 4,
-    "pool": 16, "relu": 32, "batchnorm": 16,
-}
-_BASE_POWER_W = {
-    "sgemm": 0.45, "histo": 0.18, "elementwise": 0.12, "conv2d": 0.45,
-    "dense": 0.80, "pool": 0.10, "relu": 0.08, "batchnorm": 0.15,
-}
 
 
-def _area(kind: str, plm_bytes: int) -> float:
-    return _BASE_AREA[kind] + _AREA_PER_PLM_BYTE * plm_bytes
+class AcceleratorKind(NamedTuple):
+    """One row of the design library."""
+
+    #: datapath lanes (elements processed per compute-loop iteration)
+    lanes: int
+    #: silicon area without the PLM (um^2)
+    base_area_um2: float
+    #: average power at a zero-byte PLM (W)
+    base_power_w: float
+    #: PLM size of the kind's default design point
+    plm_bytes: int
+    #: datapath operations of one invocation
+    work: Callable[[AccelParams], int]
+    #: bytes loaded per invocation, given the PLM size
+    in_bytes: Callable[[AccelParams, int], int]
+    #: bytes of output per invocation
+    out_bytes: Callable[[AccelParams], int]
+    #: the output is read back before it is written (moves twice)
+    reads_output: bool = False
+    #: chunk count, given the PLM size; by default the input streams
+    #: through half the PLM (double buffering)
+    chunks: Optional[Callable[[AccelParams, int], int]] = None
 
 
-def _power(kind: str, plm_bytes: int) -> float:
-    return _BASE_POWER_W[kind] * (1.0 + plm_bytes / (1024 * 1024))
-
-
-def _chunks_by_input(input_bytes_fn):
-    """Workloads stream through half the PLM (double buffering)."""
-
-    def chunks(params: AccelParams, plm_bytes: int) -> int:
-        usable = max(ELEM, plm_bytes // 2)
-        return max(1, math.ceil(input_bytes_fn(params) / usable))
-
-    return chunks
-
-
-def _loaded(name: str, bytes_fn):
-    """Load/store processes modeled as streaming loops: one iteration per
-    interconnect word."""
-    return ProcessSpec(name, (LoopSpec(
-        f"{name}_stream", 1,
-        lambda p, plm, fn=bytes_fn: max(1, fn(p) // ELEM)),))
-
-
-# -- the three §VI-A accelerators ---------------------------------------------
-
-def sgemm_design(plm_bytes: int = 64 * 1024) -> AcceleratorDesign:
-    """C[n,m] += A[n,k] @ B[k,m], blocked into PLM-sized tiles.
-
-    The PLM holds an A tile, a B tile and a C tile (double-buffered), so
-    the block edge is b ~ sqrt(PLM/2 / (3*8B)). DMA traffic for A and B is
-    ~2*n*m*k/b bytes — smaller PLMs reload tiles more often, which is the
-    Figure 10a effect (execution time falls as PLM grows).
-    """
-    lanes = _LANES["sgemm"]
+def _sgemm_block(plm_bytes: int) -> int:
+    """The PLM holds an A, a B and a C tile, double-buffered, so the
+    block edge is b ~ sqrt(PLM/2 / (3*8B))."""
     usable = max(3 * ELEM * 16, plm_bytes // 2)
-    block = max(4, math.isqrt(usable // (3 * ELEM)))
-
-    def in_bytes(p: AccelParams) -> int:
-        reuse_blocks = max(1, math.ceil(max(p["n"], p["m"]) / block))
-        return (p["n"] * p["k"] + p["k"] * p["m"]) * ELEM * reuse_blocks
-
-    def out_bytes(p: AccelParams) -> int:
-        return p["n"] * p["m"] * ELEM
-
-    def chunks(p: AccelParams, plm: int) -> int:
-        return max(1, math.ceil(p["n"] / block) * math.ceil(p["m"] / block))
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        "macs", 1,
-        lambda p, plm: max(1, (p["n"] * p["m"] * p["k"]) // lanes)),))
-    return AcceleratorDesign(
-        name=f"sgemm_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", out_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: in_bytes(p) + 2 * out_bytes(p),
-        num_chunks=chunks,
-        avg_power_watts=_power("sgemm", plm_bytes),
-        area_um2=_area("sgemm", plm_bytes),
-        recipe=("sgemm", plm_bytes),
-    )
+    return max(4, math.isqrt(usable // (3 * ELEM)))
 
 
-def histo_design(plm_bytes: int = 64 * 1024) -> AcceleratorDesign:
-    """Saturating histogram over n inputs into `bins` bins."""
-    lanes = _LANES["histo"]
-
-    def in_bytes(p: AccelParams) -> int:
-        return p["n"] * ELEM
-
-    def out_bytes(p: AccelParams) -> int:
-        return p["bins"] * ELEM
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        "binning", 1, lambda p, plm: max(1, p["n"] // lanes)),))
-    return AcceleratorDesign(
-        name=f"histo_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", out_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: in_bytes(p) + 2 * out_bytes(p),
-        num_chunks=_chunks_by_input(in_bytes),
-        avg_power_watts=_power("histo", plm_bytes),
-        area_um2=_area("histo", plm_bytes),
-        recipe=("histo", plm_bytes),
-    )
+def _sgemm_in_bytes(p: AccelParams, plm_bytes: int) -> int:
+    """A and B are reloaded once per block of the longer output edge:
+    smaller PLMs reload tiles more often, which is the Figure 10a effect
+    (execution time falls as the PLM grows)."""
+    block = _sgemm_block(plm_bytes)
+    reuse_blocks = max(1, math.ceil(max(p["n"], p["m"]) / block))
+    return (p["n"] * p["k"] + p["k"] * p["m"]) * ELEM * reuse_blocks
 
 
-def elementwise_design(plm_bytes: int = 64 * 1024) -> AcceleratorDesign:
-    """C[i] = A[i] * B[i] over n elements."""
-    lanes = _LANES["elementwise"]
-
-    def in_bytes(p: AccelParams) -> int:
-        return 2 * p["n"] * ELEM
-
-    def out_bytes(p: AccelParams) -> int:
-        return p["n"] * ELEM
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        "ewise", 1, lambda p, plm: max(1, p["n"] // lanes)),))
-    return AcceleratorDesign(
-        name=f"elementwise_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", out_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: in_bytes(p) + out_bytes(p),
-        num_chunks=_chunks_by_input(in_bytes),
-        avg_power_watts=_power("elementwise", plm_bytes),
-        area_um2=_area("elementwise", plm_bytes),
-        recipe=("elementwise", plm_bytes),
-    )
+def _sgemm_chunks(p: AccelParams, plm_bytes: int) -> int:
+    block = _sgemm_block(plm_bytes)
+    return math.ceil(p["n"] / block) * math.ceil(p["m"] / block)
 
 
-# -- §VII-C neural-network accelerators ---------------------------------------
-
-def conv2d_design(plm_bytes: int = 128 * 1024) -> AcceleratorDesign:
-    lanes = _LANES["conv2d"]
-
-    def macs(p: AccelParams) -> int:
-        oh = p["h"] - p["kh"] + 1
-        ow = p["w"] - p["kw"] + 1
-        return oh * ow * p["cout"] * p["kh"] * p["kw"] * p["cin"]
-
-    def in_bytes(p: AccelParams) -> int:
-        weights = p["kh"] * p["kw"] * p["cin"] * p["cout"]
-        return (p["h"] * p["w"] * p["cin"] + weights) * ELEM
-
-    def out_bytes(p: AccelParams) -> int:
-        oh = p["h"] - p["kh"] + 1
-        ow = p["w"] - p["kw"] + 1
-        return oh * ow * p["cout"] * ELEM
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        "conv_macs", 1, lambda p, plm: max(1, macs(p) // lanes)),))
-    return AcceleratorDesign(
-        name=f"conv2d_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", out_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: in_bytes(p) + out_bytes(p),
-        num_chunks=_chunks_by_input(in_bytes),
-        avg_power_watts=_power("conv2d", plm_bytes),
-        area_um2=_area("conv2d", plm_bytes),
-        recipe=("conv2d", plm_bytes),
-    )
+def _conv_outputs(p: AccelParams) -> int:
+    return (p["h"] - p["kh"] + 1) * (p["w"] - p["kw"] + 1) * p["cout"]
 
 
-def dense_design(plm_bytes: int = 128 * 1024) -> AcceleratorDesign:
-    lanes = _LANES["dense"]
-
-    def in_bytes(p: AccelParams) -> int:
-        return (p["batch"] * p["din"] + p["din"] * p["dout"]) * ELEM
-
-    def out_bytes(p: AccelParams) -> int:
-        return p["batch"] * p["dout"] * ELEM
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        "gemv_macs", 1,
-        lambda p, plm: max(1, (p["batch"] * p["din"] * p["dout"]) // lanes)),))
-    return AcceleratorDesign(
-        name=f"dense_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", out_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: in_bytes(p) + out_bytes(p),
-        num_chunks=_chunks_by_input(in_bytes),
-        avg_power_watts=_power("dense", plm_bytes),
-        area_um2=_area("dense", plm_bytes),
-        recipe=("dense", plm_bytes),
-    )
+def _pool_elems(p: AccelParams) -> int:
+    return p["h"] * p["w"] * p["c"]
 
 
-def _streaming_design(kind: str, plm_bytes: int,
-                      elems_fn) -> AcceleratorDesign:
-    lanes = _LANES[kind]
-
-    def in_bytes(p: AccelParams) -> int:
-        return elems_fn(p) * ELEM
-
-    compute = ProcessSpec("compute", (LoopSpec(
-        f"{kind}_ops", 1, lambda p, plm: max(1, elems_fn(p) // lanes)),))
-    return AcceleratorDesign(
-        name=f"{kind}_plm{plm_bytes // 1024}k",
-        processes=(_loaded("load", in_bytes), compute,
-                   _loaded("store", in_bytes)),
-        plm_bytes=plm_bytes,
-        bytes_transferred=lambda p: 2 * in_bytes(p),
-        num_chunks=_chunks_by_input(in_bytes),
-        avg_power_watts=_power(kind, plm_bytes),
-        area_um2=_area(kind, plm_bytes),
-        recipe=(kind, plm_bytes),
-    )
-
-
-def pool_design(plm_bytes: int = 32 * 1024) -> AcceleratorDesign:
-    return _streaming_design("pool", plm_bytes,
-                             lambda p: p["h"] * p["w"] * p["c"])
-
-
-def relu_design(plm_bytes: int = 16 * 1024) -> AcceleratorDesign:
-    return _streaming_design("relu", plm_bytes, lambda p: p["n"])
-
-
-def batchnorm_design(plm_bytes: int = 32 * 1024) -> AcceleratorDesign:
-    return _streaming_design("batchnorm", plm_bytes, lambda p: p["n"])
-
-
-DESIGN_FACTORIES = {
-    "sgemm": sgemm_design,
-    "histo": histo_design,
-    "elementwise": elementwise_design,
-    "conv2d": conv2d_design,
-    "dense": dense_design,
-    "pool": pool_design,
-    "relu": relu_design,
-    "batchnorm": batchnorm_design,
+#: accelerator kind -> design row; the kinds match
+#: :data:`repro.trace.accel_ops.ACCEL_OPS`
+KINDS: Dict[str, AcceleratorKind] = {
+    # C[n,m] += A[n,k] @ B[k,m], blocked into PLM-sized tiles
+    "sgemm": AcceleratorKind(
+        8, 9.0e4, 0.45, 64 * KB,
+        work=lambda p: p["n"] * p["m"] * p["k"],
+        in_bytes=_sgemm_in_bytes,
+        out_bytes=lambda p: p["n"] * p["m"] * ELEM,
+        reads_output=True, chunks=_sgemm_chunks),
+    # saturating histogram over n inputs into `bins` bins
+    "histo": AcceleratorKind(
+        2, 5.5e4, 0.18, 64 * KB,
+        work=lambda p: p["n"],
+        in_bytes=lambda p, plm: p["n"] * ELEM,
+        out_bytes=lambda p: p["bins"] * ELEM,
+        reads_output=True),
+    # C[i] = A[i] * B[i] over n elements
+    "elementwise": AcceleratorKind(
+        16, 4.0e4, 0.12, 64 * KB,
+        work=lambda p: p["n"],
+        in_bytes=lambda p, plm: 2 * p["n"] * ELEM,
+        out_bytes=lambda p: p["n"] * ELEM),
+    "conv2d": AcceleratorKind(
+        16, 1.1e5, 0.45, 128 * KB,
+        work=lambda p: _conv_outputs(p) * p["kh"] * p["kw"] * p["cin"],
+        in_bytes=lambda p, plm: (p["h"] * p["w"] * p["cin"] + p["kh"]
+                                 * p["kw"] * p["cin"] * p["cout"]) * ELEM,
+        out_bytes=lambda p: _conv_outputs(p) * ELEM),
+    "dense": AcceleratorKind(
+        4, 8.0e4, 0.80, 128 * KB,
+        work=lambda p: p["batch"] * p["din"] * p["dout"],
+        in_bytes=lambda p, plm: (p["batch"] * p["din"]
+                                 + p["din"] * p["dout"]) * ELEM,
+        out_bytes=lambda p: p["batch"] * p["dout"] * ELEM),
+    "pool": AcceleratorKind(
+        16, 4.5e4, 0.10, 32 * KB,
+        work=_pool_elems,
+        in_bytes=lambda p, plm: _pool_elems(p) * ELEM,
+        out_bytes=lambda p: _pool_elems(p) * ELEM),
+    "relu": AcceleratorKind(
+        32, 3.0e4, 0.08, 16 * KB,
+        work=lambda p: p["n"],
+        in_bytes=lambda p, plm: p["n"] * ELEM,
+        out_bytes=lambda p: p["n"] * ELEM),
+    "batchnorm": AcceleratorKind(
+        16, 5.0e4, 0.15, 32 * KB,
+        work=lambda p: p["n"],
+        in_bytes=lambda p, plm: p["n"] * ELEM,
+        out_bytes=lambda p: p["n"] * ELEM),
 }
 
 
-def design_from_recipe(kind: str, plm_bytes: int) -> AcceleratorDesign:
-    """Rebuild a design point from its ``(kind, plm_bytes)`` recipe —
-    the unpickle hook behind ``AcceleratorDesign.__reduce__`` (designs
-    carry parameter functions, so they serialize as rebuild recipes)."""
-    return DESIGN_FACTORIES[kind](plm_bytes)
+@dataclass(frozen=True)
+class AcceleratorDesign:
+    """A design point: an accelerator kind at one PLM size (the kind's
+    default when ``plm_bytes`` is None)."""
+
+    kind: str
+    #: private local memory size of this design point (bytes)
+    plm_bytes: Optional[int] = None
+
+    frequency_ghz = 1.0
+
+    def __post_init__(self):
+        if self.plm_bytes is None:
+            object.__setattr__(self, "plm_bytes", KINDS[self.kind].plm_bytes)
+
+    @property
+    def row(self) -> AcceleratorKind:
+        return KINDS[self.kind]
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}_plm{self.plm_bytes // KB}k"
+
+    @property
+    def area_um2(self) -> float:
+        """Silicon area of this design point, for DSE plots (Fig. 10)."""
+        return self.row.base_area_um2 + _AREA_PER_PLM_BYTE * self.plm_bytes
+
+    @property
+    def avg_power_watts(self) -> float:
+        return self.row.base_power_w * (1.0 + self.plm_bytes / (KB * KB))
+
+    def bytes_transferred(self, params: AccelParams) -> int:
+        """Bytes moved to and from memory by one invocation."""
+        row = self.row
+        out = row.out_bytes(params) * (2 if row.reads_output else 1)
+        return row.in_bytes(params, self.plm_bytes) + out
+
+    def num_chunks(self, params: AccelParams) -> int:
+        """PLM-sized chunks the invocation is pipelined over."""
+        row = self.row
+        if row.chunks is not None:
+            return max(1, row.chunks(params, self.plm_bytes))
+        usable = max(ELEM, self.plm_bytes // 2)
+        return max(1, math.ceil(row.in_bytes(params, self.plm_bytes)
+                                / usable))
+
+    def compute_cycles(self, params: AccelParams) -> int:
+        """Cycles of the compute stage over the whole invocation."""
+        return max(1, self.row.work(params) // self.row.lanes)
 
 
-# -- intrinsic argument decoding ----------------------------------------------
+#: kind -> factory ``(plm_bytes=<the kind's default>) -> design``
+DESIGN_FACTORIES: Dict[str, Callable[..., AcceleratorDesign]] = {
+    kind: partial(AcceleratorDesign, kind) for kind in KINDS}
+sgemm_design = DESIGN_FACTORIES["sgemm"]
+histo_design = DESIGN_FACTORIES["histo"]
+elementwise_design = DESIGN_FACTORIES["elementwise"]
 
-def params_from_invocation(invocation: AccelInvocation) -> Tuple[str,
-                                                                 AccelParams]:
-    """Map a traced ``accel_*`` call to (design kind, model parameters).
 
-    Argument layouts follow :mod:`repro.trace.accel_ops`.
-    """
-    name = invocation.name
-    a = [int(x) for x in invocation.args]
-    if name == "accel_sgemm":
-        return "sgemm", {"n": a[3], "m": a[4], "k": a[5]}
-    if name == "accel_elementwise":
-        return "elementwise", {"n": a[3]}
-    if name == "accel_histo":
-        return "histo", {"n": a[2], "bins": a[3]}
-    if name == "accel_conv2d":
-        return "conv2d", {"h": a[3], "w": a[4], "cin": a[5], "cout": a[6],
-                          "kh": a[7], "kw": a[8]}
-    if name == "accel_dense":
-        return "dense", {"batch": a[3], "din": a[4], "dout": a[5]}
-    if name == "accel_pool":
-        return "pool", {"h": a[2], "w": a[3], "c": a[4], "stride": a[5]}
-    if name == "accel_relu":
-        return "relu", {"n": a[2]}
-    if name == "accel_batchnorm":
-        return "batchnorm", {"n": a[2]}
-    raise KeyError(f"no parameter decoding for {name!r}")
+def params_from_invocation(invocation: AccelInvocation) -> Tuple[
+        str, AccelParams]:
+    """Map a traced ``accel_*`` call to (design kind, model parameters):
+    the configuration arguments after the pointers, named by the kind's
+    layout in :data:`repro.trace.accel_ops.ACCEL_OPS`."""
+    op = accel_op(invocation.name)
+    args = [int(arg) for arg in invocation.args[op.pointers:]]
+    return invocation.name[len("accel_"):], dict(zip(op.params, args))

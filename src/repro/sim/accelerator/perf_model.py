@@ -19,17 +19,21 @@ chunks (Figure 4: computation and communication overlap through a
 circular/double buffer), scales execution time when the implied bandwidth
 exceeds the system's maximum, and can invoke several accelerator instances
 in parallel.
+
+Every shipped design is one load, one compute and one store process, and
+its compute process is one loop of latency 1. The load and store
+processes are costed by the communication model, not by their loops. So
+the four arguments reduce to one number per invocation, the compute
+cycles, which :class:`~repro.sim.accelerator.library.AcceleratorDesign`
+derives from its kind's row (``work // lanes``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
-#: configuration parameters of one invocation (accelerator-specific keys,
-#: e.g. {"n": 64, "m": 64, "k": 64})
-AccelParams = Dict[str, int]
+from .library import AccelParams, AcceleratorDesign
 
 
 @dataclass
@@ -55,69 +59,6 @@ class CommunicationModel:
         return self.access_latency + self.noc_hops * self.hop_latency + wire
 
 
-@dataclass(frozen=True)
-class LoopSpec:
-    """One internal loop: fixed per-iteration latency, workload-dependent
-    trip count."""
-
-    name: str
-    iteration_latency: int
-    trip_count: Callable[[AccelParams, int], int]  # (params, plm_bytes)
-
-
-@dataclass(frozen=True)
-class ProcessSpec:
-    """One concurrent module of the accelerator pipeline."""
-
-    name: str
-    loops: Tuple[LoopSpec, ...]
-
-    def cycles(self, params: AccelParams, plm_bytes: int) -> int:
-        return sum(loop.iteration_latency * loop.trip_count(params, plm_bytes)
-                   for loop in self.loops)
-
-
-@dataclass
-class AcceleratorDesign:
-    """A design point: processes + PLM size + power/area annotations."""
-
-    name: str
-    processes: Tuple[ProcessSpec, ...]
-    #: private local memory size of this design point (bytes)
-    plm_bytes: int
-    #: bytes transferred to/from memory per invocation
-    bytes_transferred: Callable[[AccelParams], int]
-    #: chunks the workload is split into (pipelining granularity)
-    num_chunks: Callable[[AccelParams, int], int]
-    avg_power_watts: float = 0.5
-    frequency_ghz: float = 1.0
-    #: silicon area of this design point (um^2), for DSE plots (Fig. 10)
-    area_um2: float = 2.0e5
-    #: per-chunk DMA transaction overhead charged to the load and store
-    #: processes (back-annotated from the RTL communication model); this
-    #: is why larger PLMs — fewer, bigger transfers — run faster (Fig. 10)
-    chunk_overhead_cycles: int = 280
-    #: ``(kind, plm_bytes)`` rebuild recipe: trip counts and byte
-    #: expressions are plain functions of the invocation parameters, so a
-    #: design pickles as the instruction to re-run its library factory
-    #: (checkpoint/restore support). Hand-built designs have no recipe
-    #: and cannot be checkpointed.
-    recipe: Optional[Tuple[str, int]] = None
-
-    def process_cycles(self, params: AccelParams) -> List[int]:
-        return [p.cycles(params, self.plm_bytes) for p in self.processes]
-
-    def __reduce__(self):
-        if self.recipe is None:
-            raise TypeError(
-                f"accelerator design {self.name!r} was built without a "
-                f"recipe and cannot be pickled; construct it through "
-                f"DESIGN_FACTORIES (or set design.recipe = (kind, "
-                f"plm_bytes)) to make it checkpointable")
-        from .library import design_from_recipe
-        return (design_from_recipe, self.recipe)
-
-
 @dataclass
 class AccelResult:
     """What an accelerator tile returns to the Interleaver (§IV-A): clock
@@ -135,8 +76,8 @@ class GenericPerformanceModel:
     Per the paper's back-annotation methodology (§IV-B "Accelerator
     Instrumentation"), the per-chunk latencies of the load/store processes
     come from the same communication model the RTL simulation was
-    validated with; the compute processes use the design's instrumented
-    loop latencies. That is what keeps this model within a few percent of
+    validated with; the compute process uses the design's compute
+    cycles. That is what keeps this model within a few percent of
     cycle-level RTL simulation (Figure 10d).
     """
 
@@ -152,20 +93,14 @@ class GenericPerformanceModel:
         """Estimate one invocation, optionally spread over parallel
         instances that share the memory bandwidth."""
         design = self.design
-        chunks = max(1, design.num_chunks(params, design.plm_bytes))
+        chunks = design.num_chunks(params)
         nbytes_total = design.bytes_transferred(params)
         in_bytes = math.ceil(nbytes_total * 0.5)
         out_bytes = nbytes_total - in_bytes
         load_chunk = self.comm.transfer_cycles(math.ceil(in_bytes / chunks))
         store_chunk = self.comm.transfer_cycles(
             math.ceil(out_bytes / chunks))
-        compute_totals = design.process_cycles(params)[1:-1]
-        if not compute_totals:
-            raise ValueError(
-                f"{design.name}: pipeline needs load/compute/store "
-                f"processes")
-        compute_chunk = max(
-            max(1, math.ceil(t / chunks)) for t in compute_totals)
+        compute_chunk = math.ceil(design.compute_cycles(params) / chunks)
         per_chunk = [load_chunk, compute_chunk, store_chunk]
         # pipelined: fill with one chunk of every stage, then the slowest
         # stage dominates the remaining chunks

@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .perf_model import (
-    AccelParams, AcceleratorDesign, AccelResult, CommunicationModel,
-)
+from .library import AccelParams, AcceleratorDesign
+from .perf_model import AccelResult, CommunicationModel
+
+#: per-invocation device-driver overhead on the FPGA SoC (cycles)
+DRIVER_OVERHEAD_CYCLES = 12_000
+#: stretch of DMA latency and run time from system contention
+CONTENTION_FACTOR = 1.06
 
 
 class RTLSimulation:
@@ -31,22 +35,13 @@ class RTLSimulation:
 
     def simulate(self, params: AccelParams) -> AccelResult:
         design = self.design
-        chunks = max(1, design.num_chunks(params, design.plm_bytes))
-        totals = design.process_cycles(params)
-        if len(totals) < 3:
-            raise ValueError(
-                f"{design.name}: pipeline needs load/compute/store processes")
+        chunks = design.num_chunks(params)
         nbytes = design.bytes_transferred(params)
         # assume symmetric in/out split unless the design is input-heavy;
         # compute per-chunk DMA sizes from total traffic
         in_bytes = math.ceil(nbytes * 0.5)
         out_bytes = nbytes - in_bytes
-
-        load_chunk = self.comm.transfer_cycles(math.ceil(in_bytes / chunks))
-        store_chunk = self.comm.transfer_cycles(math.ceil(out_bytes / chunks))
-        compute_totals = totals[1:-1]
-        compute_chunk = max(
-            max(1, math.ceil(t / chunks)) for t in compute_totals)
+        compute_chunk = math.ceil(design.compute_cycles(params) / chunks)
 
         # double-buffered pipeline: the load of chunk i reuses the PLM
         # buffer freed when the compute of chunk i-2 finished
@@ -78,9 +73,6 @@ class RTLSimulation:
         return AccelResult(cycles=cycles, energy_nj=energy_nj,
                            bytes_transferred=nbytes, design=design.name)
 
-    # unused per-chunk values kept for symmetry with the closed-form model
-    _ = (None,)
-
 
 class FPGAEmulation:
     """Full-system FPGA execution stand-in (§VI-A).
@@ -92,25 +84,21 @@ class FPGAEmulation:
     """
 
     def __init__(self, design: AcceleratorDesign,
-                 comm: CommunicationModel = None,
-                 driver_overhead_cycles: int = 12_000,
-                 contention_factor: float = 1.06):
+                 comm: CommunicationModel = None):
         congested = comm if comm is not None else CommunicationModel()
         congested = CommunicationModel(
             access_latency=int(congested.access_latency
-                               * contention_factor) + 8,
+                               * CONTENTION_FACTOR) + 8,
             interconnect_bytes=congested.interconnect_bytes,
             noc_hops=congested.noc_hops,
             hop_latency=congested.hop_latency,
         )
         self._rtl = RTLSimulation(design, congested)
-        self.driver_overhead_cycles = driver_overhead_cycles
-        self.contention_factor = contention_factor
 
     def execute(self, params: AccelParams) -> AccelResult:
         result = self._rtl.simulate(params)
-        cycles = int(result.cycles * self.contention_factor) \
-            + self.driver_overhead_cycles
+        cycles = int(result.cycles * CONTENTION_FACTOR) \
+            + DRIVER_OVERHEAD_CYCLES
         seconds = cycles / (self._rtl.design.frequency_ghz * 1e9)
         return AccelResult(
             cycles=cycles,

@@ -15,23 +15,16 @@ from typing import Dict, Optional
 
 from ...trace.tracefile import AccelInvocation
 from ..errors import AcceleratorFaultError
-from .library import DESIGN_FACTORIES, params_from_invocation
-from .perf_model import AccelResult, AcceleratorDesign, \
-    GenericPerformanceModel
+from .library import (
+    DESIGN_FACTORIES, AcceleratorDesign, params_from_invocation,
+)
+from .perf_model import AccelResult, GenericPerformanceModel
 from .rtl_sim import RTLSimulation
 
-
-class _RTLEstimate:
-    """Estimate entry point over a cycle-level RTL simulation (picklable
-    stand-in for the former lambda, so checkpointed farms restore)."""
-
-    __slots__ = ("rtl",)
-
-    def __init__(self, rtl: RTLSimulation):
-        self.rtl = rtl
-
-    def __call__(self, params, num_instances: int = 1) -> AccelResult:
-        return self.rtl.simulate(params)
+#: core-vs-accelerator slowdown of the fallback estimate: a core that
+#: absorbs a faulted invocation takes this many times the accelerator's
+#: cycles and energy
+FALLBACK_SLOWDOWN = 8
 
 
 class AcceleratorTile:
@@ -47,10 +40,10 @@ class AcceleratorTile:
         #: global cycles per accelerator cycle (clock-ratio scaling)
         self.period = period
         if model == "generic":
-            self._model = GenericPerformanceModel(design, max_bandwidth_gbps)
-            self._estimate = self._model.estimate
+            self._estimate = GenericPerformanceModel(
+                design, max_bandwidth_gbps).estimate
         elif model == "rtl":
-            self._estimate = _RTLEstimate(RTLSimulation(design))
+            self._estimate = RTLSimulation(design).simulate
         else:
             raise ValueError(f"unknown accelerator model {model!r}")
         #: next-free global cycle per hardware instance
@@ -94,20 +87,19 @@ class AcceleratorTile:
             },
         }
 
-    def fallback_invoke(self, invocation: AccelInvocation, cycle: int,
-                        slowdown: int = 8):
+    def fallback_invoke(self, invocation: AccelInvocation, cycle: int):
         """Timing estimate for the invoking core executing the same work
         itself (graceful degradation after an accelerator fault): the
-        accelerator's cycle count scaled by ``slowdown``, on the core —
-        no hardware instance is occupied. Functional results are
-        unaffected; the trace interpreter already computed them."""
+        accelerator's cycle count scaled by :data:`FALLBACK_SLOWDOWN`, on
+        the core — no hardware instance is occupied. Functional results
+        are unaffected; the trace interpreter already computed them."""
         _, params = params_from_invocation(invocation)
         result: AccelResult = self._estimate(params)
-        completion = cycle + result.cycles * self.period * slowdown
+        completion = cycle + result.cycles * self.period * FALLBACK_SLOWDOWN
         self.fallback_invocations += 1
         # a general-purpose core burns proportionally more energy on the
         # same work; bytes still move through the hierarchy
-        return completion, result.energy_nj * slowdown, \
+        return completion, result.energy_nj * FALLBACK_SLOWDOWN, \
             result.bytes_transferred
 
 
@@ -124,8 +116,6 @@ class AcceleratorFarm:
         #: when True, a faulted invocation falls back to core execution
         #: instead of propagating the fault
         self.fallback_enabled = True
-        #: core-vs-accelerator slowdown used by the fallback estimate
-        self.fallback_slowdown = 8
 
     def add(self, kind: str, tile: AcceleratorTile) -> "AcceleratorFarm":
         self._tiles[f"accel_{kind}"] = tile
@@ -161,8 +151,8 @@ class AcceleratorFarm:
 
     def fallback_invoke(self, invocation: AccelInvocation, cycle: int):
         """Core-execution estimate for a faulted invocation."""
-        result = self._tile_for(invocation).fallback_invoke(
-            invocation, cycle, self.fallback_slowdown)
+        result = self._tile_for(invocation).fallback_invoke(invocation,
+                                                            cycle)
         for observer in self.observers:
             observer.accel_invocation(f"{invocation.name} (fallback)",
                                       cycle, *result)

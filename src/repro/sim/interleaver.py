@@ -329,9 +329,10 @@ class Interleaver:
                                     partial_stats=partial)
 
     # ------------------------------------------------------------------
-    def _diagnose(self, cycle: int) -> dict:
-        """Structured snapshot of the stuck system for DeadlockError."""
-        tile_states = []
+    def tile_states(self) -> List[dict]:
+        """Compact per-tile stall picture: the tiles of a DeadlockError's
+        diagnosis and of every heartbeat."""
+        states = []
         for tile in self.tiles:
             entry = {
                 "name": tile.name,
@@ -340,10 +341,14 @@ class Interleaver:
                                    else tile.next_attention),
             }
             entry.update(tile.stall_state())
-            tile_states.append(entry)
+            states.append(entry)
+        return states
+
+    def _diagnose(self, cycle: int) -> dict:
+        """Structured snapshot of the stuck system for DeadlockError."""
         diagnosis = {
             "cycle": cycle,
-            "tiles": tile_states,
+            "tiles": self.tile_states(),
             "fabric": self.fabric.diagnostics(),
             "events_pending": self.scheduler.pending,
         }

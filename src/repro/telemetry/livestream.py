@@ -41,8 +41,6 @@ __all__ = [
 #: bump when the heartbeat line layout changes incompatibly
 HEARTBEAT_SCHEMA_VERSION = 1
 
-_NEVER = (1 << 62)  # mirrors sim.tile.NEVER without importing the package
-
 
 class HeartbeatEmitter:
     """Streams a run snapshot every ``every_cycles`` simulated cycles to
@@ -118,7 +116,7 @@ class HeartbeatEmitter:
         if interleaver.checkpoint is not None:
             heartbeat["checkpoint_age"] = \
                 cycle - interleaver.checkpoint.last_cycle
-        heartbeat["tiles"] = self._tile_states(interleaver)
+        heartbeat["tiles"] = interleaver.tile_states()
         if final:
             heartbeat["final"] = True
         if self.source:
@@ -159,22 +157,6 @@ class HeartbeatEmitter:
                  if cycles - self._last_attribution.get(category, 0)}
         self._last_attribution = totals
         return delta
-
-    @staticmethod
-    def _tile_states(interleaver) -> List[dict]:
-        """Compact per-tile stall picture (the straggler-diagnosis
-        payload `watch` surfaces for points that stop heartbeating)."""
-        states = []
-        for tile in interleaver.tiles:
-            entry = {
-                "name": tile.name,
-                "done": tile.done,
-                "next_attention": (None if tile.next_attention >= _NEVER
-                                   else tile.next_attention),
-            }
-            entry.update(tile.stall_state())
-            states.append(entry)
-        return states
 
     def _push(self, heartbeat: dict) -> None:
         try:

@@ -6,24 +6,16 @@ the timing simulator separately charges its cost through an accelerator
 tile model. These numpy implementations are shared by the interpreter and
 the test suite.
 
-Argument conventions (all pointers are base addresses into
-:class:`~repro.trace.memory.SimMemory`):
-
-==================  ==========================================================
-``accel_sgemm``     ``(A, B, C, n, m, k)`` — C[n,m] += A[n,k] @ B[k,m]
-``accel_elementwise`` ``(A, B, C, n)`` — C[i] = A[i] * B[i]
-``accel_histo``     ``(data, hist, n, bins, sat)`` — saturating histogram
-``accel_conv2d``    ``(X, W, Y, h, w, cin, cout, kh, kw)`` — valid conv
-``accel_dense``     ``(X, W, Y, batch, din, dout)`` — Y = X @ W
-``accel_relu``      ``(X, Y, n)`` — Y = max(X, 0)
-``accel_pool``      ``(X, Y, h, w, c, stride)`` — max pool
-``accel_batchnorm`` ``(X, Y, n)`` — normalize to zero mean / unit variance
-==================  ==========================================================
+Each kind is declared once, in :data:`ACCEL_OPS`: its numpy handler and
+its argument layout (pointer arguments first, all base addresses into
+:class:`~repro.trace.memory.SimMemory`, then the configuration
+parameters). The intrinsic registry, the native shims and the timing
+model's invocation decoder all read that table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +24,16 @@ from .memory import SimMemory
 
 def apply_accelerator(name: str, args: Sequence, memory: SimMemory) -> None:
     """Execute the functional effect of accelerator intrinsic ``name``."""
-    handler = _HANDLERS.get(name)
-    if handler is None:
-        raise KeyError(f"no functional model for accelerator {name!r}")
-    handler(memory, *[int(a) for a in args])
+    accel_op(name).handler(memory, *[int(a) for a in args])
+
+
+def accel_op(name: str) -> "AccelOp":
+    """The :data:`ACCEL_OPS` row of intrinsic ``name`` (``accel_<kind>``)."""
+    op = ACCEL_OPS.get(name[len("accel_"):]) \
+        if name.startswith("accel_") else None
+    if op is None:
+        raise KeyError(f"no accelerator kind for intrinsic {name!r}")
+    return op
 
 
 def _sgemm(mem: SimMemory, a: int, b: int, c: int, n: int, m: int,
@@ -104,13 +102,33 @@ def _batchnorm(mem: SimMemory, x: int, y: int, n: int) -> None:
     Y[:] = (X - X.mean()) / (std if std > 0 else 1.0)
 
 
-_HANDLERS = {
-    "accel_sgemm": _sgemm,
-    "accel_elementwise": _elementwise,
-    "accel_histo": _histo,
-    "accel_conv2d": _conv2d,
-    "accel_dense": _dense,
-    "accel_relu": _relu,
-    "accel_pool": _pool,
-    "accel_batchnorm": _batchnorm,
+class AccelOp(NamedTuple):
+    """One accelerator kind: the intrinsic ``accel_<kind>(*pointers,
+    *params)`` does ``handler(memory, *args)``."""
+
+    handler: Callable[..., None]
+    #: how many leading arguments are base addresses
+    pointers: int
+    #: names of the configuration parameters that follow the pointers
+    params: Tuple[str, ...]
+
+
+#: accelerator kind -> functional model and argument layout
+ACCEL_OPS: Dict[str, AccelOp] = {
+    # (A, B, C, ...): C[n,m] += A[n,k] @ B[k,m]
+    "sgemm": AccelOp(_sgemm, 3, ("n", "m", "k")),
+    # (data, hist, ...): saturating histogram
+    "histo": AccelOp(_histo, 2, ("n", "bins", "sat")),
+    # (A, B, C, ...): C[i] = A[i] * B[i]
+    "elementwise": AccelOp(_elementwise, 3, ("n",)),
+    # (X, W, Y, ...): valid convolution
+    "conv2d": AccelOp(_conv2d, 3, ("h", "w", "cin", "cout", "kh", "kw")),
+    # (X, W, Y, ...): Y = X @ W
+    "dense": AccelOp(_dense, 3, ("batch", "din", "dout")),
+    # (X, Y, ...): max pool
+    "pool": AccelOp(_pool, 2, ("h", "w", "c", "stride")),
+    # (X, Y, ...): Y = max(X, 0)
+    "relu": AccelOp(_relu, 2, ("n",)),
+    # (X, Y, ...): normalize to zero mean / unit variance
+    "batchnorm": AccelOp(_batchnorm, 2, ("n",)),
 }

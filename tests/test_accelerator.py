@@ -1,15 +1,19 @@
 """Accelerator model tests (paper §IV): generic performance model,
 cycle-level RTL simulation, FPGA wrapper, tiles, and trace decoding."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.frontend import ACCEL_INTRINSICS, native
 from repro.sim.accelerator import (
     AcceleratorFarm, AcceleratorTile, CommunicationModel, DESIGN_FACTORIES,
     FPGAEmulation, GenericPerformanceModel, RTLSimulation,
     params_from_invocation,
 )
 from repro.sim.accelerator.library import elementwise_design, sgemm_design
+from repro.trace.accel_ops import ACCEL_OPS
 from repro.trace.tracefile import AccelInvocation
 
 
@@ -69,14 +73,19 @@ class TestRTLSimulation:
             assert 0.5 < ratio < 2.0
 
     def test_pipeline_overlap(self):
-        """Pipelined total << sum of stage totals for multi-chunk runs."""
+        """Pipelined total < the same per-chunk load, compute and store
+        stages run back to back, chunk after chunk."""
         design = sgemm_design(8 * 1024)
         params = {"n": 64, "m": 64, "k": 64}
         result = RTLSimulation(design).simulate(params)
-        serial = sum(design.process_cycles(params))
         comm = CommunicationModel()
-        assert result.cycles < serial + comm.transfer_cycles(
-            design.bytes_transferred(params))
+        chunks = design.num_chunks(params)
+        half = math.ceil(design.bytes_transferred(params) / 2)
+        transfer = comm.transfer_cycles(math.ceil(half / chunks))
+        compute = math.ceil(design.compute_cycles(params) / chunks)
+        unpipelined = chunks * (transfer + compute + transfer)
+        assert chunks > 1
+        assert result.cycles < unpipelined
 
     def test_fpga_slower_than_rtl(self):
         design = sgemm_design()
@@ -135,6 +144,28 @@ class TestInvocationDecoding:
         kind, params = params_from_invocation(inv)
         assert kind == "sgemm"
         assert params == {"n": 8, "m": 9, "k": 10}
+
+    @pytest.mark.parametrize("kind", sorted(ACCEL_OPS))
+    def test_every_kind_decodes_its_layout(self, kind):
+        """The decoder skips the kind's pointer arguments and names the
+        rest by the layout beside its functional handler."""
+        op = ACCEL_OPS[kind]
+        pointers = tuple(range(1000, 1000 + op.pointers))
+        values = tuple(range(2, 2 + len(op.params)))
+        decoded_kind, params = params_from_invocation(
+            AccelInvocation(0, f"accel_{kind}", pointers + values))
+        assert decoded_kind == kind
+        assert params == dict(zip(op.params, values))
+
+    def test_every_kind_names_the_same_kinds(self):
+        """Intrinsic registry, native shims, functional handlers and
+        design library list one set of accelerator kinds."""
+        kinds = set(ACCEL_OPS)
+        assert set(DESIGN_FACTORIES) == kinds
+        assert set(ACCEL_INTRINSICS) == {f"accel_{k}" for k in kinds}
+        shims = {name[len("accel_"):] for name in vars(native)
+                 if name.startswith("accel_")}
+        assert shims == kinds
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):

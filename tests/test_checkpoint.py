@@ -300,18 +300,18 @@ class TestCheckpointFormat:
             load_checkpoint(str(bumped))
 
     def test_previous_schema_version_is_refused(self, snapshot, tmp_path):
-        # version 7: the observed components hold one `observers` tuple
-        # in place of their tracer/memstat/attributor fields, so a
-        # version-6 pickle cannot resume
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        # version 8: an accelerator design pickles as plain data
+        # (kind, PLM size) instead of a rebuild recipe, so a version-7
+        # pickle cannot resume
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         blob = open(snapshot, "rb").read()
         magic, _, digest, length = _HEADER.unpack_from(blob)
-        old = tmp_path / "v6.bin"
-        old.write_bytes(_HEADER.pack(magic, 6, digest, length)
+        old = tmp_path / "v7.bin"
+        old.write_bytes(_HEADER.pack(magic, 7, digest, length)
                         + blob[_HEADER.size:])
         with pytest.raises(CheckpointError,
-                           match="schema version 6, but this build reads "
-                                 "version 7"):
+                           match="schema version 7, but this build reads "
+                                 "version 8"):
             load_checkpoint(str(old))
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):
