@@ -461,8 +461,7 @@ class TraceLane(Observer):
         self.tracer.instant("dae", f"{name} full", cycle, self.tid)
 
     def queue_depth(self, name, cycle, occupancy):
-        # on lane 0, not this lane: the trace bytes pin that
-        self.tracer.counter("dae", name, cycle, occupancy)
+        self.tracer.counter("dae", name, cycle, occupancy, self.tid)
 
     def queue_empty(self, name, cycle):
         self.tracer.instant("dae", f"{name} empty", cycle, self.tid)
