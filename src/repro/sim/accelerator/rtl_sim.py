@@ -14,7 +14,6 @@ model tracks it within 97–100%).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .library import AccelParams, AcceleratorDesign
 from .perf_model import AccelResult, CommunicationModel

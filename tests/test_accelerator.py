@@ -1,9 +1,9 @@
 """Accelerator model tests (paper §IV): generic performance model,
 cycle-level RTL simulation, FPGA wrapper, tiles, and trace decoding."""
 
+import inspect
 import math
 
-import numpy as np
 import pytest
 
 from repro.frontend import ACCEL_INTRINSICS, native
@@ -127,6 +127,16 @@ class TestDesignLibrary:
         result = model.estimate(params)
         assert result.cycles > 0 and result.energy_nj > 0
 
+    def test_layers_name_the_same_kinds(self):
+        """Intrinsic registry, native shims, functional handlers and
+        design library list one set of accelerator kinds."""
+        kinds = set(ACCEL_OPS)
+        assert set(DESIGN_FACTORIES) == kinds
+        assert set(ACCEL_INTRINSICS) == {f"accel_{k}" for k in kinds}
+        shims = {name[len("accel_"):] for name in vars(native)
+                 if name.startswith("accel_")}
+        assert shims == kinds
+
     def test_area_grows_with_plm(self):
         assert sgemm_design(256 * 1024).area_um2 > \
             sgemm_design(4 * 1024).area_um2
@@ -156,16 +166,9 @@ class TestInvocationDecoding:
             AccelInvocation(0, f"accel_{kind}", pointers + values))
         assert decoded_kind == kind
         assert params == dict(zip(op.params, values))
-
-    def test_every_kind_names_the_same_kinds(self):
-        """Intrinsic registry, native shims, functional handlers and
-        design library list one set of accelerator kinds."""
-        kinds = set(ACCEL_OPS)
-        assert set(DESIGN_FACTORIES) == kinds
-        assert set(ACCEL_INTRINSICS) == {f"accel_{k}" for k in kinds}
-        shims = {name[len("accel_"):] for name in vars(native)
-                 if name.startswith("accel_")}
-        assert shims == kinds
+        # the layout covers exactly the handler's arguments after memory
+        arity = len(inspect.signature(op.handler).parameters)
+        assert arity == 1 + op.pointers + len(op.params)
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
