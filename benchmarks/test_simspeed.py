@@ -6,7 +6,8 @@ and trace files from ~100 MB to a few GB for the Parboil defaults. This
 pure-Python reproduction checks the same relative claims: the
 accelerator performance model is orders of magnitude faster than
 cycle-level simulation, and traces stay modest at our scales. Speed
-itself, over repeated samples, is measured by ``bench/run.py``.
+itself, over repeated samples, is measured by ``bench/run.py``; the
+speed table here is printed, not archived, since it depends on the host.
 """
 
 import time
@@ -52,8 +53,9 @@ def test_simulation_speed(benchmark, prepared_sgemm):
         rows.append([name, f"{paper_mips:.3f}"])
     table = render_table(["simulator", "MIPS"], rows,
                          title="Simulation speed (§VI-B)")
-    record("simspeed", table + f"\naccelerator perf-model "
-                               f"evaluations/second: {accel_per_second:,.0f}")
+    # printed, not archived under results/: the numbers depend on the host
+    print(f"\n===== simspeed =====\n{table}\naccelerator perf-model "
+          f"evaluations/second: {accel_per_second:,.0f}\n")
 
     assert mips > 0.001  # sanity: not pathologically slow
     # the §IV claim: closed-form accelerator models are orders of
